@@ -21,7 +21,7 @@ schedule order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, NamedTuple, Optional
 
 from .faults import FaultPlan
 from .network import Network, payload_nbytes
@@ -33,8 +33,7 @@ ANY_SOURCE = -1
 ANY_TAG = -1
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A delivered message as seen by the receiver."""
 
     payload: Any
@@ -183,31 +182,34 @@ class SimComm:
         world = self.world
         if not (0 <= dest < world.size):
             raise ValueError(f"invalid destination rank {dest}")
+        sim = world.sim
         size = payload_nbytes(payload, nbytes)
-        msg = Message(payload=payload, source=self.rank, tag=tag, nbytes=size)
+        msg = Message(payload, self.rank, tag, size)
         net = world.network
         dropped = False
         extra_delay = 0.0
         if world.faults is not None:
             verdict, extra_delay = world.faults.message_verdict(
-                self.rank, dest, tag, size, world.sim.now
+                self.rank, dest, tag, size, sim.now
             )
             dropped = verdict == "drop"
         if not dropped:
             transfer = net.transfer_time(size, self.rank, dest, extra_delay)
-            world.sim._schedule_call(transfer, world._mailboxes[dest].deliver, msg)
-        world.stats.messages_sent += 1
-        world.stats.bytes_sent += size
+            sim._schedule_call(transfer, world._mailboxes[dest].deliver, msg)
+        stats = world.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size
         if dest != self.rank:
-            world.stats.remote_bytes += size
-        done = world.sim.event(name=f"isend {self.rank}->{dest} tag={tag}")
-        world.sim._schedule_call(net.injection_time(size), done.succeed, None)
+            stats.remote_bytes += size
+        done = Event(sim, ("isend {}->{} tag={}", self.rank, dest, tag))
+        sim._schedule_call(net.injection_time(size), done.succeed, None)
         return Request(done, "send")
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive for a matching message."""
-        ev = self.sim.event(name=f"irecv rank={self.rank} src={source} tag={tag}")
-        self.world._mailboxes[self.rank].post(_PostedRecv(source, tag, ev))
+        world = self.world
+        ev = Event(world.sim, ("irecv rank={} src={} tag={}", self.rank, source, tag))
+        world._mailboxes[self.rank].post(_PostedRecv(source, tag, ev))
         return Request(ev, "recv")
 
     def send(
@@ -259,7 +261,7 @@ class Barrier:
         self._generation_counts[gen] = count
         ev = self._generation_events.get(gen)
         if ev is None:
-            ev = self.world.sim.event(name=f"{self.name} gen={gen}")
+            ev = self.world.sim.event(name=("{} gen={}", self.name, gen))
             self._generation_events[gen] = ev
         if count == len(self.group):
             release = self.world.network.latency

@@ -68,7 +68,7 @@ class Disk:
         ):
             self.stats.errors += 1
             value = DiskFault(kind, self.name, self.sim.now)
-        ev = self.sim.event(name=f"{self.name} io")
+        ev = self.sim.event(name=("{} io", self.name))
         self.sim._schedule_call(finish - self.sim.now, ev.succeed, value)
         return ev
 

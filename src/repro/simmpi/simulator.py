@@ -22,7 +22,7 @@ a sub-generator).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -55,17 +55,27 @@ class Event:
     in the caller (e.g. completing the same receive twice).
     """
 
-    __slots__ = ("sim", "_value", "_triggered", "_failed", "_callbacks", "name")
+    __slots__ = ("sim", "_value", "_triggered", "_failed", "_callbacks", "_name")
 
-    def __init__(self, sim: "Simulator", name: str = "") -> None:
+    def __init__(self, sim: "Simulator", name: "str | tuple" = "") -> None:
         self.sim = sim
-        self.name = name
+        # a plain string, or (template, *parts) formatted only when read:
+        # hot paths create an event per message and nobody reads its name
+        # unless something fails
+        self._name = name
         self._value: Any = None
         self._triggered = False
         self._failed = False
         self._callbacks: list[Callable[["Event"], None]] = []
 
     # -- state ----------------------------------------------------------
+    @property
+    def name(self) -> str:
+        name = self._name
+        if isinstance(name, tuple):
+            return name[0].format(*name[1:])
+        return name
+
     @property
     def triggered(self) -> bool:
         return self._triggered
@@ -86,7 +96,12 @@ class Event:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self._triggered = True
         self._value = value
-        self._flush()
+        callbacks = self._callbacks
+        if callbacks:
+            self._callbacks = []
+            schedule = self.sim._schedule_call
+            for cb in callbacks:
+                schedule(0.0, cb, self)
         return self
 
     def succeed_if_pending(self, value: Any = None) -> bool:
@@ -104,16 +119,8 @@ class Event:
     def fail(self, exc: BaseException) -> "Event":
         if self._triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
-        self._triggered = True
         self._failed = True
-        self._value = exc
-        self._flush()
-        return self
-
-    def _flush(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            self.sim._schedule_call(0.0, cb, self)
+        return self.succeed(exc)
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Invoke *cb(event)* when triggered (immediately if already)."""
@@ -127,15 +134,18 @@ class Event:
         return f"<Event {self.name!r} {state}>"
 
 
-@dataclass(frozen=True)
 class Timeout:
     """Effect: suspend the yielding process for ``delay`` simulated time."""
 
-    delay: float
+    __slots__ = ("delay",)
 
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError(f"negative timeout: {self.delay}")
+    def __init__(self, delay: float) -> None:
+        if delay < 0:
+            raise ValueError(f"negative timeout: {delay}")
+        self.delay = delay
+
+    def __repr__(self) -> str:
+        return f"Timeout(delay={self.delay!r})"
 
 
 class AnyOf:
@@ -196,14 +206,6 @@ class Process:
         return f"<Process {self.name!r} {state}>"
 
 
-@dataclass(order=True)
-class _ScheduledCall:
-    time: float
-    seq: int
-    fn: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-
-
 class Simulator:
     """The discrete-event engine.
 
@@ -216,7 +218,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[_ScheduledCall] = []
+        # heap of (time, seq, fn, args): seq is unique, so ordering is
+        # decided before fn is ever compared
+        self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._processes: list[Process] = []
         self._active = 0
@@ -228,15 +232,15 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule in the past")
         self._seq += 1
-        heapq.heappush(self._queue, _ScheduledCall(self.now + delay, self._seq, fn, args))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
-    def event(self, name: str = "") -> Event:
+    def event(self, name: "str | tuple" = "") -> Event:
         return Event(self, name=name)
 
     def timeout_event(self, delay: float, value: Any = None) -> Event:
         """An event that triggers after ``delay`` simulated time."""
-        ev = Event(self, name=f"timeout+{delay:g}")
-        self._schedule_call(delay, lambda: ev.succeed(value))
+        ev = Event(self, name=("timeout+{:g}", delay))
+        self._schedule_call(delay, ev.succeed, value)
         return ev
 
     # -- processes ---------------------------------------------------------
@@ -271,13 +275,10 @@ class Simulator:
         except BaseException as err:  # noqa: BLE001 - must surface process crashes
             self._finish(proc, None, err)
             return
-        self._handle_effect(proc, effect)
-
-    def _handle_effect(self, proc: Process, effect: Any) -> None:
         if isinstance(effect, Timeout):
             self._schedule_call(effect.delay, self._step, proc, None, None)
         elif isinstance(effect, Event):
-            effect.add_callback(lambda ev: self._resume_from_event(proc, ev))
+            effect.add_callback(partial(self._resume_from_event, proc))
         elif isinstance(effect, AnyOf):
             self._wait_any(proc, effect.events)
         elif isinstance(effect, AllOf):
@@ -342,6 +343,40 @@ class Simulator:
             proc.done_event.succeed(result)
 
     # -- main loop ---------------------------------------------------------
+    @property
+    def active(self) -> int:
+        """Non-daemon processes that have not finished yet."""
+        return self._active
+
+    def run_pending(
+        self, max_events: Optional[int] = None, until: Optional[float] = None
+    ) -> int:
+        """Fire queued events in (time, schedule order); returns how many.
+
+        The one owner of the pop loop: stops when the queue is empty,
+        after ``max_events`` events, or before the first event later
+        than simulated time ``until``.  Raises the first process error
+        encountered.  Drivers that interleave the event loop with
+        something else (the multiprocess engine polls its pipes between
+        batches) call this instead of :meth:`run`.
+        """
+        queue = self._queue
+        errors = self._errors
+        pop = heapq.heappop
+        fired = 0
+        while queue and fired != max_events:
+            if until is not None and queue[0][0] > until:
+                break
+            time, _seq, fn, args = pop(queue)
+            if time < self.now - 1e-12:
+                raise SimulationError("time went backwards")
+            self.now = time
+            fn(*args)
+            fired += 1
+            if errors:
+                raise errors[0]
+        return fired
+
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event queue drains (or simulated time *until*).
 
@@ -350,18 +385,10 @@ class Simulator:
         remain un-finished with an empty queue (i.e. they all wait on
         events nobody will trigger).
         """
-        while self._queue:
-            call = self._queue[0]
-            if until is not None and call.time > until:
-                self.now = until
-                return self.now
-            heapq.heappop(self._queue)
-            if call.time < self.now - 1e-12:
-                raise SimulationError("time went backwards")
-            self.now = call.time
-            call.fn(*call.args)
-            if self._errors:
-                raise self._errors[0]
+        self.run_pending(until=until)
+        if self._queue:  # only events later than `until` are left
+            self.now = until
+            return self.now
         if self._active > 0:
             waiting = [
                 p.name for p in self._processes if not p.finished and not p.daemon

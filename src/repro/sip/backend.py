@@ -182,32 +182,39 @@ class ComputeBackend:
             dst.data[...] = aa + bb if op == "+" else aa - bb
         return self.cost.elementwise_time(2 * dst.nbytes)
 
+    def _plan_time(self, plan) -> float:
+        """Modeled time of a compiled contraction, memoised on the plan
+        (the plan cache and the cost model both live for one run)."""
+        cost = plan.cost
+        if cost is None:
+            cost = plan.cost = self.cost.contraction_time(
+                plan.out_shape, plan.contracted_shape
+            )
+        return cost
+
     def contract(
         self, dst: KernelOperand, op: str, a: KernelOperand, b: KernelOperand
     ) -> float:
+        if self.real and self.plans is not None:
+            plan = self.plans.contraction(
+                a.index_ids, a.shape, b.index_ids, b.shape, dst.index_ids
+            )
+            plan.execute(a.data, b.data, dst.data, op)
+            return self._plan_time(plan)
         contracted_shape = tuple(
             dim
             for dim, ix in zip(a.shape, a.index_ids)
             if ix not in dst.index_ids
         )
         if self.real:
-            if self.plans is not None:
-                plan = self.plans.contraction(
-                    a.index_ids, a.shape, b.index_ids, b.shape,
-                    dst.index_ids, dst.shape,
-                )
-                plan.execute(a.data, b.data, dst.data, op)
+            subscripts = einsum_subscripts(a.index_ids, b.index_ids, dst.index_ids)
+            result = np.einsum(subscripts, a.data, b.data, optimize=True)
+            if op == "=":
+                dst.data[...] = result
+            elif op == "+=":
+                dst.data[...] += result
             else:
-                subscripts = einsum_subscripts(
-                    a.index_ids, b.index_ids, dst.index_ids
-                )
-                result = np.einsum(subscripts, a.data, b.data, optimize=True)
-                if op == "=":
-                    dst.data[...] = result
-                elif op == "+=":
-                    dst.data[...] += result
-                else:
-                    dst.data[...] -= result
+                dst.data[...] -= result
         return self.cost.contraction_time(dst.shape, contracted_shape)
 
     def fused_contract(
@@ -228,27 +235,27 @@ class ComputeBackend:
         instruction dispatch less.  Charges the sum of both unfused
         costs, keeping the simulated-time model honest.
         """
-        dims = dict(zip(a.index_ids, a.shape))
-        dims.update(zip(b.index_ids, b.shape))
-        tmp_shape = tuple(dims[ix] for ix in tmp_ids)
-        contracted_shape = tuple(
-            dim
-            for dim, ix in zip(a.shape, a.index_ids)
-            if ix not in tmp_ids
-        )
-        if self.real:
-            if self.plans is not None:
-                plan = self.plans.contraction(
-                    a.index_ids, a.shape, b.index_ids, b.shape,
-                    tmp_ids, tmp_shape,
-                )
-                res = np.empty(tmp_shape)
-                plan.execute(a.data, b.data, res, "=")
-            else:
-                subscripts = einsum_subscripts(
-                    a.index_ids, b.index_ids, tmp_ids
-                )
+        if self.real and self.plans is not None:
+            plan = self.plans.contraction(
+                a.index_ids, a.shape, b.index_ids, b.shape, tmp_ids
+            )
+            res = np.empty(plan.out_shape)
+            plan.execute(a.data, b.data, res, "=")
+            contraction_time = self._plan_time(plan)
+        else:
+            dims = dict(zip(a.index_ids, a.shape))
+            dims.update(zip(b.index_ids, b.shape))
+            tmp_shape = tuple(dims[ix] for ix in tmp_ids)
+            contracted_shape = tuple(
+                dim
+                for dim, ix in zip(a.shape, a.index_ids)
+                if ix not in tmp_ids
+            )
+            contraction_time = self.cost.contraction_time(tmp_shape, contracted_shape)
+            if self.real:
+                subscripts = einsum_subscripts(a.index_ids, b.index_ids, tmp_ids)
                 res = np.einsum(subscripts, a.data, b.data, optimize=True)
+        if self.real:
             aligned = np.transpose(res, self._perm(dst.index_ids, tmp_ids))
             if factor is not None:
                 aligned = factor * aligned
@@ -258,9 +265,7 @@ class ComputeBackend:
                 dst.data[...] += aligned
             else:
                 dst.data[...] -= aligned
-        return self.cost.contraction_time(
-            tmp_shape, contracted_shape
-        ) + self.cost.elementwise_time(dst.nbytes)
+        return contraction_time + self.cost.elementwise_time(dst.nbytes)
 
     def scalar_contract(self, a: KernelOperand, b: KernelOperand) -> tuple[float, float]:
         """Full contraction to a scalar; returns (value, cost)."""

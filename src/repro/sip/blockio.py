@@ -289,9 +289,10 @@ class BlockTransferEngine:
             entry = yield from self._issue_with_backpressure(bid, kind, wait)
             self.cache.record_use(bid, hit=False)
         else:
-            if entry.pending:
+            pending = entry.pending
+            if pending:
                 self.stats.coalesced += 1
-            self.cache.record_use(bid, hit=not entry.pending)
+            self.cache.record_use(bid, hit=not pending)
         if entry.pending:
             self._note_waiter(bid)
             yield from wait(entry.arrival)
@@ -351,10 +352,10 @@ class BlockTransferEngine:
         port = self.port
         if kind == "get":
             dest = self.rt.owner_rank(bid)
-            arrival = self.sim.event(name=f"arrive {bid}")
+            arrival = self.sim.event(name=("arrive {}", bid))
         else:
             dest = self.rt.server_rank_for(bid)
-            arrival = self.sim.event(name=f"arrive-served {bid}")
+            arrival = self.sim.event(name=("arrive-served {}", bid))
         reply_tag = port.next_tag()
         entry = self.cache.insert_pending(bid, arrival)
         self._inflight[bid] = _InFlight(kind=kind, arrival=arrival)
@@ -479,7 +480,7 @@ class BlockTransferEngine:
         while True:
             entry = self.cache.lookup(bid)
             if entry is None:
-                arrival = self.sim.event(name=f"diskload {bid}")
+                arrival = self.sim.event(name=("diskload {}", bid))
                 try:
                     self.cache.insert_pending(bid, arrival)
                 except SIPError:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, prod
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -222,35 +222,16 @@ def _symbolic_vector(
 # --------------------------------------------------------------------------
 # Blocks
 # --------------------------------------------------------------------------
-class BlockId:
+class BlockId(NamedTuple):
     """Identity of one block: which array, which block coordinates.
 
     Block ids key every hot dict in the runtime (caches, placements,
-    owned/local block maps), so the hash is computed once up front.
+    owned/local block maps, the in-flight table), so they are plain
+    tuples underneath: hashing, equality and pickling all run in C.
     """
 
-    __slots__ = ("array_id", "coords", "_hash")
-
-    def __init__(self, array_id: int, coords: tuple[int, ...]) -> None:
-        self.array_id = array_id
-        self.coords = coords
-        self._hash = hash((array_id, coords))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BlockId):
-            return self.array_id == other.array_id and self.coords == other.coords
-        return NotImplemented
-
-    def __reduce__(self):
-        # __slots__ classes need explicit pickle support; the hash is
-        # recomputed on the receiving side by __init__.
-        return (BlockId, (self.array_id, self.coords))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BlockId(array_id={self.array_id}, coords={self.coords})"
+    array_id: int
+    coords: tuple[int, ...]
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"B[{self.array_id}]{self.coords}"

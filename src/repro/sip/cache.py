@@ -193,7 +193,7 @@ class BlockCache:
         entry.pinned -= 1
 
     def evictable(self, entry: CacheEntry) -> bool:
-        return entry.pinned == 0 and not entry.pending and not entry.dirty
+        return entry.pinned == 0 and entry.block is not None and not entry.dirty
 
     def _evict(self, key: BlockId, entry: CacheEntry) -> None:
         """Drop one entry with full accounting (evictions, on_evict)."""
@@ -205,6 +205,14 @@ class BlockCache:
         if self.on_evict is not None:
             self.on_evict(key, entry)
 
+    def _lru_victim(self) -> Optional[tuple[BlockId, CacheEntry]]:
+        """The least recently used evictable entry (scanned in place:
+        at capacity the victim is almost always among the first few)."""
+        for key, entry in self._entries.items():
+            if self.evictable(entry):
+                return key, entry
+        return None
+
     def evict_for_pressure(self, need_bytes: int) -> tuple[int, int]:
         """Drop clean LRU entries until ~need_bytes are freed.
 
@@ -214,31 +222,25 @@ class BlockCache:
         """
         freed = 0
         count = 0
-        for key in list(self._entries):  # LRU order
-            if freed >= need_bytes:
+        while freed < need_bytes:
+            victim = self._lru_victim()
+            if victim is None:
                 break
-            entry = self._entries[key]
-            if self.evictable(entry):
-                freed += entry.charged
-                count += 1
-                self._evict(key, entry)
+            freed += victim[1].charged
+            count += 1
+            self._evict(*victim)
         return freed, count
 
     def _make_room(self) -> None:
-        if len(self._entries) < self.capacity:
-            return
-        for key in list(self._entries):  # LRU order
-            entry = self._entries[key]
-            if self.evictable(entry):
-                self._evict(key, entry)
-                if len(self._entries) < self.capacity:
-                    return
-        if len(self._entries) >= self.capacity:
-            raise SIPError(
-                f"{self.name}: cache full of pinned/pending/dirty blocks "
-                f"({len(self._entries)} of {self.capacity}); increase the "
-                "cache size or reduce prefetch depth"
-            )
+        while len(self._entries) >= self.capacity:
+            victim = self._lru_victim()
+            if victim is None:
+                raise SIPError(
+                    f"{self.name}: cache full of pinned/pending/dirty blocks "
+                    f"({len(self._entries)} of {self.capacity}); increase the "
+                    "cache size or reduce prefetch depth"
+                )
+            self._evict(*victim)
 
     def items(self):
         return self._entries.items()

@@ -26,13 +26,19 @@ raised (the error-path tests match them verbatim).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from ..sial.bytecode import ArrayDesc, BlockOperand, CompiledProgram
 from .blocks import BlockId, ResolvedIndexTable
 from .config import SIPError
 
 __all__ = ["ResolvedOperand", "DecodedOperand", "DecodedInstr", "DecodedProgram", "decode_program"]
+
+
+#: array kinds whose blocks live on the executing rank: reading one
+#: never communicates, so it never waits
+LOCAL_KINDS = ("static", "temp", "local")
 
 
 @dataclass(frozen=True)
@@ -45,15 +51,23 @@ class ResolvedOperand:
     shape: tuple[int, ...]
     slices: Optional[tuple[slice, ...]]
     element_ranges: tuple[tuple[int, int], ...]
+    is_local: bool  # kind in LOCAL_KINDS
+    owner_rank: Optional[int]  # world rank owning a distributed block, else None
 
 
 class DecodedOperand:
     """A block operand with its descriptor lookups done at load time."""
 
-    __slots__ = ("array_id", "index_ids", "kind", "desc", "table", "dims", "_memo")
+    __slots__ = (
+        "array_id", "index_ids", "kind", "desc", "table", "dims", "_memo", "_key", "_owner_of",
+    )  # fmt: skip
 
     def __init__(
-        self, op: BlockOperand, desc: ArrayDesc, table: ResolvedIndexTable
+        self,
+        op: BlockOperand,
+        desc: ArrayDesc,
+        table: ResolvedIndexTable,
+        owner_of: Optional[Callable[[BlockId], int]] = None,
     ) -> None:
         self.array_id = op.array_id
         self.index_ids = op.index_ids
@@ -66,18 +80,47 @@ class DecodedOperand:
             (uid, table[uid], table[did], table[uid].is_subindex and not table[did].is_subindex)
             for did, uid in zip(desc.index_ids, op.index_ids)
         )
-        self._memo: dict[tuple, ResolvedOperand] = {}
+        # key -> resolution (or, for a key with an unbound index, the
+        # text of the error resolving it raises)
+        self._memo: dict[object, object] = {}
+        # memo key straight from the binding table, in C: the tuple of
+        # this operand's index values (the bare value for one index);
+        # an unbound index surfaces as KeyError
+        uids = op.index_ids
+        self._key = itemgetter(*uids) if uids else (lambda index_values: ())
+        self._owner_of = owner_of if desc.kind == "distributed" else None
 
     def resolve(self, index_values: dict[int, int], memo: bool = True) -> ResolvedOperand:
-        key = tuple(index_values.get(uid) for uid, _, _, _ in self.dims)
+        try:
+            key = self._key(index_values)
+        except KeyError:
+            return self._resolve_unbound(index_values, memo)
         if memo:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        r = self._resolve(key)
+        r = self._resolve((key,) if len(self.index_ids) == 1 else key)
         if memo:
             self._memo[key] = r
         return r
+
+    def _resolve_unbound(self, index_values: dict[int, int], memo: bool) -> ResolvedOperand:
+        """Some index has no value: raise what the reference path raises.
+
+        The lookahead prefetcher probes operands of inner loops with
+        their indices still unbound on every outer iteration, so the
+        error text is memoised like a successful resolution is.
+        """
+        key = tuple(map(index_values.get, self.index_ids))
+        message = self._memo.get(key) if memo else None
+        if message is None:
+            try:
+                return self._resolve(key)
+            except SIPError as err:
+                message = str(err)
+            if memo:
+                self._memo[key] = message
+        raise SIPError(message) from None  # not "while handling KeyError"
 
     def _resolve(self, values: tuple) -> ResolvedOperand:
         desc = self.desc
@@ -134,13 +177,16 @@ class DecodedOperand:
                 slices.append(slice(0, seg.length))
                 shape.append(seg.length)
                 eranges.append((seg.start, seg.stop))
+        block_id = BlockId(self.array_id, tuple(coords))
         return ResolvedOperand(
-            block_id=BlockId(self.array_id, tuple(coords)),
+            block_id=block_id,
             kind=desc.kind,
             index_ids=self.index_ids,
             shape=tuple(shape),
             slices=tuple(slices) if any_slice else None,
             element_ranges=tuple(eranges),
+            is_local=desc.kind in LOCAL_KINDS,
+            owner_rank=None if self._owner_of is None else self._owner_of(block_id),
         )
 
 
@@ -166,16 +212,22 @@ class DecodedProgram:
 
 
 def decode_program(
-    program: CompiledProgram, table: ResolvedIndexTable
+    program: CompiledProgram,
+    table: ResolvedIndexTable,
+    owner_of: Optional[Callable[[BlockId], int]] = None,
 ) -> DecodedProgram:
-    """Decode every instruction once; pcs and arg layout are preserved."""
+    """Decode every instruction once; pcs and arg layout are preserved.
+
+    ``owner_of`` maps a distributed block to its owning rank, so that a
+    resolved operand carries the answer instead of every reader asking.
+    """
     operands: dict[BlockOperand, DecodedOperand] = {}
 
     def decode_operand(op: BlockOperand) -> DecodedOperand:
         d = operands.get(op)
         if d is None:
             d = operands[op] = DecodedOperand(
-                op, program.array_table[op.array_id], table
+                op, program.array_table[op.array_id], table, owner_of
             )
         return d
 

@@ -154,44 +154,52 @@ class ConflictTracker:
     def record_read(self, worker: int, block_id: BlockId) -> None:
         if not self.enabled:
             return
-        rec = self._records.setdefault(block_id, _EpochRecord())
-        others_wrote = (rec.writers | rec.accumulators) - {worker}
-        if others_wrote:
-            self._violation(
-                f"{self.name}: worker {worker} reads block {block_id} written "
-                f"by worker(s) {sorted(others_wrote)} in the same epoch; "
-                "separate conflicting accesses with the appropriate barrier"
-            )
+        rec = self._records.get(block_id)
+        if rec is None:
+            rec = self._records[block_id] = _EpochRecord()
+        elif rec.writers or rec.accumulators:
+            others_wrote = (rec.writers | rec.accumulators) - {worker}
+            if others_wrote:
+                self._violation(
+                    f"{self.name}: worker {worker} reads block {block_id} written "
+                    f"by worker(s) {sorted(others_wrote)} in the same epoch; "
+                    "separate conflicting accesses with the appropriate barrier"
+                )
         rec.readers.add(worker)
 
     def record_write(self, worker: int, block_id: BlockId, op: str) -> None:
         if not self.enabled:
             return
-        rec = self._records.setdefault(block_id, _EpochRecord())
-        other_readers = rec.readers - {worker}
-        if other_readers:
-            self._violation(
-                f"{self.name}: worker {worker} writes block {block_id} read "
-                f"by worker(s) {sorted(other_readers)} in the same epoch; "
-                "separate conflicting accesses with the appropriate barrier"
-            )
+        rec = self._records.get(block_id)
+        if rec is None:
+            rec = self._records[block_id] = _EpochRecord()
+        if rec.readers:
+            other_readers = rec.readers - {worker}
+            if other_readers:
+                self._violation(
+                    f"{self.name}: worker {worker} writes block {block_id} read "
+                    f"by worker(s) {sorted(other_readers)} in the same epoch; "
+                    "separate conflicting accesses with the appropriate barrier"
+                )
         if op == "+=":
             # accumulates commute with each other but not with plain writes
-            other_writers = rec.writers - {worker}
-            if other_writers:
-                self._violation(
-                    f"{self.name}: accumulate to block {block_id} conflicts "
-                    f"with plain put by worker(s) {sorted(other_writers)}"
-                )
+            if rec.writers:
+                other_writers = rec.writers - {worker}
+                if other_writers:
+                    self._violation(
+                        f"{self.name}: accumulate to block {block_id} conflicts "
+                        f"with plain put by worker(s) {sorted(other_writers)}"
+                    )
             rec.accumulators.add(worker)
         else:
-            others = (rec.writers | rec.accumulators) - {worker}
-            if others:
-                self._violation(
-                    f"{self.name}: worker {worker} overwrites block {block_id} "
-                    f"also written by worker(s) {sorted(others)} in the same "
-                    "epoch"
-                )
+            if rec.writers or rec.accumulators:
+                others = (rec.writers | rec.accumulators) - {worker}
+                if others:
+                    self._violation(
+                        f"{self.name}: worker {worker} overwrites block {block_id} "
+                        f"also written by worker(s) {sorted(others)} in the same "
+                        "epoch"
+                    )
             rec.writers.add(worker)
 
     def new_epoch(self) -> None:

@@ -279,15 +279,17 @@ class MemoryManager:
         need = self.bytes_in_use + nbytes - self.budget_bytes
         if need <= 0:
             return
-        if allow_spill:
-            for cls in SPILL_ORDER:
-                for bid in list(self._spillable):
-                    block, bid_cls = self._spillable[bid]
-                    if bid_cls != cls or bid in self.pinned:
-                        continue
-                    need -= self.spill(bid)
-                    if need <= 0:
-                        return
+        refused: set[BlockId] = set()  # scratch had no room for these
+        while allow_spill:
+            victim = self._spill_victim(refused)
+            if victim is None:
+                break
+            freed = self.spill(victim)
+            if not freed:
+                refused.add(victim)
+            need -= freed
+            if need <= 0:
+                return
         self.stats.oom_refusals += 1
         raise OutOfBlockMemory(
             f"{self.name}: need {nbytes} more bytes but only "
@@ -296,6 +298,19 @@ class MemoryManager:
             "pinned and in-flight blocks alone exceed the budget -- "
             "rerun with more workers or a smaller segment size"
         )
+
+    def _spill_victim(self, refused: set[BlockId]) -> Optional[BlockId]:
+        """The next block to spill: classes in SPILL_ORDER, registration
+        order within a class, never one the running instruction holds."""
+        best, best_rank = None, len(SPILL_ORDER)
+        pinned = self.pinned
+        for bid, (_block, cls) in self._spillable.items():
+            rank = SPILL_ORDER.index(cls)
+            if rank < best_rank and bid not in pinned and bid not in refused:
+                best, best_rank = bid, rank
+                if rank == 0:
+                    break
+        return best
 
     def spill(self, bid: BlockId) -> int:
         """Park one resident block's buffer on scratch; returns bytes freed."""

@@ -58,7 +58,6 @@ run.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import pickle
 import struct
@@ -80,7 +79,7 @@ from ..simmpi.comm import (
     _PostedRecv,
 )
 from ..simmpi.network import payload_nbytes
-from ..simmpi.simulator import SimulationError, Simulator, Timeout
+from ..simmpi.simulator import Simulator, Timeout
 from .arena import ArenaReceiver, ArenaRef, ArenaStats, SlabArena, _untracked_shm
 from .config import SIPError
 from .blocks import Block
@@ -499,12 +498,12 @@ class MPComm:
         else:
             world.stats.remote_bytes += size
             world.queue_send(dest, tag, size, payload)
-        done = world.sim.event(name=f"mpsend {self.rank}->{dest} tag={tag}")
+        done = world.sim.event(name=("mpsend {}->{} tag={}", self.rank, dest, tag))
         done.succeed(None)
         return Request(done, "send")
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        ev = self.sim.event(name=f"mpirecv rank={self.rank} src={source} tag={tag}")
+        ev = self.sim.event(name=("mpirecv rank={} src={} tag={}", self.rank, source, tag))
         self.world._mailbox.post(_PostedRecv(source, tag, ev))
         return Request(ev, "recv")
 
@@ -600,8 +599,8 @@ def mp_barrier_service(comm: MPComm, world: MPWorld) -> Generator:
 class MPEngine:
     """Drive one rank's local simulator against the real pipe mesh.
 
-    The loop mirrors :meth:`Simulator.run` step for step, with two
-    additions: every few events it flushes the outboxes and
+    Events fire through :meth:`Simulator.run_pending`, with two
+    additions around it: every few events it flushes the outboxes and
     opportunistically drains readable pipes (so the service pump stays
     responsive while local work is queued), and when the local queue
     runs dry with coroutines still active it *blocks* on the mesh
@@ -621,22 +620,16 @@ class MPEngine:
     def run(self) -> None:
         sim = self.sim
         world = self.world
-        queue = sim._queue
-        steps = 0
+        budget = self.POLL_INTERVAL
         while True:
-            while queue:
-                call = heapq.heappop(queue)
-                if call.time < sim.now - 1e-12:
-                    raise SimulationError("time went backwards")
-                sim.now = call.time
-                call.fn(*call.args)
-                if sim._errors:
-                    raise sim._errors[0]
-                steps += 1
-                if steps % self.POLL_INTERVAL == 0:
-                    world.flush()
-                    world.poll()
-            if sim._active == 0:
+            budget -= sim.run_pending(budget)
+            if budget == 0:
+                world.flush()
+                world.poll()
+                budget = self.POLL_INTERVAL
+                continue
+            # local queue ran dry
+            if sim.active == 0:
                 world.flush()
                 return
             world.wait_for_message()

@@ -19,7 +19,7 @@ result:
   outer products), which skips the per-call path search while executing
   the identical contraction sequence.
 
-The cache key is ``(opcode, index-id signature, operand shapes)``; the
+The cache key is ``(index-id signature, operand shapes)``; the
 same cache also memoizes the ``_perm`` axis permutations used by the
 transpose-style kernels.  One :class:`KernelPlanCache` is shared by all
 workers of a run (plans are immutable apart from the scratch buffer,
@@ -99,7 +99,15 @@ def _apply(dst: np.ndarray, res: np.ndarray, op: str) -> None:
         dst[...] -= res
 
 
-class _GemmPlan:
+class _Plan:
+    """What every compiled contraction carries besides its executor:
+    the shapes that follow from its signature, and a slot where the
+    backend memoises the modeled time it charges for them."""
+
+    __slots__ = ("out_shape", "contracted_shape", "cost")
+
+
+class _GemmPlan(_Plan):
     """Fold a contraction into one ``matmul`` through a scratch buffer.
 
     The fold order matches numpy's own GEMM lowering of a two-operand
@@ -138,7 +146,7 @@ class _GemmPlan:
         _apply(dst, self.scratch.reshape(self.res_shape).transpose(self.out_perm), op)
 
 
-class _EinsumPlan:
+class _EinsumPlan(_Plan):
     """Fallback: the naive einsum with its contraction path precomputed."""
 
     __slots__ = ("subscripts", "path")
@@ -162,7 +170,6 @@ def _compile_contraction(
     b_ids: tuple[int, ...],
     b_shape: tuple[int, ...],
     out_ids: tuple[int, ...],
-    out_shape: tuple[int, ...],
 ):
     """Lower one contraction signature to a GEMM plan, or bail to einsum.
 
@@ -230,15 +237,26 @@ class KernelPlanCache:
         b_ids: tuple[int, ...],
         b_shape: tuple[int, ...],
         out_ids: tuple[int, ...],
-        out_shape: tuple[int, ...],
     ):
-        key = ("contract", a_ids, a_shape, b_ids, b_shape, out_ids, out_shape)
+        """The plan for ``out[out_ids] = a[a_ids] * b[b_ids]``.
+
+        The output shape follows from the operands, so it is part of
+        the plan (``plan.out_shape``) rather than of the key.
+        """
+        key = (a_ids, a_shape, b_ids, b_shape, out_ids)
         plan = self._contractions.get(key)
         if plan is not None:
             self.stats.hits += 1
             return plan
         self.stats.misses += 1
-        plan = _compile_contraction(a_ids, a_shape, b_ids, b_shape, out_ids, out_shape)
+        plan = _compile_contraction(a_ids, a_shape, b_ids, b_shape, out_ids)
+        dims = dict(zip(a_ids, a_shape))
+        dims.update(zip(b_ids, b_shape))
+        plan.out_shape = tuple(dims[ix] for ix in out_ids)
+        plan.contracted_shape = tuple(
+            dim for dim, ix in zip(a_shape, a_ids) if ix not in out_ids
+        )
+        plan.cost = None
         if isinstance(plan, _GemmPlan):
             self.stats.gemm_plans += 1
         else:

@@ -96,7 +96,7 @@ class SharedRuntime:
         # execution fast path: the pre-decoded instruction stream is
         # always built (it changes nothing observable); the kernel plan
         # cache and zero-copy transport follow config.fastpath
-        self.decoded = decode_program(program, self.table)
+        self.decoded = decode_program(program, self.table, self.owner_rank)
         # memoize RPN programs that only read numbers and symbolic
         # constants: their value is fixed for the whole run, so workers
         # skip the stack evaluation (keyed by identity -- the compile-time
@@ -111,6 +111,7 @@ class SharedRuntime:
         self.cow_enabled = config.fastpath
         self._owner_rank_cache: dict[BlockId, int] = {}
         self._server_rank_cache: dict[BlockId, int] = {}
+        self._block_shape_cache: dict[BlockId, tuple[int, ...]] = {}
 
         # recent cached replicas of remote blocks; pure scheduling hint
         # read by the locality policy, never consulted for correctness
@@ -168,9 +169,12 @@ class SharedRuntime:
         return rank
 
     def block_shape(self, block_id: BlockId) -> tuple[int, ...]:
-        return block_shape(
-            self.table, self.array_desc(block_id.array_id), block_id.coords
-        )
+        shape = self._block_shape_cache.get(block_id)
+        if shape is None:
+            shape = self._block_shape_cache[block_id] = block_shape(
+                self.table, self.array_desc(block_id.array_id), block_id.coords
+            )
+        return shape
 
     def make_backend(self):
         return make_backend(

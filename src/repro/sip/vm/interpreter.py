@@ -25,6 +25,7 @@ touches the wire protocol for block payloads itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Generator, Optional
 
 from ...sial.bytecode import (
@@ -38,7 +39,7 @@ from ..backend import KernelOperand
 from ..blockio import BlockTransferEngine
 from ..blocks import Block, BlockId, block_nbytes
 from ..config import SIPError
-from ..decode import DecodedOperand, ResolvedOperand
+from ..decode import ResolvedOperand
 from ..distributed import ConflictTracker
 from ..memman import MemoryManager
 from ..messages import (
@@ -63,9 +64,6 @@ from .resilience import ResilientMessaging
 
 __all__ = ["WorkerProcess"]
 
-LOCAL_KINDS = ("static", "temp", "local")
-
-
 @dataclass
 class _PardoState:
     activation: int
@@ -76,7 +74,7 @@ class _PardoState:
 
 @dataclass
 class _DoState:
-    values: list[int]
+    values: range
     pos: int = 0
 
 
@@ -221,7 +219,10 @@ class WorkerProcess(ResilientMessaging):
         self._instrs = rt.decoded.instructions
         self._fast_tab = [self._fast.get(d.op) for d in self._instrs]
         self._slow_tab = [self._slow.get(d.op) for d in self._instrs]
-        self._memo_resolve = rt.config.fastpath
+        # resolve(op): a decoded block operand against the current index
+        # values (memoized by index-value tuple when the fast path is on);
+        # a C-level caller, so the hot path pays one frame, not two
+        self.resolve = methodcaller("resolve", self.index_values, rt.config.fastpath)
         self._rpn_consts = rt.rpn_consts
 
     # convenience views over the engine's ledgers (used by the runners
@@ -284,7 +285,7 @@ class WorkerProcess(ResilientMessaging):
             elapsed = sim.now - t0
             wait = self._wait_acc
             profile.record_instr(old_pc, elapsed - wait, wait)
-            if self.current_pardo is not None:
+            if wait and self.current_pardo is not None:
                 profile.pardo_stats(self.current_pardo).wait_time += wait
             if tracer is not None and elapsed > 0:
                 loc = instr.location
@@ -436,36 +437,24 @@ class WorkerProcess(ResilientMessaging):
             index_values=self.index_values,
         )
 
-    # -- operand resolution ---------------------------------------------------
-    def resolve(self, op) -> ResolvedOperand:
-        """Resolve a (decoded) block operand against current index values.
-
-        Decoded operands memoize by index-value tuple when the fast path
-        is on; raw :class:`BlockOperand`s (tests, external callers) are
-        decoded on the fly.
-        """
-        if not isinstance(op, DecodedOperand):
-            op = DecodedOperand(
-                op, self.rt.array_desc(op.array_id), self.rt.table
-            )
-        return op.resolve(self.index_values, self._memo_resolve)
-
     # -- block acquisition (read path) ----------------------------------------
+    def local_block(self, r: ResolvedOperand) -> Block:
+        """The block behind a static/temp/local operand (never waits)."""
+        block = self.local_blocks.get(r.block_id)
+        if block is None:
+            desc = self.rt.array_desc(r.block_id.array_id)
+            raise SIPError(
+                f"block {r.block_id.coords} of {desc.kind} array "
+                f"{desc.name!r} read before it was written"
+            )
+        self.memman.touch(r.block_id)
+        self.memman.pin_instr(r.block_id)
+        return block
+
     def acquire(self, r: ResolvedOperand) -> Generator:
-        """Obtain the block behind an operand, waiting if in flight."""
-        if r.kind in LOCAL_KINDS:
-            block = self.local_blocks.get(r.block_id)
-            if block is None:
-                desc = self.rt.array_desc(r.block_id.array_id)
-                raise SIPError(
-                    f"block {r.block_id.coords} of {desc.kind} array "
-                    f"{desc.name!r} read before it was written"
-                )
-            self.memman.touch(r.block_id)
-            self.memman.pin_instr(r.block_id)
-            return block
+        """Obtain a distributed/served block, waiting if in flight."""
         if r.kind == "distributed":
-            if self.rt.owner_rank(r.block_id) == self.rank:
+            if r.owner_rank == self.rank:
                 block = self.owned.get(r.block_id)
                 if block is None:
                     raise SIPError(
@@ -636,7 +625,7 @@ class WorkerProcess(ResilientMessaging):
 
     def op_do_start(self, instr, pc: int) -> int:
         index_id, exit_pc, get_pcs = instr.args
-        values = list(self.rt.table[index_id].values())
+        values = self.rt.table[index_id].values()
         if not values:
             return exit_pc
         self.do_states[pc] = _DoState(values=values)
@@ -671,7 +660,7 @@ class WorkerProcess(ResilientMessaging):
             raise SIPError(
                 f"'do {sub.name} in ...' outside a loop over its super index"
             )
-        values = list(sub.subvalues_of(super_val))
+        values = sub.subvalues_of(super_val)
         if not values:
             return exit_pc
         self.do_states[pc] = _DoState(values=values)
@@ -690,7 +679,7 @@ class WorkerProcess(ResilientMessaging):
         r = self.resolve(instr.args[0])
         bid = r.block_id
         self._sanitize("distributed", self.epoch, bid, "read", instr, pc)
-        if self.rt.owner_rank(bid) == self.rank:
+        if r.owner_rank == self.rank:
             if bid not in self.owned:
                 raise SIPError(f"get of unwritten distributed block {bid}")
             self.tracker(self.epoch).record_read(self.worker_index, bid)
@@ -717,7 +706,7 @@ class WorkerProcess(ResilientMessaging):
         """
         r = self.resolve(instr.args[0])
         bid = r.block_id
-        if r.kind == "distributed" and self.rt.owner_rank(bid) == self.rank:
+        if r.owner_rank == self.rank:
             return pc + 1
         kind = "get" if r.kind == "distributed" else "request"
         self.engine.hint(bid, kind)
@@ -854,7 +843,7 @@ class WorkerProcess(ResilientMessaging):
     def op_copy(self, instr, pc: int) -> Generator:
         dst_op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = yield from self.acquire(src_r)
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.copy(
@@ -867,7 +856,7 @@ class WorkerProcess(ResilientMessaging):
     def op_negate(self, instr, pc: int) -> Generator:
         dst_op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = yield from self.acquire(src_r)
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.negate(
@@ -881,7 +870,7 @@ class WorkerProcess(ResilientMessaging):
         dst_op, op, src_op, rpn = instr.args
         factor = self.eval_rpn(rpn)
         src_r = self.resolve(src_op)
-        src_block = yield from self.acquire(src_r)
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
@@ -907,7 +896,7 @@ class WorkerProcess(ResilientMessaging):
     def op_accum(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = yield from self.acquire(src_r)
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(dst_r, needs_existing=True)
         cost = self.backend.accumulate(
@@ -921,9 +910,9 @@ class WorkerProcess(ResilientMessaging):
     def op_addsub(self, instr, pc: int) -> Generator:
         dst_op, sign, a_op, b_op = instr.args
         a_r = self.resolve(a_op)
-        a_block = yield from self.acquire(a_r)
+        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r))
         b_r = self.resolve(b_op)
-        b_block = yield from self.acquire(b_r)
+        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.addsub(
@@ -938,9 +927,9 @@ class WorkerProcess(ResilientMessaging):
     def op_contract(self, instr, pc: int) -> Generator:
         dst_op, op, a_op, b_op = instr.args
         a_r = self.resolve(a_op)
-        a_block = yield from self.acquire(a_r)
+        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r))
         b_r = self.resolve(b_op)
-        b_block = yield from self.acquire(b_r)
+        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
@@ -959,9 +948,9 @@ class WorkerProcess(ResilientMessaging):
         dst_op, op, a_op, b_op, tmp_ids, factor_rpn = instr.args
         factor = None if factor_rpn is None else self.eval_rpn(factor_rpn)
         a_r = self.resolve(a_op)
-        a_block = yield from self.acquire(a_r)
+        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r))
         b_r = self.resolve(b_op)
-        b_block = yield from self.acquire(b_r)
+        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
@@ -980,9 +969,9 @@ class WorkerProcess(ResilientMessaging):
     def op_scalar_contract(self, instr, pc: int) -> Generator:
         scalar_id, op, a_op, b_op = instr.args
         a_r = self.resolve(a_op)
-        a_block = yield from self.acquire(a_r)
+        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r))
         b_r = self.resolve(b_op)
-        b_block = yield from self.acquire(b_r)
+        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r))
         value, cost = self.backend.scalar_contract(
             self.kernel_operand(a_r, a_block),
             self.kernel_operand(b_r, b_block),
@@ -1010,7 +999,7 @@ class WorkerProcess(ResilientMessaging):
         for kind, value in arg_spec:
             if kind == "block":
                 r = self.resolve(value)
-                if r.kind not in LOCAL_KINDS:
+                if not r.is_local:
                     raise SIPError(
                         f"execute {name}: block arguments must be static/"
                         f"temp/local arrays (got {r.kind!r}); get/request "
@@ -1050,7 +1039,7 @@ class WorkerProcess(ResilientMessaging):
     def op_put(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = yield from self.acquire(src_r)
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
         dst_r = self.resolve(dst_op)
         if dst_r.slices is not None:
             raise SIPError("put of a sub-block slice is not supported")
@@ -1067,7 +1056,7 @@ class WorkerProcess(ResilientMessaging):
             if op == "="
             else self.engine.accums.next_key(self._iter_key, self.worker_index)
         )
-        if self.rt.owner_rank(bid) == self.rank:
+        if dst_r.owner_rank == self.rank:
             # a buffered '+=' holds the payload past this instruction,
             # so the owner-local fast path snapshots just like a send
             snapshot = (
@@ -1089,7 +1078,7 @@ class WorkerProcess(ResilientMessaging):
     def op_prepare(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = yield from self.acquire(src_r)
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
         dst_r = self.resolve(dst_op)
         if dst_r.slices is not None:
             raise SIPError("prepare of a sub-block slice is not supported")

@@ -29,7 +29,7 @@ class LookaheadPrefetcher:
             # optimizer hints fetch by the operand's kind
             op = Op.GET if r.kind == "distributed" else Op.REQUEST
         if op == Op.GET:
-            if vm.rt.owner_rank(r.block_id) == vm.rank:
+            if r.owner_rank == vm.rank:
                 return True
             return self.engine.hint(r.block_id, "get", mark_refetch=False)
         if op == Op.REQUEST:

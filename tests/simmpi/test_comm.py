@@ -280,3 +280,21 @@ def test_barrier_subgroup_does_not_involve_others():
     sim.spawn(member(2))
     sim.run()
     assert sorted(done) == [0, 2]
+
+
+def test_request_events_name_source_destination_and_tag():
+    """Names are stored as parts and formatted only when read."""
+    sim, world = make_world(4)
+    send = world.comm(2).isend("x", dest=3, tag=1007)
+    recv = world.comm(3).irecv(source=2, tag=1007)
+    assert repr(send.event) == "<Event 'isend 2->3 tag=1007' pending>"
+    assert repr(recv.event) == "<Event 'irecv rank=3 src=2 tag=1007' pending>"
+    sim.run()
+    assert recv.event.value.payload == "x"
+    with pytest.raises(Exception, match="event 'isend 2->3 tag=1007' triggered twice"):
+        send.event.succeed(None)
+    with pytest.raises(Exception, match="'irecv rank=3 src=2 tag=1007' triggered twice"):
+        recv.event.succeed(None)
+    barrier = world.barrier([0, 1], name="sip_barrier")
+    gen = barrier.wait(world.comm(0))
+    assert repr(next(gen)) == "<Event 'sip_barrier gen=0' pending>"

@@ -257,3 +257,109 @@ def test_timeout_event_fires_with_value():
     sim.run()
     assert got == ["v"]
     assert sim.now == 5.0
+
+
+# ---------------------------------------------------------------------------
+# the heap carries plain (time, seq, fn, args) tuples
+# ---------------------------------------------------------------------------
+def test_same_time_callables_fire_in_scheduling_order_without_being_compared():
+    """``seq`` is unique, so the tie-break never reaches ``fn``: callables
+    with no ordering at all (bound methods of unrelated objects, a
+    lambda, a partial) scheduled for one instant fire as scheduled."""
+    from functools import partial
+
+    class Uncomparable:
+        def __init__(self, log, tag):
+            self.log, self.tag = log, tag
+
+        def fire(self):
+            self.log.append(self.tag)
+
+    sim = Simulator()
+    fired = []
+    with pytest.raises(TypeError):
+        Uncomparable(fired, 0).fire < Uncomparable(fired, 1).fire
+    sim._schedule_call(1.0, Uncomparable(fired, "a").fire)
+    sim._schedule_call(1.0, lambda: fired.append("b"))
+    sim._schedule_call(1.0, partial(fired.append, "c"))
+    sim._schedule_call(0.5, Uncomparable(fired, "first").fire)
+    sim._schedule_call(1.0, Uncomparable(fired, "d").fire)
+    sim.run()
+    assert fired == ["first", "a", "b", "c", "d"]
+
+
+def test_timeout_keeps_its_negative_delay_check():
+    with pytest.raises(ValueError, match="negative timeout: -1"):
+        Timeout(-1)
+    assert Timeout(0).delay == 0 and repr(Timeout(2.5)) == "Timeout(delay=2.5)"
+
+
+# ---------------------------------------------------------------------------
+# Simulator.run_pending: the one owner of the pop loop
+# ---------------------------------------------------------------------------
+def test_run_pending_fires_at_most_max_events_in_order():
+    sim = Simulator()
+    fired = []
+    for n in range(5):
+        sim._schedule_call(float(n), fired.append, n)
+    assert sim.run_pending(2) == 2
+    assert fired == [0, 1] and sim.now == 1.0
+    assert sim.run_pending(0) == 0
+    assert sim.run_pending(until=3.0) == 2  # stops before the event at t=4
+    assert fired == [0, 1, 2, 3] and sim.now == 3.0
+    assert sim.run_pending() == 1
+    assert sim.run_pending() == 0  # drained
+
+
+def test_run_pending_surfaces_process_errors_and_counts_active():
+    sim = Simulator()
+
+    def ok():
+        yield Timeout(1.0)
+
+    def boom():
+        yield Timeout(2.0)
+        raise RuntimeError("kaboom")
+
+    sim.spawn(ok())
+    sim.spawn(boom())
+    assert sim.active == 2
+    with pytest.raises(RuntimeError, match="kaboom"):
+        while sim.run_pending(1):
+            pass
+    assert sim.active == 0
+
+
+# ---------------------------------------------------------------------------
+# diagnostics survive lazily formatted event names
+# ---------------------------------------------------------------------------
+def test_event_names_format_on_demand():
+    sim = Simulator()
+    lazy = sim.event(name=("isend {}->{} tag={}", 0, 3, 1007))
+    assert lazy.name == "isend 0->3 tag=1007"
+    assert repr(lazy) == "<Event 'isend 0->3 tag=1007' pending>"
+    with pytest.raises(SimulationError, match="event 'isend 0->3 tag=1007' has no value yet"):
+        lazy.value
+    lazy.succeed(1)
+    assert repr(lazy) == "<Event 'isend 0->3 tag=1007' triggered>"
+    for trigger in (lazy.succeed, lazy.fail):
+        with pytest.raises(
+            SimulationError, match="event 'isend 0->3 tag=1007' triggered twice"
+        ):
+            trigger(ValueError("x"))
+    assert sim.event("plain").name == "plain"
+    assert sim.timeout_event(2.5).name == "timeout+2.5"
+
+
+def test_deadlock_error_names_the_waiting_processes():
+    sim = Simulator()
+    never = sim.event(name=("irecv rank={} src={} tag={}", 1, 0, 7))
+
+    def waiter():
+        yield never
+
+    sim.spawn(waiter(), name="worker1")
+    sim.spawn(waiter(), name="worker1.service", daemon=True)
+    with pytest.raises(DeadlockError, match=r"deadlock at t=0: .*\['worker1'\]"):
+        sim.run()
+    assert "irecv rank=1 src=0 tag=7" in repr(never)

@@ -214,3 +214,19 @@ def test_runner_surfaces_blockio_stats_and_profile():
     assert bio is not None
     assert bio.issued_gets == res.stats["blockio_issued_gets"]
     assert bio.in_flight_peak >= 1
+
+
+def test_arrival_events_name_the_block_in_readable_form(monkeypatch):
+    """The engine stores (template, block id); the text appears on demand."""
+    seen = []
+    original = BlockTransferEngine._complete
+
+    def spy(self, bid, block, arrival):
+        seen.append((bid, repr(arrival)))
+        return original(self, bid, block, arrival)
+
+    monkeypatch.setattr(BlockTransferEngine, "_complete", spy)
+    run_coalesce()
+    assert seen
+    for bid, text in seen:
+        assert text == f"<Event 'arrive B[{bid.array_id}]{bid.coords}' pending>"

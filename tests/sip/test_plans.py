@@ -32,7 +32,8 @@ def legacy(a_ids, a, b_ids, b, out_ids, out_shape, op="=", seed_dst=None):
 
 
 def run_plan(cache, a_ids, a, b_ids, b, out_ids, out_shape, op="=", seed_dst=None):
-    plan = cache.contraction(a_ids, a.shape, b_ids, b.shape, out_ids, out_shape)
+    plan = cache.contraction(a_ids, a.shape, b_ids, b.shape, out_ids)
+    assert plan.out_shape == tuple(out_shape)  # derived from the operands
     dst = np.zeros(out_shape) if seed_dst is None else seed_dst.copy()
     plan.execute(a, b, dst, op)
     return plan, dst
@@ -93,11 +94,11 @@ def test_plans_match_on_sliced_noncontiguous_operands():
 
 def test_gemm_applies_to_clean_contractions_only():
     cache = KernelPlanCache()
-    clean = cache.contraction((0, 1), (4, 5), (1, 2), (5, 3), (0, 2), (4, 3))
+    clean = cache.contraction((0, 1), (4, 5), (1, 2), (5, 3), (0, 2))
     assert isinstance(clean, _GemmPlan)
-    diagonal = cache.contraction((0, 0), (4, 4), (0, 1), (4, 3), (1,), (3,))
+    diagonal = cache.contraction((0, 0), (4, 4), (0, 1), (4, 3), (1,))
     assert isinstance(diagonal, _EinsumPlan)
-    outer = cache.contraction((0,), (4,), (1,), (5,), (0, 1), (4, 5))
+    outer = cache.contraction((0,), (4,), (1,), (5,), (0, 1))
     assert isinstance(outer, _EinsumPlan)
 
 
@@ -123,8 +124,8 @@ def test_plan_reuse_is_bit_identical_and_counted():
 
 def test_distinct_shapes_compile_distinct_plans():
     cache = KernelPlanCache()
-    cache.contraction((0, 1), (4, 5), (1, 2), (5, 3), (0, 2), (4, 3))
-    cache.contraction((0, 1), (2, 5), (1, 2), (5, 3), (0, 2), (2, 3))
+    cache.contraction((0, 1), (4, 5), (1, 2), (5, 3), (0, 2))
+    cache.contraction((0, 1), (2, 5), (1, 2), (5, 3), (0, 2))
     assert cache.stats.misses == 2
     assert cache.stats.gemm_plans == 2
 

@@ -10,6 +10,10 @@ pending cache entries, or importing the raw simulated wire layer).
 Control-plane traffic (barriers, the master's dole-out protocol, acks)
 deliberately stays outside the engine -- only *block* movement is
 restricted.
+
+The same goes for the event loop: :meth:`Simulator.run_pending` is the
+one owner of the pop / time-monotonicity / dispatch / error-surfacing
+loop, so the shape of a heap entry is private to the simulator module.
 """
 
 import ast
@@ -124,8 +128,37 @@ def test_raw_wire_layer_is_only_imported_by_transports():
     )
 
 
+#: the one module that may see the event heap and its entries
+EVENT_HEAP_OWNER = "simmpi/simulator.py"
+
+
+def test_event_heap_is_private_to_the_simulator():
+    offenders = []
+    for rel, tree in repro_modules():
+        if rel == EVENT_HEAP_OWNER:
+            continue
+        names = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_queue":
+                offenders.append(f"{rel}:{node.lineno} reaches into ._queue")
+        if "Simulator" in names and "heapq" in names:
+            offenders.append(f"{rel} drives a Simulator and imports heapq")
+    assert not offenders, (
+        "the event heap belongs to repro/simmpi/simulator.py; step the "
+        "engine with Simulator.run_pending()/run() instead:\n  "
+        + "\n  ".join(offenders)
+    )
+
+
 def test_the_allowlists_still_match_reality():
     """A lint whose allowlist names dead files lints nothing."""
     all_rel = {rel for rel, _ in repro_modules()}
-    for rel in MESSAGE_ALLOWLIST | INSERT_PENDING_ALLOWLIST | COMM_ALLOWLIST:
+    for rel in (
+        MESSAGE_ALLOWLIST | INSERT_PENDING_ALLOWLIST | COMM_ALLOWLIST | {EVENT_HEAP_OWNER}
+    ):
         assert rel in all_rel, f"allowlisted module {rel} no longer exists"
