@@ -156,6 +156,11 @@ class CompiledProgram:
     # PipelineReport describing what each pass did
     opt_level: int = 0
     opt_report: Optional[Any] = None
+    # optimize_program's results for this program, by level: a driver
+    # that compiles once and runs many times pays the passes once
+    optimized: dict[int, "CompiledProgram"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def index_id(self, name: str) -> int:
         return self._lookup(self.index_table, name)

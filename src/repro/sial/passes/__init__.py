@@ -72,11 +72,15 @@ def optimize_program(prog: CompiledProgram, level: int) -> CompiledProgram:
     """Run the ``-O{level}`` pipeline; ``-O0`` returns the program as-is.
 
     Idempotent per program object: a program already optimized at the
-    requested (or a higher) level is returned unchanged, so callers can
-    apply the config level unconditionally.
+    requested (or a higher) level is returned unchanged, and the result
+    for each level is remembered on the input program, so callers can
+    apply the config level unconditionally and pay the passes once.
     """
     if not 0 <= level <= 2:
         raise ValueError(f"optimization level must be 0..2, got {level}")
     if level == 0 or prog.opt_level >= level:
         return prog
-    return build_pipeline(level).run(prog)
+    done = prog.optimized.get(level)
+    if done is None:
+        done = prog.optimized[level] = build_pipeline(level).run(prog)
+    return done

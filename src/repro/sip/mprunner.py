@@ -22,6 +22,7 @@ unchanged on both backends.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import time
@@ -170,6 +171,8 @@ def _child_main(
     result_conn: Any,
 ) -> None:
     """One SIP rank, from fork to result shipment.  Never returns."""
+    world = None
+    status = 0
     try:
         sim = Simulator()
         world = MPWorld(
@@ -226,6 +229,7 @@ def _child_main(
             "shm_stats": world.shm_stats,
             "arena_stats": world.arena_stats,
             "batch_stats": world.batch_stats,
+            "engine_stats": world.engine_stats,
         }
         if rt.sanitizer is not None:
             res["sanitizer"] = (rt.sanitizer._records, rt.sanitizer.report_data)
@@ -290,10 +294,13 @@ def _child_main(
             result_conn.close()
         except Exception:
             pass
-        os._exit(1)
+        status = 1
+    finally:
+        if world is not None:
+            world.close()
     # os._exit skips atexit/teardown inherited from the parent (pytest
     # plugins, coverage hooks, the parent's resource tracker state)
-    os._exit(0)
+    os._exit(status)
 
 
 def execute_mp(
@@ -476,7 +483,7 @@ def _merge(
     # traffic, shared-memory, arena and fast-path counters, summed over
     # ranks in rank order
     from .arena import ArenaStats
-    from .mptransport import BatchStats
+    from .mptransport import BatchStats, EngineStats
 
     shm_created = shm_unlinked = shm_bytes = 0
     arena = ArenaStats()
@@ -560,9 +567,18 @@ def _merge(
         mp_batches=batches.batches,
         batch_msgs_per_write=per_write,
     )
+    # the workers' engine loops; master and servers only ever wait, so
+    # their blocked time is idleness, not cost
+    engines = [
+        results[config.worker_rank(i)]["engine_stats"] for i in range(config.workers)
+    ]
+    for f in dataclasses.fields(EngineStats):
+        result.stats[f"mp_engine_{f.name}"] = sum(getattr(e, f.name) for e in engines)
+    result.stats["mp_engine_blocked_max_s"] = max(e.blocked_s for e in engines)
     result.profile.transport = {
         "arena": arena,
         "batches": batches,
+        "engines": engines,
         "slabs_swept": slabs_swept,
         "batch_msgs_per_write": per_write,
     }

@@ -23,15 +23,19 @@ transport surface of :mod:`repro.sip.transport`:
   coroutine on the master rank (:func:`mp_barrier_service`).
 
 Control-plane framing: sends are queued in a per-destination outbox
-and coalesced -- everything queued in one engine iteration (data
-replies, Acks, barrier traffic alike) leaves as a *single*
-``send_bytes`` frame per peer, pickled once with protocol 5 and
-out-of-band buffers so below-threshold block data crosses the pipe
+and coalesced -- everything one local event queued (data replies,
+Acks, barrier traffic, a whole prefetch burst alike) leaves as a
+*single* ``send_bytes`` frame per peer, pickled once with protocol 5
+and out-of-band buffers so below-threshold block data crosses the pipe
 without an extra pickle copy.  Outboxes flush when they reach
 ``mp_batch_max_msgs`` messages or ``mp_batch_max_bytes`` payload
-bytes, on the engine's periodic poll, and always before the rank
+bytes, after every event the engine fires, and always before the rank
 blocks on the mesh -- a queued message can therefore never deadlock
-its own reply.
+its own reply, and a posted request never waits on local work.
+
+Intake goes through one :mod:`selectors` selector per rank, holding
+every peer connection for the life of the world: a poll is one
+``select(0)``, a block is the same call with the watchdog timeout.
 
 Simulated time still advances inside each child (``compute`` /
 ``Timeout`` effects pile onto the local virtual clock), but it no
@@ -60,11 +64,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import pickle
+import selectors
 import struct
-import time
 from dataclasses import dataclass
-from multiprocessing import connection as mpconn
 from multiprocessing import shared_memory
+from time import perf_counter
 from typing import Any, Generator, Iterable, Optional
 
 import numpy as np
@@ -97,6 +101,7 @@ __all__ = [
     "MPEngine",
     "ShmStats",
     "BatchStats",
+    "EngineStats",
     "mp_barrier_service",
     "pack_payload",
     "unpack_payload",
@@ -124,6 +129,17 @@ class BatchStats:
     batches: int = 0  # frames written (one send_bytes each)
     messages: int = 0  # messages carried inside those frames
     frame_bytes: int = 0  # total framed bytes on the wire
+
+
+@dataclass
+class EngineStats:
+    """What one rank's engine loop did (host timing: varies run to run)."""
+
+    blocked_s: float = 0.0  # wall time inside the blocking select
+    blocked_waits: int = 0  # blocking selects entered
+    polls: int = 0  # non-blocking mesh polls
+    poll_deliveries: int = 0  # messages those polls delivered
+    events_fired: int = 0  # local simulator events run
 
 
 @dataclass(frozen=True)
@@ -282,9 +298,18 @@ class MPWorld:
         self.shm_stats = ShmStats()
         self.arena_stats = ArenaStats()
         self.batch_stats = BatchStats()
+        self.engine_stats = EngineStats()
         self._mailbox = _Mailbox()
         self._conns = dict(conns)
         self._live = dict(self._conns)
+        # every peer connection is registered once, for the life of the
+        # world; readiness is then one syscall per question
+        self._selector = selectors.DefaultSelector()
+        for peer, conn in self._conns.items():
+            self._selector.register(conn, selectors.EVENT_READ, peer)
+        # a send is complete the moment it is queued, so every isend
+        # hands back this one pre-completed request
+        self._sent = Request(sim.event(name="mpsend").succeed(None), "send")
         self._run_id = run_id
         self._shm_min = shm_min
         self._timeout = timeout
@@ -309,6 +334,10 @@ class MPWorld:
         self._batch_max_bytes = max(1, int(batch_max_bytes))
         self._outbox: dict[int, list] = {}
         self._outbox_nbytes: dict[int, int] = {}
+
+    def close(self) -> None:
+        """Release the selector's descriptor (idempotent)."""
+        self._selector.close()
 
     # -- transport-world surface -----------------------------------------
     def comm(self, rank: int) -> "MPComm":
@@ -386,8 +415,9 @@ class MPWorld:
 
     def flush(self) -> None:
         """Write out every queued outbox frame."""
-        for dest in list(self._outbox):
-            self._flush_dest(dest)
+        if self._outbox:
+            for dest in list(self._outbox):
+                self._flush_dest(dest)
 
     # -- real message intake ----------------------------------------------
     def _deliver_raw(self, raw: tuple) -> None:
@@ -397,29 +427,32 @@ class MPWorld:
             Message(payload=payload, source=source, tag=tag, nbytes=nbytes)
         )
 
-    def _drain_conn(self, rank: int, conn: Any) -> int:
+    def _drain(self, ready: list) -> int:
+        """Read one frame per ready connection, re-asking until none is."""
+        select = self._selector.select
         delivered = 0
-        while True:
-            try:
-                if not conn.poll(0):
-                    break
-                frame = conn.recv_bytes()
-            except (EOFError, OSError):
-                # a finished peer closing its end is normal shutdown
-                # skew; a *needed* peer's death surfaces as a timeout
-                # (or an all-peers-gone error) on the next wait
-                self._live.pop(rank, None)
-                break
-            for raw in decode_batch(frame):
-                self._deliver_raw(raw)
-                delivered += 1
+        while ready:
+            for key, _ in ready:
+                try:
+                    frame = key.fileobj.recv_bytes()
+                except (EOFError, OSError):
+                    # a finished peer closing its end is normal shutdown
+                    # skew; a *needed* peer's death surfaces as a timeout
+                    # (or an all-peers-gone error) on the next wait
+                    self._selector.unregister(key.fileobj)
+                    del self._live[key.data]
+                    continue
+                for raw in decode_batch(frame):
+                    self._deliver_raw(raw)
+                    delivered += 1
+            ready = select(0)
         return delivered
 
     def poll(self) -> int:
         """Drain every readable connection without blocking."""
-        delivered = 0
-        for rank, conn in list(self._live.items()):
-            delivered += self._drain_conn(rank, conn)
+        delivered = self._drain(self._selector.select(0))
+        self.engine_stats.polls += 1
+        self.engine_stats.poll_deliveries += delivered
         return delivered
 
     def wait_for_message(self) -> int:
@@ -432,24 +465,26 @@ class MPWorld:
         window -- both mean a stalled or crashed peer.
         """
         self.flush()
-        deadline = time.monotonic() + self._timeout
+        stats = self.engine_stats
+        started = now = perf_counter()
         while True:
             if not self._live:
                 raise SIPError(
                     f"rank {self.rank}: all peers disconnected while "
                     "work is still pending"
                 )
-            remaining = deadline - time.monotonic()
+            remaining = self._timeout - (now - started)
             if remaining <= 0:
                 raise SIPError(
                     f"rank {self.rank}: no message in {self._timeout:g}s "
                     "while work is still pending (a peer stalled or died)"
                 )
-            by_conn = {conn: rank for rank, conn in self._live.items()}
-            ready = mpconn.wait(list(by_conn), timeout=remaining)
-            delivered = 0
-            for conn in ready:
-                delivered += self._drain_conn(by_conn[conn], conn)
+            ready = self._selector.select(remaining)
+            woke = perf_counter()
+            stats.blocked_s += woke - now
+            stats.blocked_waits += 1
+            now = woke
+            delivered = self._drain(ready)
             if delivered:
                 return delivered
 
@@ -481,9 +516,9 @@ class MPComm:
     ) -> Request:
         """Non-blocking send: queued on the peer's outbox immediately.
 
-        The returned request is already complete -- a real transport
-        has no injection time to model; the frame leaves the process
-        no later than the next time this rank blocks on the mesh.
+        The returned request is already complete (and shared by every
+        send) -- a real transport has no injection time to model; the
+        frame leaves the process before the engine fires the next event.
         """
         world = self.world
         if not (0 <= dest < world.size):
@@ -498,9 +533,7 @@ class MPComm:
         else:
             world.stats.remote_bytes += size
             world.queue_send(dest, tag, size, payload)
-        done = world.sim.event(name=("mpsend {}->{} tag={}", self.rank, dest, tag))
-        done.succeed(None)
-        return Request(done, "send")
+        return world._sent
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         ev = self.sim.event(name=("mpirecv rank={} src={} tag={}", self.rank, source, tag))
@@ -599,19 +632,26 @@ def mp_barrier_service(comm: MPComm, world: MPWorld) -> Generator:
 class MPEngine:
     """Drive one rank's local simulator against the real pipe mesh.
 
-    Events fire through :meth:`Simulator.run_pending`, with two
-    additions around it: every few events it flushes the outboxes and
-    opportunistically drains readable pipes (so the service pump stays
-    responsive while local work is queued), and when the local queue
-    runs dry with coroutines still active it *blocks* on the mesh
-    instead of declaring deadlock -- the awaited event will be
-    triggered by an incoming message.  Outboxes are always flushed
-    before blocking and before the engine returns, so no queued frame
-    can outlive the loop.
+    Events fire one at a time through :meth:`Simulator.run_pending`.
+    Whatever an event queued is flushed before the next one fires -- a
+    request the prefetcher posts is worth nothing to the overlap it was
+    posted for while it sits in an outbox -- and a whole burst queued by
+    one event still leaves as one frame per peer.  Every
+    :attr:`POLL_INTERVAL` events the mesh is polled (one ``select(0)``), so
+    the service pump stays responsive while local work is queued.  When
+    the local queue runs dry with coroutines still active the engine
+    *blocks* on the mesh instead of declaring deadlock -- the awaited
+    event will be triggered by an incoming message.  Nothing queued can
+    outlive the loop or be held across a block.
     """
 
-    #: how many local events to run between non-blocking pipe polls
-    POLL_INTERVAL = 32
+    #: local events between non-blocking mesh polls: a peer's request
+    #: waits at most this many events for the service pump.  Second-order
+    #: on ccsd_mp once injection is step-granular (wall flat from 1 to 32,
+    #: a worker's blocked time 0.39 s at 4 against 0.48 s at 32:
+    #: EXPERIMENTS.md "PR 16"); kept small because the wait scales with
+    #: event length and a poll is now one syscall.
+    POLL_INTERVAL = 4
 
     def __init__(self, sim: Simulator, world: MPWorld) -> None:
         self.sim = sim
@@ -620,16 +660,19 @@ class MPEngine:
     def run(self) -> None:
         sim = self.sim
         world = self.world
-        budget = self.POLL_INTERVAL
+        step = sim.run_pending
+        flush = world.flush
+        interval = self.POLL_INTERVAL
+        fired = 0
         while True:
-            budget -= sim.run_pending(budget)
-            if budget == 0:
-                world.flush()
-                world.poll()
-                budget = self.POLL_INTERVAL
-                continue
-            # local queue ran dry
-            if sim.active == 0:
-                world.flush()
+            if step(1):
+                fired += 1
+                flush()
+                if fired % interval == 0:
+                    world.poll()
+            elif sim.active == 0:
+                flush()
+                world.engine_stats.events_fired += fired
                 return
-            world.wait_for_message()
+            else:
+                world.wait_for_message()

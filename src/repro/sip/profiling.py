@@ -83,7 +83,8 @@ class RunProfile:
     # pardo dole-out observability: the master's SchedStats
     scheduling: Optional[Any] = None
     # mp transport observability: a dict with the summed ArenaStats and
-    # BatchStats when the run used the multiprocess backend, else None
+    # BatchStats and each worker's EngineStats when the run used the
+    # multiprocess backend, else None
     transport: Optional[Any] = None
     # block movement observability: the summed BlockIOStats of every
     # rank's transfer engine (fetches, coalescing, backpressure)
@@ -218,6 +219,15 @@ class RunProfile:
                 f"{b.batches} frames "
                 f"({t['batch_msgs_per_write']:.1f} msgs/write, "
                 f"{b.frame_bytes} framed bytes)"
+            )
+            e = t["engines"]
+            lines.append(
+                "mp worker engines: blocked "
+                + " / ".join(f"{x.blocked_s:.3f}" for x in e)
+                + f" s in {sum(x.blocked_waits for x in e)} waits, "
+                f"{sum(x.polls for x in e)} polls delivered "
+                f"{sum(x.poll_deliveries for x in e)} messages, "
+                f"{sum(x.events_fired for x in e)} events fired"
             )
         s = self.scheduling
         if s is not None and s.chunks:

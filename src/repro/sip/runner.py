@@ -479,6 +479,12 @@ def _collect_stats(rt, workers, servers, master) -> dict[str, Any]:
         "bytes_zero_copy": 0,
         "arena_refs_leaked": 0,
         "batch_msgs_per_write": 0.0,
+        "mp_engine_blocked_s": 0.0,
+        "mp_engine_blocked_max_s": 0.0,
+        "mp_engine_blocked_waits": 0,
+        "mp_engine_polls": 0,
+        "mp_engine_poll_deliveries": 0,
+        "mp_engine_events_fired": 0,
         "blockio_issued": bio.issued,
         "blockio_issued_gets": bio.issued_gets,
         "blockio_issued_requests": bio.issued_requests,

@@ -136,6 +136,24 @@ def test_mp_backend_is_bitwise_identical_to_simulator(name, workers):
     assert mp.result.stats["mp_processes"] == make_config(workers, "mp").world_size
     assert mp.result.stats["wallclock_seconds"] > 0.0
 
+    # the workers' rank loops report home; the simulator has none
+    engines = mp.result.profile.transport["engines"]
+    assert len(engines) == workers
+    assert all(e.events_fired > 0 and e.blocked_s >= 0.0 for e in engines)
+    assert mp.result.stats["mp_engine_events_fired"] == sum(
+        e.events_fired for e in engines
+    )
+    assert mp.result.stats["mp_engine_blocked_max_s"] == max(
+        e.blocked_s for e in engines
+    )
+    assert "mp worker engines: blocked" in mp.result.profile.report()
+    assert not any(
+        value for key, value in sim.result.stats.items() if key.startswith("mp_engine_")
+    )
+    assert {k for k in sim.result.stats if k.startswith("mp_engine_")} == {
+        k for k in mp.result.stats if k.startswith("mp_engine_")
+    }
+
     # runtime sanitizer must stay clean across process boundaries
     assert sim.result.sanitizer_report.ok
     assert mp.result.sanitizer_report.ok

@@ -25,7 +25,7 @@ from repro.sial.passes import (
     verify_program,
 )
 from repro.sip import SIPConfig
-from repro.sip.runner import run_source
+from repro.sip.runner import run_program, run_source
 
 NB = {"nb": 4.0}
 
@@ -431,6 +431,30 @@ def test_optimize_program_is_idempotent_and_tags_the_program():
     assert optimize_program(opt, 2) is opt
     assert optimize_program(opt, 1) is opt
     assert optimize_program(prog, 0) is prog
+
+
+def test_optimize_program_runs_the_passes_once_per_program_and_level(monkeypatch):
+    import repro.sial.passes as passes
+
+    built = []
+    real = passes.build_pipeline
+    monkeypatch.setattr(
+        passes, "build_pipeline", lambda level: built.append(level) or real(level)
+    )
+    prog = compile_source(FUSE_SRC)
+    o2 = optimize_program(prog, 2)
+    assert optimize_program(prog, 2) is o2
+    o1 = optimize_program(prog, 1)
+    assert o1 is not o2 and o1.opt_level == 1
+    assert optimize_program(prog, 1) is o1
+    assert built == [2, 1]
+    # a driver that compiles once and runs many times hits the memo
+    cfg = SIPConfig(workers=2, segment_size=2, opt_level=2)
+    for _ in range(2):
+        run_program(prog, cfg, dict(NB))
+    assert built == [2, 1]
+    # and a recompile starts clean
+    assert optimize_program(compile_source(FUSE_SRC), 2) is not o2
 
 
 def test_optimize_program_rejects_bad_levels():

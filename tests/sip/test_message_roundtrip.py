@@ -460,5 +460,6 @@ def test_recreated_world_shm_names_disjoint():
         slabs2 = {w2.arena._slab_name(256) for _ in range(4)}
         assert not slabs1 & slabs2
     finally:
-        w1.arena.destroy()
-        w2.arena.destroy()
+        for world in (w1, w2):
+            world.arena.destroy()
+            world.close()
