@@ -154,8 +154,11 @@ class MemoryManager:
             ledger=self,
         )
 
-        # resident blocks eligible for spilling: bid -> (block, class)
+        # resident blocks eligible for spilling: bid -> (block, class),
+        # and the same ids queued per class in registration order (a
+        # block id's class is its array's kind, so it never changes)
         self._spillable: dict[BlockId, tuple[Block, str]] = {}
+        self._victims: dict[str, dict[BlockId, None]] = {c: {} for c in SPILL_ORDER}
         # spilled-out blocks: bid -> (block, parked data, class)
         self._spill: dict[BlockId, tuple[Block, Optional[np.ndarray], str]] = {}
         # blocks the current instruction is holding; never spilled
@@ -227,7 +230,17 @@ class MemoryManager:
         """Mark a resident pool block as spillable (kind = array kind)."""
         cls = _KIND_TO_SPILL_CLASS.get(kind)
         if cls is not None:
-            self._spillable[bid] = (block, cls)
+            self._enlist(bid, block, cls)
+
+    def _enlist(self, bid: BlockId, block: Block, cls: str) -> None:
+        self._spillable[bid] = (block, cls)
+        self._victims[cls][bid] = None
+
+    def _delist(self, bid: BlockId) -> Optional[tuple[Block, str]]:
+        entry = self._spillable.pop(bid, None)
+        if entry is not None:
+            del self._victims[entry[1]][bid]
+        return entry
 
     def adopt(self, bid: BlockId, block: Block, kind: str) -> None:
         """Charge an input block scattered outside the pool."""
@@ -239,7 +252,7 @@ class MemoryManager:
     def free(self, bid: Optional[BlockId], block: Block) -> None:
         """Release a block (pool-owned or adopted), wherever it lives."""
         if bid is not None:
-            self._spillable.pop(bid, None)
+            self._delist(bid)
             spilled = self._spill.pop(bid, None)
             if spilled is not None:
                 self.spilled_out_bytes -= block.nbytes
@@ -302,19 +315,16 @@ class MemoryManager:
     def _spill_victim(self, refused: set[BlockId]) -> Optional[BlockId]:
         """The next block to spill: classes in SPILL_ORDER, registration
         order within a class, never one the running instruction holds."""
-        best, best_rank = None, len(SPILL_ORDER)
         pinned = self.pinned
-        for bid, (_block, cls) in self._spillable.items():
-            rank = SPILL_ORDER.index(cls)
-            if rank < best_rank and bid not in pinned and bid not in refused:
-                best, best_rank = bid, rank
-                if rank == 0:
-                    break
-        return best
+        for queue in self._victims.values():
+            for bid in queue:
+                if bid not in pinned and bid not in refused:
+                    return bid
+        return None
 
     def spill(self, bid: BlockId) -> int:
         """Park one resident block's buffer on scratch; returns bytes freed."""
-        block, cls = self._spillable.pop(bid)
+        block, cls = self._delist(bid)
         nbytes = block.nbytes
         if (
             self.spill_capacity is not None
@@ -322,7 +332,7 @@ class MemoryManager:
         ):
             # scratch full: this block stays resident and un-spillable
             # until something faults back in and frees scratch room
-            self._spillable[bid] = (block, cls)
+            self._enlist(bid, block, cls)
             return 0
         self._spill[bid] = (block, block.data, cls)
         block.data = None
@@ -352,7 +362,7 @@ class MemoryManager:
         # returning block cannot be re-victimised (not registered yet)
         self.ensure_headroom(0)
         block.data = data
-        self._spillable[bid] = (block, cls)
+        self._enlist(bid, block, cls)
         self.stats.faults_in += 1
         self.stats.fault_bytes += nbytes
         if self.blockio is not None:
@@ -408,5 +418,5 @@ class MemoryManager:
         for bid, (block, data, cls) in list(self._spill.items()):
             block.data = data
             self.spilled_out_bytes -= block.nbytes
-            self._spillable[bid] = (block, cls)
+            self._enlist(bid, block, cls)
         self._spill.clear()

@@ -6,16 +6,17 @@ one OS process per SIP rank.  Each child wires its single rank object
 (:class:`~.vm.WorkerProcess`, :class:`~.ioserver.IOServerProcess` or
 :class:`~.master.MasterProcess`) onto an :class:`~.mptransport.MPWorld`
 over a pre-forked full mesh of duplex pipes, drives it with an
-:class:`~.mptransport.MPEngine`, and ships its results -- scalars,
-profile, owned blocks, stats, sanitizer/trace state -- back over a
-dedicated result pipe.
+:class:`~.mptransport.MPEngine`, and ships its results home: scalars,
+profile, stats and sanitizer/trace state pickled over a dedicated
+result pipe, every array byte (owned blocks, served blocks, external
+store writes) through one shared-memory segment per rank that the
+parent maps instead of copying (:mod:`~.gather`).
 
 The parent supervises: it drains result pipes while children run (a
-``Connection.send`` larger than the pipe buffer blocks until the
-reader catches up, so results must be read *before* join), detects a
-child that died without reporting, tears the fleet down on any error,
-and finally sweeps ``/dev/shm`` for segments the crashed path may have
-leaked.  Gathered per-rank state is wrapped in duck-typed stand-ins so
+send larger than the pipe buffer blocks until the reader catches up,
+so results must be read *before* join), detects a child that died
+without reporting, tears the fleet down on any error, and finally
+sweeps ``/dev/shm`` for segments the crashed path may have leaked.  Gathered per-rank state is wrapped in duck-typed stand-ins so
 :func:`~.runner._finalize` and :meth:`~.runner.RunResult.array` work
 unchanged on both backends.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import re
 import time
 import traceback
@@ -34,12 +36,14 @@ from typing import Any, Optional
 from ..sial.bytecode import CompiledProgram
 from ..simmpi import Simulator, World
 from ..simmpi.faults import ResilienceStats
-from .blocks import Block, BlockId
+from . import gather
+from .blocks import Block
 from .config import SIPConfig, SIPError
 from .dryrun import InfeasibleComputation, dry_run
 from .ioserver import IOServerProcess
 from .master import MasterProcess
 from .mptransport import MPEngine, MPWorld, mp_barrier_service
+from .runner import _finalize, scatter_inputs
 from .runtime import SharedRuntime
 from .vm import WorkerProcess
 
@@ -47,6 +51,10 @@ __all__ = ["execute_mp"]
 
 #: seconds to wait for an already-reported child to exit before terminating
 _JOIN_GRACE = 10.0
+
+#: result fields that hold array data; they travel through the rank's
+#: gather segment, never through the result pipe
+_GATHERED = ("owned", "local_blocks", "served", "store_delta")
 
 
 class _Bag:
@@ -134,10 +142,11 @@ def _sweep_shm(run_id: str) -> tuple[int, int]:
     """Unlink this run's leftover segments: ``(slabs_swept, leaked)``.
 
     Arena slabs live for the whole run by design -- children never
-    unlink them (a straggler may still be pickling results out of a
-    mapped slot), so finding them here is the expected lifecycle, not
-    a leak.  Anything else under the run prefix (a one-shot segment a
-    crashed rank never unlinked) counts as leaked.
+    unlink them (a straggler may still be copying results out of a
+    mapped slot into its gather segment), so finding them here is the
+    expected lifecycle, not a leak.  Anything else under the run prefix
+    (a one-shot or gather segment a crashed rank left behind) counts
+    as leaked; a gather segment the parent mapped is already unlinked.
     """
     slabs = leaked = 0
     try:
@@ -157,6 +166,13 @@ def _sweep_shm(run_id: str) -> tuple[int, int]:
         else:
             leaked += 1
     return slabs, leaked
+
+
+def _ship(result_conn: Any, status: str, payload: dict) -> None:
+    """The one way out of a child: one pickle, sent as bytes, so the
+    parent can report how many bytes crossed the pipe."""
+    result_conn.send_bytes(pickle.dumps((status, payload), protocol=5))
+    result_conn.close()
 
 
 def _child_main(
@@ -194,18 +210,15 @@ def _child_main(
         baseline = _store_baseline(rt.external_store)
         comm = world.comm(rank)
         proc: Any
+        scatter_start = time.perf_counter()
         if role == "worker":
-            from .runner import scatter_worker_inputs
-
             proc = WorkerProcess(rt, index, comm)
-            scatter_worker_inputs(rt, proc)
+            scatter_inputs(rt, workers=[proc])
             sim.spawn(proc.run(), name=f"worker{index}")
             sim.spawn(proc.service(), name=f"worker{index}.service")
         elif role == "server":
-            from .runner import scatter_server_inputs
-
             proc = IOServerProcess(rt, index, comm)
-            scatter_server_inputs(rt, proc)
+            scatter_inputs(rt, servers=[proc])
             sim.spawn(proc.run(), name=f"ioserver{index}")
         else:
             proc = MasterProcess(rt, comm)
@@ -215,6 +228,7 @@ def _child_main(
                 name="barrier.service",
                 daemon=True,
             )
+        scatter_s = time.perf_counter() - scatter_start
 
         if world.arena is not None and role in ("worker", "server"):
             # slab footprints count against the rank's memory budget
@@ -230,6 +244,7 @@ def _child_main(
             "arena_stats": world.arena_stats,
             "batch_stats": world.batch_stats,
             "engine_stats": world.engine_stats,
+            "scatter_s": scatter_s,
         }
         if rt.sanitizer is not None:
             res["sanitizer"] = (rt.sanitizer._records, rt.sanitizer.report_data)
@@ -276,22 +291,22 @@ def _child_main(
         # must be released or still held by a live block; the stats
         # object inside ``res`` is pickled with the updated fields
         world.receiver.account_exit()
-        result_conn.send(("ok", res))
-        result_conn.close()
+        res["gathered"] = gather.pack(
+            {k: res.pop(k) for k in _GATHERED if k in res}, f"rmp{run_id}r{rank}g"
+        )
+        _ship(result_conn, "ok", res)
     except BaseException as exc:  # noqa: BLE001 - ship *any* failure home
         try:
-            result_conn.send(
-                (
-                    "error",
-                    {
-                        "role": role,
-                        "rank": rank,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    },
-                )
+            _ship(
+                result_conn,
+                "error",
+                {
+                    "role": role,
+                    "rank": rank,
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "traceback": traceback.format_exc(),
+                },
             )
-            result_conn.close()
         except Exception:
             pass
         status = 1
@@ -311,8 +326,6 @@ def execute_mp(
     restarts: int,
 ):
     """Run one attempt on the multiprocess backend; returns a RunResult."""
-    from .runner import _finalize
-
     wall_start = time.perf_counter()
     # The parent's runtime serves feasibility checking, result assembly
     # and merged stats; its (simulated) world never runs a coroutine.
@@ -408,7 +421,6 @@ def execute_mp(
         slabs_swept,
         leaked,
         time.perf_counter() - wall_start,
-        _finalize,
     )
 
 
@@ -420,31 +432,51 @@ def _supervise(
     """Read every rank's result, watching for children dying early."""
     recvs = {rank: result_pipes[rank][0] for rank in procs}
     results: dict[int, dict] = {}
+    # ranks whose pipe closed with nothing in it.  Every child inherits
+    # every result pipe, so this EOF shows only once the whole fleet has
+    # exited: a rank killed after the others reported.  A closed pipe
+    # polls readable for ever and must not be read as "still in flight".
+    closed: set[int] = set()
     while len(results) < len(procs):
-        pending = [recvs[r] for r in procs if r not in results]
-        sentinels = {p.sentinel: r for r, p in procs.items() if p.is_alive()}
-        ready = mpconn.wait(pending + list(sentinels), timeout=1.0)
-        by_conn = {recvs[r]: r for r in procs if r not in results}
-        for obj in ready:
+        by_conn = {recvs[r]: r for r in procs if r not in results and r not in closed}
+        sentinels = [p.sentinel for p in procs.values() if p.is_alive()]
+        for obj in mpconn.wait(list(by_conn) + sentinels, timeout=1.0):
             rank = by_conn.get(obj)
             if rank is None:
                 continue  # a sentinel; the liveness check below handles it
+            readable_at = time.perf_counter()
             try:
-                status, payload = obj.recv()
+                raw = obj.recv_bytes()
             except (EOFError, OSError):
-                continue  # died between wait and recv; handled below
+                closed.add(rank)  # the liveness check below reports it
+                continue
+            status, payload = pickle.loads(raw)
+            role, index = roles[rank]
             if status == "error":
-                role, index = roles[rank]
                 raise SIPError(
                     f"mp backend: {role} {index} (rank {rank}) failed:\n"
                     f"{payload['traceback']}"
                 )
+            manifest, name, nbytes = payload.pop("gathered")
+            try:
+                payload.update(gather.unpack(manifest, name, nbytes))
+            except (OSError, ValueError) as exc:
+                raise SIPError(
+                    f"mp backend: cannot map the results {role} {index} (rank "
+                    f"{rank}) gathered in {name}: {type(exc).__name__}: {exc}"
+                ) from exc
+            payload.update(
+                gather_bytes=nbytes,
+                pickle_bytes=len(raw),
+                readable_at=readable_at,
+                mapped_at=time.perf_counter(),
+            )
             results[rank] = payload
         for rank, p in procs.items():
             if rank in results or p.is_alive():
                 continue
             try:
-                if recvs[rank].poll(0):
+                if rank not in closed and recvs[rank].poll(0):
                     continue  # result (or error) still in flight
             except (EOFError, OSError):
                 pass
@@ -468,7 +500,6 @@ def _merge(
     slabs_swept: int,
     leaked: int,
     wall_seconds: float,
-    _finalize,
 ):
     workers = [
         _WorkerStandIn(results[config.worker_rank(i)])
@@ -554,6 +585,17 @@ def _merge(
     result.stats["mp_shm_unlinked"] = shm_unlinked
     result.stats["mp_shm_leaked"] = leaked
     result.stats["mp_processes"] = len(results)
+    # the two ends of the run: input scatter in the children, result
+    # gather from the first result readable to the last segment mapped
+    ranks = list(results.values())
+    ends = {
+        "mp_scatter_s": max(r["scatter_s"] for r in ranks),
+        "mp_gather_s": max(r["mapped_at"] for r in ranks)
+        - min(r["readable_at"] for r in ranks),
+        "mp_gather_bytes": sum(r["gather_bytes"] for r in ranks),
+        "mp_result_pickle_bytes": sum(r["pickle_bytes"] for r in ranks),
+    }
+    result.stats.update(ends)
     per_write = batches.messages / batches.batches if batches.batches else 0.0
     result.stats.update(
         arena_hits=arena.hits,
@@ -581,6 +623,7 @@ def _merge(
         "engines": engines,
         "slabs_swept": slabs_swept,
         "batch_msgs_per_write": per_write,
+        "ends": ends,
     }
     if config.tracer is not None:
         config.tracer.annotate(

@@ -229,6 +229,13 @@ class RunProfile:
                 f"{sum(x.poll_deliveries for x in e)} messages, "
                 f"{sum(x.events_fired for x in e)} events fired"
             )
+            g = t["ends"]
+            lines.append(
+                f"mp gather: {g['mp_gather_bytes']} array bytes mapped in "
+                f"{1e3 * g['mp_gather_s']:.1f} ms, "
+                f"{g['mp_result_pickle_bytes']} bytes pickled through the "
+                f"result pipes; input scatter {1e3 * g['mp_scatter_s']:.1f} ms"
+            )
         s = self.scheduling
         if s is not None and s.chunks:
             line = (

@@ -161,7 +161,7 @@ def _execute(
     ]
     master = MasterProcess(rt, world.comm(config.master_rank))
 
-    _scatter_inputs(rt, workers, servers)
+    scatter_inputs(rt, workers, servers)
 
     sim.spawn(master.run(), name="master")
     for i, w in enumerate(workers):
@@ -318,110 +318,56 @@ def _finalize(
     )
 
 
-def _scatter_inputs(
-    rt: SharedRuntime, workers: list[WorkerProcess], servers: list[IOServerProcess]
-) -> None:
-    """Pre-load initial array contents (outside simulated time)."""
-    for name, value in rt.config.inputs.items():
-        try:
-            array_id = rt.array_id_by_name(name)
-        except KeyError:
-            raise SIPError(f"input provided for undeclared array {name!r}") from None
-        desc = rt.array_desc(array_id)
-        if desc.kind == "static":
-            if rt.cow_enabled:
-                # slice the input once; every worker gets a copy-on-write
-                # share of the same block (copies happen on first write)
-                for coords, block in rt.blocks_from_input(array_id, value).items():
-                    bid = BlockId(array_id, coords)
-                    for w in workers:
-                        twin = block.share()
-                        w.local_blocks[bid] = twin
-                        w.memman.adopt(bid, twin, "static")
-            else:
-                for w in workers:
-                    for coords, block in rt.blocks_from_input(array_id, value).items():
-                        bid = BlockId(array_id, coords)
-                        w.local_blocks[bid] = block
-                        w.memman.adopt(bid, block, "static")
-        elif desc.kind == "distributed":
-            placement = rt.placements[array_id]
-            blocks = rt.blocks_from_input(array_id, value)
-            for coords, block in blocks.items():
-                owner = placement.owner_index(coords)
-                bid = BlockId(array_id, coords)
-                workers[owner].owned[bid] = block
-                workers[owner].memman.adopt(bid, block, "distributed")
-        elif desc.kind == "served":
-            placement = rt.served_placements[array_id]
-            blocks = rt.blocks_from_input(array_id, value)
-            for coords, block in blocks.items():
-                sidx = placement.owner_index(coords)
-                bid = BlockId(array_id, coords)
-                if block.data is not None:
-                    servers[sidx].disk_data[bid] = block.data
-                else:
-                    servers[sidx].disk_data[bid] = block.shape
-        elif desc.kind == "temp" or desc.kind == "local":
-            raise SIPError(
-                f"cannot provide input for {desc.kind} array {name!r}; "
-                "only static, distributed, and served arrays take inputs"
-            )
+def scatter_inputs(rt: SharedRuntime, workers=(), servers=()) -> None:
+    """Pre-load the given ranks' share of the initial array contents.
 
-
-def scatter_worker_inputs(rt: SharedRuntime, worker) -> None:
-    """Pre-load one worker's share of the initial array contents.
-
-    The multiprocess backend calls this in each worker child, which
-    holds exactly one :class:`WorkerProcess`; static arrays are fully
-    replicated, distributed arrays filtered to the worker's owned
-    coordinates.
+    Runs outside simulated time.  The simulator passes every worker and
+    I/O server, an mp child the one rank object it holds.  Static arrays
+    are fully replicated; a distributed or served array is sliced only
+    at the coordinates one of the given ranks owns.
     """
     for name, value in rt.config.inputs.items():
         try:
             array_id = rt.array_id_by_name(name)
         except KeyError:
             raise SIPError(f"input provided for undeclared array {name!r}") from None
-        desc = rt.array_desc(array_id)
-        if desc.kind == "static":
-            for coords, block in rt.blocks_from_input(array_id, value).items():
-                bid = BlockId(array_id, coords)
-                worker.local_blocks[bid] = block
-                worker.memman.adopt(bid, block, "static")
-        elif desc.kind == "distributed":
+        kind = rt.array_desc(array_id).kind
+        if value is not None:
+            value = np.asarray(value, dtype=rt.dtype)  # convert once, not per rank
+        if kind == "static":
+            # with copy-on-write the input is sliced once and every
+            # worker holds a share of the same block (copies happen on
+            # first write); without it each worker slices its own
+            blocks = None
+            for w in workers:
+                if blocks is None or not rt.cow_enabled:
+                    blocks = rt.blocks_from_input(array_id, value)
+                for coords, block in blocks.items():
+                    bid = BlockId(array_id, coords)
+                    held = block.share() if rt.cow_enabled else block
+                    w.local_blocks[bid] = held
+                    w.memman.adopt(bid, held, "static")
+        elif kind == "distributed":
             placement = rt.placements[array_id]
-            for coords, block in rt.blocks_from_input(array_id, value).items():
-                if placement.owner_index(coords) != worker.worker_index:
-                    continue
-                bid = BlockId(array_id, coords)
-                worker.owned[bid] = block
-                worker.memman.adopt(bid, block, "distributed")
-        elif desc.kind in ("temp", "local"):
+            for w in workers:
+                mine = placement.owned_by(w.worker_index)
+                for coords, block in rt.blocks_from_input(array_id, value, mine).items():
+                    bid = BlockId(array_id, coords)
+                    w.owned[bid] = block
+                    w.memman.adopt(bid, block, "distributed")
+        elif kind == "served":
+            placement = rt.served_placements[array_id]
+            for s in servers:
+                mine = placement.owned_by(s.server_index)
+                for coords, block in rt.blocks_from_input(array_id, value, mine).items():
+                    s.disk_data[BlockId(array_id, coords)] = (
+                        block.data if block.data is not None else block.shape
+                    )
+        else:
             raise SIPError(
-                f"cannot provide input for {desc.kind} array {name!r}; "
+                f"cannot provide input for {kind} array {name!r}; "
                 "only static, distributed, and served arrays take inputs"
             )
-
-
-def scatter_server_inputs(rt: SharedRuntime, server) -> None:
-    """Pre-load one I/O server's share of the served array contents."""
-    for name, value in rt.config.inputs.items():
-        try:
-            array_id = rt.array_id_by_name(name)
-        except KeyError:
-            raise SIPError(f"input provided for undeclared array {name!r}") from None
-        desc = rt.array_desc(array_id)
-        if desc.kind != "served":
-            continue
-        placement = rt.served_placements[array_id]
-        for coords, block in rt.blocks_from_input(array_id, value).items():
-            if placement.owner_index(coords) != server.server_index:
-                continue
-            bid = BlockId(array_id, coords)
-            if block.data is not None:
-                server.disk_data[bid] = block.data
-            else:
-                server.disk_data[bid] = block.shape
 
 
 def _aggregate_mem(workers, servers):

@@ -204,9 +204,10 @@ class SharedRuntime:
 
     # -- input scatter ------------------------------------------------------------
     def blocks_from_input(
-        self, array_id: int, value: Optional[np.ndarray]
+        self, array_id: int, value: Optional[np.ndarray], coords=None
     ) -> dict[tuple[int, ...], Block]:
-        """Slice a full input ndarray (or None = zeros) into blocks."""
+        """Slice a full input ndarray (or None = zeros) into blocks:
+        every block of the array, or only those at ``coords``."""
         desc = self.array_desc(array_id)
         full_shape = self.table.array_shape(desc)
         if value is not None:
@@ -217,7 +218,7 @@ class SharedRuntime:
                     f"declared shape is {full_shape}"
                 )
         out: dict[tuple[int, ...], Block] = {}
-        for coords in self.all_blocks(array_id):
+        for coords in self.all_blocks(array_id) if coords is None else coords:
             shape = block_shape(self.table, desc, coords)
             data = None
             if self.real:

@@ -201,6 +201,32 @@ def test_transport_variants_stay_bitwise_identical(variant, overrides):
 
 
 @pytest.mark.mp
+def test_array_bytes_never_ride_the_result_pipe():
+    """The paper contraction with 256 KiB of T and R blocks: everything
+    a worker owns comes home through its gather segment, and what is
+    pickled through the result pipes (stats, profile, sanitizer records,
+    the segment manifests) stays far below one array's size."""
+    cfg = make_config(2, "mp", segment_size=8)
+    mp = run_paper_contraction(n_basis=16, n_occ=8, config=cfg)
+    sim = run_paper_contraction(
+        n_basis=16, n_occ=8, config=make_config(2, "sim", segment_size=8)
+    )
+    assert_bitwise_equal_results(sim, mp)
+    stats = mp.result.stats
+    result_nbytes = mp.result.array("R").nbytes
+    assert result_nbytes == 128 * 1024
+    assert stats["mp_gather_bytes"] >= result_nbytes + cfg.inputs["T"].nbytes
+    assert stats["mp_result_pickle_bytes"] < 256 * 1024
+    assert stats["mp_result_pickle_bytes"] < result_nbytes // 4
+    assert 0.0 < stats["mp_gather_s"] < mp.result.stats["wallclock_seconds"]
+    assert 0.0 < stats["mp_scatter_s"] < mp.result.stats["wallclock_seconds"]
+    assert "mp gather: " in mp.result.profile.report()
+    # mp only: the simulator's stats surface is untouched
+    ends = ("mp_gather", "mp_scatter", "mp_result")
+    assert not [k for k in sim.result.stats if k.startswith(ends)]
+
+
+@pytest.mark.mp
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_checkpoint_chaining_matches_simulator(workers):
     """External-store writes merge back so run chaining works on mp."""

@@ -8,6 +8,8 @@ injected scratch disk faults.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machines import LAPTOP
 from repro.simmpi.faults import FaultPlan, ResilienceStats
@@ -207,3 +209,87 @@ def test_peak_tracks_unified_residency():
     assert mm.stats.peak_bytes == 2 * NBYTES
     mm.cache.insert_ready(bid(10), Block(SHAPE, np.zeros(SHAPE)))
     assert mm.stats.peak_bytes == 3 * NBYTES
+
+
+# -- the spill victim queue equals the scan it replaced ---------------------
+#
+# Before the per-class queues, every victim pick rescanned the whole
+# ``_spillable`` dict (2.98 M ``tuple.index`` calls per spill-on CCSD
+# run).  The scan below is that code, kept as the reference: after any
+# sequence of register / pin / spill / touch / free / restore_all the
+# queues must name the same victim.
+
+KINDS = ("temp", "local", "static", "distributed")
+
+
+def reference_victim(mm, refused):
+    best, best_rank = None, len(SPILL_ORDER)
+    for block_id, (_block, cls) in mm._spillable.items():
+        rank = SPILL_ORDER.index(cls)
+        if rank < best_rank and block_id not in mm.pinned and block_id not in refused:
+            best, best_rank = block_id, rank
+            if rank == 0:
+                break
+    return best
+
+
+def kind_of(i):
+    return KINDS[i % len(KINDS)]  # a block id's class never changes
+
+
+_ids = st.integers(0, 11)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), _ids),
+        st.tuples(st.just("free"), _ids),
+        st.tuples(st.just("spill"), _ids),
+        st.tuples(st.just("touch"), _ids),
+        st.tuples(st.just("pin"), _ids),
+        st.tuples(st.just("unpin"), _ids),
+        st.tuples(st.just("refuse"), _ids),
+        st.tuples(st.just("victim"), _ids),
+        st.tuples(st.just("restore_all"), _ids),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_ops, scratch_blocks=st.sampled_from([None, 0, 1, 3]))
+def test_spill_victim_queue_equals_the_reference_scan(ops, scratch_blocks):
+    capacity = None if scratch_blocks is None else scratch_blocks * NBYTES
+    # a budget nothing here reaches: victims are picked by the test, so
+    # the sequence of picks is exactly the generated one
+    mm = manager(budget_blocks=64, spill_capacity=capacity)
+    blocks = {}
+    refused = set()
+    for op, i in ops:
+        b = bid(i)
+        if op == "register":
+            if b not in blocks:
+                blocks[b] = mm.allocate(SHAPE)
+            if b not in mm._spill:  # re-registering a resident block keeps its turn
+                mm.register(b, blocks[b], kind_of(i))
+        elif op == "free" and b in blocks:
+            mm.free(b, blocks.pop(b))
+        elif op == "spill" and b in mm._spillable:
+            mm.spill(b)  # with scratch full this re-queues the block at the tail
+        elif op == "touch":
+            mm.touch(b)
+        elif op == "pin":
+            mm.pin_instr(b)
+        elif op == "unpin":
+            mm.pinned.discard(b)
+        elif op == "refuse":
+            refused.add(b)
+        elif op == "victim":
+            victim = mm._spill_victim(refused)
+            assert victim == reference_victim(mm, refused)
+            if victim is not None:
+                mm.spill(victim)
+        elif op == "restore_all":
+            mm.restore_all()
+        assert mm._spill_victim(refused) == reference_victim(mm, refused)
+        queued = [b for queue in mm._victims.values() for b in queue]
+        assert sorted(queued) == sorted(mm._spillable)
+        assert all(mm._spillable[b][1] == cls for cls, q in mm._victims.items() for b in q)

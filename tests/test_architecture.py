@@ -18,6 +18,11 @@ loop, so the shape of a heap entry is private to the simulator module.
 And for the mp rank's intake: readiness is asked through the one
 selector :class:`MPWorld` registers its connections with, never through
 the stdlib helpers that build a throw-away selector per call.
+
+And for what crosses between mp processes: shared-memory segments are
+created and mapped only by the arena, the transport's one-shot overflow
+and the result gather, and the result pipe carries pickled bytes whose
+length the parent counts -- never a ``send()`` of whole result blocks.
 """
 
 import ast
@@ -197,6 +202,62 @@ def test_mp_transport_asks_readiness_only_through_its_selector():
     )
 
 
+#: modules that may create or map a /dev/shm segment
+SHM_ALLOWLIST = {
+    "sip/arena.py",
+    "sip/mptransport.py",
+    "sip/gather.py",
+}
+MP_RUNNER = "sip/mprunner.py"
+
+
+def test_shared_memory_is_only_touched_by_arena_transport_and_gather():
+    offenders = []
+    for rel, tree in repro_modules():
+        if rel in SHM_ALLOWLIST:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                called_name(node) == "SharedMemory"
+                or ast.unparse(node.func) in ("mmap.mmap", "mmap")
+            ):
+                offenders.append(f"{rel}:{node.lineno} {ast.unparse(node.func)}(...)")
+    assert not offenders, (
+        "shared-memory segments are created and mapped by sip/arena.py, "
+        "sip/mptransport.py and sip/gather.py only:\n  " + "\n  ".join(offenders)
+    )
+
+
+def test_mp_results_ship_as_counted_bytes_after_the_gather():
+    """A rank's result leaves through ``_ship`` (``send_bytes`` of one
+    pickle, whose length the parent reports), and only after
+    ``gather.pack`` took the array-bearing fields out of it.  What keeps
+    array bytes off the pipe is measured, not pattern-matched: the
+    conformance suite bounds ``mp_result_pickle_bytes``."""
+    tree = dict(repro_modules())[MP_RUNNER]
+    sends = [
+        ast.unparse(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("send", "send_bytes")
+    ]
+    assert sends == ["result_conn.send_bytes"], f"one way out of a child: {sends}"
+    (child,) = (
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "_child_main"
+    )
+    calls = [n for n in ast.walk(child) if isinstance(n, ast.Call)]
+    packed = [n.lineno for n in calls if ast.unparse(n.func) == "gather.pack"]
+    shipped_ok = [
+        n.lineno
+        for n in calls
+        if ast.unparse(n.func) == "_ship" and ast.unparse(n.args[1]) == "'ok'"
+    ]
+    assert len(packed) == 1 and len(shipped_ok) == 1
+    assert packed[0] < shipped_ok[0], "the ok result ships before it is gathered"
+
+
 def test_sipconfig_does_not_grow():
     import dataclasses
 
@@ -212,6 +273,7 @@ def test_the_allowlists_still_match_reality():
         MESSAGE_ALLOWLIST
         | INSERT_PENDING_ALLOWLIST
         | COMM_ALLOWLIST
-        | {EVENT_HEAP_OWNER, MP_TRANSPORT}
+        | SHM_ALLOWLIST
+        | {EVENT_HEAP_OWNER, MP_TRANSPORT, MP_RUNNER}
     ):
         assert rel in all_rel, f"allowlisted module {rel} no longer exists"
