@@ -12,9 +12,15 @@ every constrained run
 * matches the baseline **bitwise** (static pardo scheduling keeps the
   iteration assignment identical; only timing may differ),
 * reports victim-cascade activity whenever the budget actually bites,
-* never runs faster than the unconstrained baseline in simulated time.
+* never runs faster than the unconstrained baseline in simulated time,
+* never holds more than its budget, scattered inputs included
+  (``mem_peak_bytes <= mem_budget_bytes``),
+* keeps at least 0.6x the baseline's block-cache hit rate when the
+  program uses the cache at all (>= 1 000 baseline accesses): pressure
+  must cost disk time, not the replicas the running iteration needs.
 
-Pressure statistics for every program are written to a JSON report
+Pressure statistics for every program, with simulated time, message
+count and cache hit rate of both runs, are written to a JSON report
 (CI uploads it as an artifact).
 
 Usage::
@@ -81,6 +87,23 @@ STAT_KEYS = (
     "mem_peak_spill_bytes",
 )
 
+# programs with fewer baseline cache accesses than this barely use the
+# cache; their hit-rate ratio is reported, not gated
+HIT_RATE_MIN_ACCESSES = 1000
+HIT_RATE_FLOOR = 0.6
+
+
+def _run_columns(result) -> dict:
+    """Simulated time, traffic and cache behaviour of one run."""
+    stats = result.stats
+    accesses = stats["cache_hits"] + stats["cache_misses"]
+    return {
+        "elapsed": result.elapsed,
+        "messages_sent": int(stats["messages_sent"]),
+        "cache_accesses": int(accesses),
+        "cache_hit_rate": round(stats["cache_hits"] / accesses, 4) if accesses else None,
+    }
+
 
 def _config(budget=None):
     kw = dict(
@@ -117,6 +140,17 @@ def run_one(name: str) -> dict:
         assert stats["mem_cascades"] > 0, (name, stats)
         assert stats["mem_spills"] > 0, (name, stats)
     assert out.result.elapsed >= base.result.elapsed, name
+    assert stats["mem_peak_bytes"] <= stats["mem_budget_bytes"], (name, stats)
+
+    baseline, constrained = _run_columns(base.result), _run_columns(out.result)
+    hit_ratio = None
+    if baseline["cache_hit_rate"]:
+        hit_ratio = round(constrained["cache_hit_rate"] / baseline["cache_hit_rate"], 4)
+    if baseline["cache_accesses"] >= HIT_RATE_MIN_ACCESSES:
+        assert hit_ratio >= HIT_RATE_FLOOR, (
+            f"{name}: pressure thrashes the block cache "
+            f"({constrained['cache_hit_rate']} of {baseline['cache_hit_rate']})"
+        )
 
     row = {
         "program": name,
@@ -127,13 +161,14 @@ def run_one(name: str) -> dict:
         "budget_fraction_of_peak": round(budget / peak, 4) if peak else None,
         "pressured": pressured,
         "bitwise_identical": bitwise,
-        "baseline_time": base.result.elapsed,
-        "constrained_time": out.result.elapsed,
+        "baseline": baseline,
+        "constrained": constrained,
         "slowdown": (
             round(out.result.elapsed / base.result.elapsed, 4)
             if base.result.elapsed
             else None
         ),
+        "cache_hit_rate_ratio": hit_ratio,
         "stats": {k: int(stats[k]) for k in STAT_KEYS},
     }
     return row
@@ -150,12 +185,16 @@ def main() -> int:
     for name in names:
         row = run_one(name)
         rows.append(row)
-        s = row["stats"]
+        s, b, c = row["stats"], row["baseline"], row["constrained"]
         print(
-            f"{name:>18}: budget {row['budget_bytes']:>9} B "
-            f"({row['budget_fraction_of_peak']}x peak)  "
+            f"{name:>18}: budget {row['budget_bytes']:>6} B "
+            f"({row['budget_fraction_of_peak']}x peak, peak {s['mem_peak_bytes']})  "
             f"cascades={s['mem_cascades']:<5} spills={s['mem_spills']:<5} "
-            f"faults_in={s['mem_faults_in']:<5} slowdown={row['slowdown']}x "
+            f"faults_in={s['mem_faults_in']:<5} "
+            f"elapsed {b['elapsed']:.4g}->{c['elapsed']:.4g}s ({row['slowdown']}x)  "
+            f"messages {b['messages_sent']}->{c['messages_sent']}  "
+            f"hit rate {b['cache_hit_rate']}->{c['cache_hit_rate']} "
+            f"({row['cache_hit_rate_ratio']}x)  "
             f"bitwise={'yes' if row['bitwise_identical'] else 'NO'}"
         )
 

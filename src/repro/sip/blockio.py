@@ -189,7 +189,7 @@ class BlockTransferEngine:
 
     ``port`` is the owning rank object (a ``WorkerProcess`` or
     ``IOServerProcess``); the engine reads its ``sim``, ``comm``,
-    ``cache``, ``memman`` and ``rt`` attributes, plus -- on the worker
+    ``cache`` and ``rt`` attributes, plus -- on the worker
     fetch/post paths only -- ``worker_index``, ``epoch``,
     ``served_epoch``, ``next_tag()``, ``next_msg_seq()`` and
     ``spawn_retry_monitor()``.
@@ -206,7 +206,6 @@ class BlockTransferEngine:
         self.sim = port.sim
         self.comm = port.comm
         self.cache = port.cache
-        self.memman = getattr(port, "memman", None)
         self.rt = port.rt
         self.reserve = reserve
         self.max_in_flight = max_in_flight
@@ -269,7 +268,7 @@ class BlockTransferEngine:
         if mark_refetch and bid in self.ever_fetched:
             self.cache.mark_refetch(bid)
         try:
-            self._issue(bid, kind)
+            self._issue(bid, kind, demand=False)
         except SIPError:
             self.stats.hint_drops += 1
             return False
@@ -324,18 +323,9 @@ class BlockTransferEngine:
     def _issue_with_backpressure(self, bid: BlockId, kind: str, wait) -> Generator:
         """Issue a fetch, waiting for cache space when it is full of
         in-flight blocks (demand fetches outrank prefetches)."""
-        memman = self.memman
         while True:
             try:
-                # a demand fetch may spill for cache headroom; speculative
-                # prefetch inserts only ever drop clean replicas
-                if memman is not None:
-                    memman.cache_spill_ok = True
-                try:
-                    return self._issue(bid, kind)
-                finally:
-                    if memman is not None:
-                        memman.cache_spill_ok = False
+                return self._issue(bid, kind)
             except SIPError:
                 pending = self.cache.any_pending_arrival()
                 if pending is None:
@@ -343,11 +333,13 @@ class BlockTransferEngine:
                 self.stats.backpressure_stalls += 1
                 yield from wait(pending)
 
-    def _issue(self, bid: BlockId, kind: str):
+    def _issue(self, bid: BlockId, kind: str, demand: bool = True):
         """Put one fetch on the wire and register it in the request table.
 
         Raises :class:`SIPError` when the cache cannot take another
-        pending entry (full of pinned/pending/dirty blocks).
+        pending entry (full of pinned/pending/dirty blocks).  A demand
+        fetch may spill resident blocks for its bytes; a speculative one
+        (``demand=False``) only ever drops clean replicas.
         """
         port = self.port
         if kind == "get":
@@ -357,7 +349,7 @@ class BlockTransferEngine:
             dest = self.rt.server_rank_for(bid)
             arrival = self.sim.event(name=("arrive-served {}", bid))
         reply_tag = port.next_tag()
-        entry = self.cache.insert_pending(bid, arrival)
+        entry = self.cache.insert_pending(bid, arrival, demand)
         self._inflight[bid] = _InFlight(kind=kind, arrival=arrival)
         if len(self._inflight) > self.stats.in_flight_peak:
             self.stats.in_flight_peak = len(self._inflight)

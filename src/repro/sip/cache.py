@@ -15,10 +15,17 @@ Pending and pinned entries are never evicted.  The cache records the
 statistics the prefetch-tuning ablation needs: hits, misses, evictions
 of blocks that were fetched but never used (the BlueGene/P pathology
 from Section VI-A), and refetches.
+
+Every insert and every touching lookup stamps the entry from the
+cache's ``tick`` counter.  The rank's :class:`MemoryManager` stamps its
+resident blocks from the same counter, so under memory pressure a
+replica and a resident block are compared by one recency order
+(:meth:`BlockCache.evict_for_pressure`, ``older_than``).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -49,6 +56,7 @@ class CacheEntry:
     used: bool = False  # read at least once since insertion
     fetch_count: int = 0
     charged: int = 0  # bytes charged against the memory ledger
+    stamp: int = 0  # last use, on the rank's recency counter
 
     @property
     def pending(self) -> bool:
@@ -80,13 +88,15 @@ class BlockCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[BlockId, CacheEntry]" = OrderedDict()
         self._pending = 0  # incremental count of in-flight entries
+        # the rank's recency counter: `_entries` is always in stamp order
+        self.tick = itertools.count(1).__next__
 
-    def _charge(self, block_id: BlockId) -> int:
+    def _charge(self, block_id: BlockId, demand: bool) -> int:
         if self.nbytes_of is None:
             return 0
         nbytes = self.nbytes_of(block_id)
         if self.ledger is not None:
-            self.ledger.cache_headroom(nbytes)
+            self.ledger.cache_headroom(nbytes, allow_spill=demand)
         self.bytes_in_use += nbytes
         return nbytes
 
@@ -104,6 +114,7 @@ class BlockCache:
         entry = self._entries.get(block_id)
         if entry is not None and touch:
             self._entries.move_to_end(block_id)
+            entry.stamp = self.tick()
         return entry
 
     def record_use(self, block_id: BlockId, hit: bool) -> None:
@@ -115,13 +126,21 @@ class BlockCache:
         if entry is not None:
             entry.used = True
 
-    def insert_pending(self, block_id: BlockId, arrival: Event) -> CacheEntry:
-        """Register an in-flight fetch; evicts LRU if at capacity."""
+    def insert_pending(
+        self, block_id: BlockId, arrival: Event, demand: bool = True
+    ) -> CacheEntry:
+        """Register an in-flight fetch; evicts LRU if at capacity.
+
+        A speculative insert (``demand=False``) may only drop replicas
+        for its bytes: speculation never pays a disk seek.
+        """
         if block_id in self._entries:
             raise SIPError(f"{self.name}: duplicate pending insert of {block_id}")
         self._make_room()
-        charged = self._charge(block_id)
-        entry = CacheEntry(arrival=arrival, fetch_count=1, charged=charged)
+        charged = self._charge(block_id, demand)
+        entry = CacheEntry(
+            arrival=arrival, fetch_count=1, charged=charged, stamp=self.tick()
+        )
         self._entries[block_id] = entry
         self._pending += 1
         self.stats.insertions += 1
@@ -153,10 +172,13 @@ class BlockCache:
             if arrival is not None:
                 arrival.succeed_if_pending(block)
             self._entries.move_to_end(block_id)
+            entry.stamp = self.tick()
             return entry
         self._make_room()
-        charged = self._charge(block_id)
-        entry = CacheEntry(block=block, dirty=dirty, charged=charged)
+        charged = self._charge(block_id, demand=True)
+        entry = CacheEntry(
+            block=block, dirty=dirty, charged=charged, stamp=self.tick()
+        )
         self._entries[block_id] = entry
         self.stats.insertions += 1
         return entry
@@ -213,18 +235,24 @@ class BlockCache:
                 return key, entry
         return None
 
-    def evict_for_pressure(self, need_bytes: int) -> tuple[int, int]:
+    def evict_for_pressure(
+        self, need_bytes: int, older_than: Optional[int] = None
+    ) -> tuple[int, int]:
         """Drop clean LRU entries until ~need_bytes are freed.
 
         Returns (bytes freed, entries evicted).  Pinned, pending, and
-        dirty entries are skipped; freeing less than asked is fine (the
-        caller's victim cascade moves on to spilling).
+        dirty entries are skipped.  With ``older_than`` (the stamp of the
+        rank's least recently used resident block) the drops stop at the
+        first replica used after it: that block is the better victim.
+        Freeing less than asked is fine (the caller's cascade spills it).
         """
         freed = 0
         count = 0
         while freed < need_bytes:
             victim = self._lru_victim()
             if victim is None:
+                break
+            if older_than is not None and victim[1].stamp > older_than:
                 break
             freed += victim[1].charged
             count += 1

@@ -147,9 +147,10 @@ class SIPConfig:
         Override of the machine's per-rank memory budget, bytes.
     spill:
         Unify each rank's pool, cache and adopted input bytes under one
-        budget and, under pressure, run the victim cascade (drop clean
-        cached replicas, then spill evictable blocks to the rank's
-        scratch disk, faulted back in on next touch) instead of raising
+        budget and, under pressure, run the victim cascade (least
+        recently used first: a clean cached replica is dropped, a
+        resident block is spilled to the rank's scratch disk and
+        faulted back in on next touch) instead of raising
         ``OutOfBlockMemory``.  Off by default: without it every
         mechanism enforces its own budget exactly as before, and runs
         are bitwise identical to historical behaviour.

@@ -68,8 +68,6 @@ class IOServerProcess:
             tracer=rt.config.tracer,
             rank=self.rank,
         )
-        # servers answer demand traffic only; every insert may evict
-        self.memman.cache_spill_ok = True
         self.cache = self.memman.cache
         self.disk = Disk(
             rt.sim,

@@ -7,14 +7,17 @@ unifies our previously disconnected mechanisms -- :class:`BlockPool`,
 :class:`BlockCache`, adopted input blocks -- behind one
 :class:`MemoryManager` that charges every live byte against a single
 budget and, when ``config.spill`` is enabled, degrades gracefully under
-pressure instead of raising:
-
-1. drop clean, unpinned cached replicas (LRU first);
-2. spill evictable resident blocks to the rank's scratch disk, in
-   priority order ``temp``/``local`` -> ``static`` -> owned
-   ``distributed``, transparently faulting them back in on next touch;
-3. only when pinned + in-flight blocks alone exceed the budget does
-   :class:`OutOfBlockMemory` survive.
+pressure instead of raising.  Everything evictable on the rank -- the
+clean replicas in the cache and the resident blocks registered here --
+carries the stamp of its last use from one counter, and the victim
+cascade takes whichever is least recently used: a replica is dropped
+(its owner still has it), a resident block is spilled to the rank's
+scratch disk and transparently faulted back in on its next touch.
+Under pressure memory is always full, so any static preference (all
+replicas first, or all temps first) evicts what the running iteration
+just fetched while blocks nobody has used all run stay resident; only
+recency tells the two apart.  :class:`OutOfBlockMemory` survives only
+when pinned + in-flight blocks alone exceed the budget.
 
 Scratch traffic is charged simulated disk time (seek + bytes/bandwidth
 on the rank's machine model) and is subject to injected disk faults
@@ -37,18 +40,6 @@ from .config import SIPError
 from .memory import BlockPool, OutOfBlockMemory
 
 __all__ = ["MemoryManager", "MemStats"]
-
-# Spill priority: scratch-friendly scratchpads first, replicated
-# statics next (cheap to lose, any worker still has a twin), blocks we
-# own on behalf of the world last.
-SPILL_ORDER = ("temp", "local", "static", "owned")
-
-_KIND_TO_SPILL_CLASS = {
-    "temp": "temp",
-    "local": "local",
-    "static": "static",
-    "distributed": "owned",
-}
 
 
 @dataclass
@@ -154,13 +145,13 @@ class MemoryManager:
             ledger=self,
         )
 
-        # resident blocks eligible for spilling: bid -> (block, class),
-        # and the same ids queued per class in registration order (a
-        # block id's class is its array's kind, so it never changes)
-        self._spillable: dict[BlockId, tuple[Block, str]] = {}
-        self._victims: dict[str, dict[BlockId, None]] = {c: {} for c in SPILL_ORDER}
-        # spilled-out blocks: bid -> (block, parked data, class)
-        self._spill: dict[BlockId, tuple[Block, Optional[np.ndarray], str]] = {}
+        # resident blocks eligible for spilling, least recently used
+        # first: bid -> (block, stamp of its last use on the cache's
+        # counter, so replicas and residents share one recency order)
+        self._spillable: dict[BlockId, tuple[Block, int]] = {}
+        self._tick = self.cache.tick
+        # spilled-out blocks: bid -> (block, parked data)
+        self._spill: dict[BlockId, tuple[Block, Optional[np.ndarray]]] = {}
         # blocks the current instruction is holding; never spilled
         self.pinned: set[BlockId] = set()
         # input blocks adopted from the scatter phase (not pool-owned)
@@ -175,9 +166,6 @@ class MemoryManager:
         # coroutines drain this with a Timeout after each instruction or
         # service message, so pressure costs time instead of being free
         self.time_debt = 0.0
-        # demand fetches may spill for cache headroom; speculative
-        # prefetch inserts may only drop clean replicas
-        self.cache_spill_ok = False
 
     # -- accounting ------------------------------------------------------
     @property
@@ -227,23 +215,14 @@ class MemoryManager:
         return block
 
     def register(self, bid: BlockId, block: Block, kind: str) -> None:
-        """Mark a resident pool block as spillable (kind = array kind)."""
-        cls = _KIND_TO_SPILL_CLASS.get(kind)
-        if cls is not None:
-            self._enlist(bid, block, cls)
-
-    def _enlist(self, bid: BlockId, block: Block, cls: str) -> None:
-        self._spillable[bid] = (block, cls)
-        self._victims[cls][bid] = None
-
-    def _delist(self, bid: BlockId) -> Optional[tuple[Block, str]]:
-        entry = self._spillable.pop(bid, None)
-        if entry is not None:
-            del self._victims[entry[1]][bid]
-        return entry
+        """Mark a resident block as spillable and just used (its array
+        ``kind`` orders nothing: recency alone picks victims)."""
+        self._spillable.pop(bid, None)  # a re-registration moves to the end
+        self._spillable[bid] = (block, self._tick())
 
     def adopt(self, bid: BlockId, block: Block, kind: str) -> None:
         """Charge an input block scattered outside the pool."""
+        self.ensure_headroom(block.nbytes)
         self._adopted.add(bid)
         self.adopted_bytes += block.nbytes
         self.register(bid, block, kind)
@@ -252,7 +231,7 @@ class MemoryManager:
     def free(self, bid: Optional[BlockId], block: Block) -> None:
         """Release a block (pool-owned or adopted), wherever it lives."""
         if bid is not None:
-            self._delist(bid)
+            self._spillable.pop(bid, None)
             spilled = self._spill.pop(bid, None)
             if spilled is not None:
                 self.spilled_out_bytes -= block.nbytes
@@ -265,10 +244,11 @@ class MemoryManager:
         self.pool.free(block)
 
     # -- pressure --------------------------------------------------------
-    def cache_headroom(self, nbytes: int) -> None:
-        """Headroom check the cache runs before charging an insert."""
+    def cache_headroom(self, nbytes: int, allow_spill: bool = True) -> None:
+        """Headroom check the cache runs before charging an insert (a
+        speculative one passes ``allow_spill=False``)."""
         if self.unified:
-            self.ensure_headroom(nbytes, allow_spill=self.cache_spill_ok)
+            self.ensure_headroom(nbytes, allow_spill=allow_spill)
         used = self.bytes_in_use + nbytes
         if used > self.stats.peak_bytes:
             self.stats.peak_bytes = used
@@ -276,10 +256,11 @@ class MemoryManager:
     def ensure_headroom(self, nbytes: int, allow_spill: bool = True) -> None:
         """Make room for `nbytes` more resident bytes, or raise.
 
-        The victim cascade: clean cache entries first (cheapest -- a
-        replica someone else still has), then spill resident blocks to
-        scratch.  Raises :class:`OutOfBlockMemory` only when what is
-        left is pinned or in flight.
+        The victim cascade: each step takes the least recently used of
+        the cache's clean replicas (dropped) and the resident blocks
+        (spilled to scratch; never for a speculative insert, which
+        passes ``allow_spill=False``).  Raises :class:`OutOfBlockMemory`
+        only when what is left is pinned or in flight.
         """
         if not self.unified:
             return
@@ -287,54 +268,53 @@ class MemoryManager:
         if need <= 0:
             return
         self.stats.cascades += 1
-        freed, count = self.cache.evict_for_pressure(int(need))
-        self.stats.pressure_evictions += count
-        need = self.bytes_in_use + nbytes - self.budget_bytes
-        if need <= 0:
-            return
         refused: set[BlockId] = set()  # scratch had no room for these
-        while allow_spill:
-            victim = self._spill_victim(refused)
+        while need > 0:
+            victim = self._spill_victim(refused) if allow_spill else None
+            # drop the replicas older than that block (all, if there is none)
+            freed, count = self.cache.evict_for_pressure(
+                int(need), None if victim is None else self._spillable[victim][1]
+            )
+            self.stats.pressure_evictions += count
+            need -= freed
+            if need <= 0:
+                return
             if victim is None:
-                break
+                self.stats.oom_refusals += 1
+                raise OutOfBlockMemory(
+                    f"{self.name}: need {nbytes} more bytes but only "
+                    f"{max(0, self.budget_bytes - self.bytes_in_use):.0f} of "
+                    f"{self.budget_bytes:.0f} are free after the victim cascade; "
+                    "pinned and in-flight blocks alone exceed the budget -- "
+                    "rerun with more workers or a smaller segment size"
+                )
             freed = self.spill(victim)
             if not freed:
                 refused.add(victim)
             need -= freed
-            if need <= 0:
-                return
-        self.stats.oom_refusals += 1
-        raise OutOfBlockMemory(
-            f"{self.name}: need {nbytes} more bytes but only "
-            f"{max(0, self.budget_bytes - self.bytes_in_use):.0f} of "
-            f"{self.budget_bytes:.0f} are free after the victim cascade; "
-            "pinned and in-flight blocks alone exceed the budget -- "
-            "rerun with more workers or a smaller segment size"
-        )
 
     def _spill_victim(self, refused: set[BlockId]) -> Optional[BlockId]:
-        """The next block to spill: classes in SPILL_ORDER, registration
-        order within a class, never one the running instruction holds."""
+        """The least recently used resident block that the running
+        instruction does not hold and scratch has not refused."""
         pinned = self.pinned
-        for queue in self._victims.values():
-            for bid in queue:
-                if bid not in pinned and bid not in refused:
-                    return bid
+        for bid in self._spillable:
+            if bid not in pinned and bid not in refused:
+                return bid
         return None
 
     def spill(self, bid: BlockId) -> int:
         """Park one resident block's buffer on scratch; returns bytes freed."""
-        block, cls = self._delist(bid)
+        block = self._spillable[bid][0]
         nbytes = block.nbytes
         if (
             self.spill_capacity is not None
             and self.spilled_out_bytes + nbytes > self.spill_capacity
         ):
-            # scratch full: this block stays resident and un-spillable
+            # scratch full: this block stays resident, its turn kept,
             # until something faults back in and frees scratch room
-            self._enlist(bid, block, cls)
             return 0
-        self._spill[bid] = (block, block.data, cls)
+        del self._spillable[bid]
+        self._spill[bid] = (block, block.data)
         block.data = None
         self.spilled_out_bytes += nbytes
         self.stats.spills += 1
@@ -348,21 +328,25 @@ class MemoryManager:
         return nbytes
 
     def touch(self, bid: BlockId) -> None:
-        """Fault a block back in if it was spilled (no-op otherwise)."""
-        if not self._spill:
+        """Note a use of `bid`: a resident block becomes the youngest
+        in the recency order, a spilled one is faulted back in."""
+        if not self.unified:
             return
-        entry = self._spill.get(bid)
+        entry = self._spillable.pop(bid, None)
+        if entry is not None:
+            self._spillable[bid] = (entry[0], self._tick())
+            return
+        entry = self._spill.pop(bid, None)
         if entry is None:
             return
-        block, data, cls = entry
+        block, data = entry
         nbytes = block.nbytes
-        del self._spill[bid]
         self.spilled_out_bytes -= nbytes
         # faulting in may itself need to spill something else; the
         # returning block cannot be re-victimised (not registered yet)
         self.ensure_headroom(0)
         block.data = data
-        self._enlist(bid, block, cls)
+        self._spillable[bid] = (block, self._tick())
         self.stats.faults_in += 1
         self.stats.fault_bytes += nbytes
         if self.blockio is not None:
@@ -415,8 +399,8 @@ class MemoryManager:
     # -- post-run --------------------------------------------------------
     def restore_all(self) -> None:
         """Fault every spilled block back in (result-gathering path)."""
-        for bid, (block, data, cls) in list(self._spill.items()):
+        for bid, (block, data) in self._spill.items():
             block.data = data
             self.spilled_out_bytes -= block.nbytes
-            self._enlist(bid, block, cls)
+            self._spillable[bid] = (block, self._tick())
         self._spill.clear()

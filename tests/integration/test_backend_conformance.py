@@ -16,6 +16,8 @@ behavior), that the sanitizer stays clean across process boundaries,
 and that every shared-memory segment the run created was unlinked.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,56 @@ def test_transport_variants_stay_bitwise_identical(variant, overrides):
     if variant == "batching_off":
         # one frame per message: piggybacking disabled end to end
         assert mp.result.stats["batch_msgs_per_write"] == 1.0
+
+
+SPILL_DRIVERS = {
+    "ccsd": lambda cfg: run_ccsd(n_basis=4, n_occ=2, iterations=1, config=cfg),
+    "mp2_energy": lambda cfg: run_mp2(n_basis=10, n_occ=4, config=cfg),
+}
+
+
+@pytest.mark.mp
+@pytest.mark.parametrize("name", sorted(SPILL_DRIVERS))
+def test_mp_backend_spills_like_the_simulator(name):
+    """Real processes at half the unconstrained peak, spill on.
+
+    Guards a regression: when the victim cascade drained the block
+    cache before it spilled anything, racy arrival order on this
+    backend let an allocation evict a replica between its arrival and
+    its waiter's resume twice in a row, and the CCSD case died with
+    ``SIPError: block ... thrashed out of the cache`` in about one run
+    in four.  Five consecutive runs must complete, bitwise equal to the
+    simulator under the same budget and to the unconstrained run.
+    """
+    driver = SPILL_DRIVERS[name]
+
+    def cfg(execution, **kw):
+        return make_config(
+            2, execution, scheduling="static", spill=True, opt_level=2, **kw
+        )
+
+    free = driver(cfg("sim"))
+    assert free.result.stats["mem_spills"] == 0
+    budget = float(
+        max(
+            free.result.dry_run.pinned_floor_bytes,
+            free.result.stats["mem_peak_bytes"] // 2,
+        )
+    )
+    sim = driver(cfg("sim", memory_per_worker=budget))
+    assert sim.result.stats["mem_spills"] > 0
+    assert_bitwise_equal_results(free, sim)
+    for _ in range(5):
+        mp = driver(cfg("mp", memory_per_worker=budget))
+        assert mp.error < 1e-10
+        assert_bitwise_equal_results(sim, mp)
+        stats = mp.result.stats
+        assert stats["mem_spills"] > 0
+        assert stats["mem_peak_bytes"] <= stats["mem_budget_bytes"]
+        assert stats["mp_shm_leaked"] == 0
+        assert stats["arena_refs_leaked"] == 0
+        assert mp.result.sanitizer_report.ok
+        assert not multiprocessing.active_children()
 
 
 @pytest.mark.mp

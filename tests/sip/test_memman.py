@@ -1,21 +1,21 @@
 """Unit tests for the unified per-rank MemoryManager.
 
-Covers the victim cascade (clean cache replicas before spills), the
-pinned-only OutOfBlockMemory floor, spill/fault-in round trips, adopted
-input accounting, scratch capacity limits, simulated scratch time, and
-injected scratch disk faults.
+Covers the victim cascade (least recently used first, replica or
+resident block alike), the pinned-only OutOfBlockMemory floor,
+spill/fault-in round trips, adopted input accounting, scratch capacity
+limits, simulated scratch time, and injected scratch disk faults.  The
+cascade's order under arbitrary operation sequences is held by the
+state machine in ``test_memory_hierarchy_machine.py``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.machines import LAPTOP
 from repro.simmpi.faults import FaultPlan, ResilienceStats
 from repro.sip.blocks import Block, BlockId, block_nbytes
 from repro.sip.config import SIPError
-from repro.sip.memman import SPILL_ORDER, MemoryManager
+from repro.sip.memman import MemoryManager
 from repro.sip.memory import OutOfBlockMemory
 
 SHAPE = (4,)  # 32 B per float64 block
@@ -71,27 +71,46 @@ def test_spill_makes_room_and_fault_in_restores_data():
     np.testing.assert_array_equal(b1.data, np.full(SHAPE, 1.0))
 
 
-def test_cascade_drops_clean_cache_before_spilling():
+def test_cascade_drops_the_replica_when_it_is_older_and_spills_when_the_block_is():
     mm = manager(budget_blocks=2)
-    mm.cache_spill_ok = True
     mm.cache.insert_ready(bid(10), Block(SHAPE, np.zeros(SHAPE)))
-    fill(mm, 1)
-    fill(mm, 2)  # over budget: the clean replica must go first
-    assert mm.stats.pressure_evictions == 1
-    assert mm.stats.spills == 0
+    b1 = fill(mm, 1)
+    fill(mm, 2)  # over budget: the replica is the least recently used
+    assert (mm.stats.pressure_evictions, mm.stats.spills) == (1, 0)
     assert bid(10) not in mm.cache
 
+    mm.cache.insert_ready(bid(11), Block(SHAPE, np.zeros(SHAPE)))
+    assert (mm.stats.pressure_evictions, mm.stats.spills) == (1, 1)
+    assert b1.data is None  # block 1 was older than anything cached
+    mm.touch(bid(2))
+    mm.cache.lookup(bid(11))  # now block 2 is older than the replica
+    fill(mm, 3)
+    assert (mm.stats.pressure_evictions, mm.stats.spills) == (1, 2)
+    assert bid(11) in mm.cache
 
-def test_spill_priority_order():
-    assert SPILL_ORDER == ("temp", "local", "static", "owned")
+
+def test_a_use_moves_a_block_to_the_young_end_whatever_its_kind():
     mm = manager(budget_blocks=3)
-    owned = fill(mm, 1, kind="distributed")
-    static = fill(mm, 2, kind="static")
-    temp = fill(mm, 3, kind="temp")
-    fill(mm, 4)  # one block over: the temp must be victimised first
-    assert temp.data is None
-    assert static.data is not None
-    assert owned.data is not None
+    temp = fill(mm, 1, kind="temp")
+    owned = fill(mm, 2, kind="distributed")
+    static = fill(mm, 3, kind="static")
+    mm.touch(bid(1))
+    fill(mm, 4)  # one block over: the owned block is the oldest use
+    assert owned.data is None
+    assert temp.data is not None and static.data is not None
+
+
+def test_speculative_insert_drops_replicas_but_never_spills():
+    mm = manager(budget_blocks=2)
+    fill(mm, 1)
+    mm.cache.insert_ready(bid(10), Block(SHAPE, np.zeros(SHAPE)))
+    mm.cache.insert_pending(bid(11), object(), demand=False)
+    assert (mm.stats.pressure_evictions, mm.stats.spills) == (1, 0)
+    with pytest.raises(OutOfBlockMemory):  # only block 1 and a pending entry left
+        mm.cache.insert_pending(bid(12), object(), demand=False)
+    assert mm.stats.spills == 0
+    mm.cache.insert_pending(bid(12), object())  # a demand fetch may spill
+    assert mm.stats.spills == 1
 
 
 def test_pinned_blocks_survive_the_cascade():
@@ -209,87 +228,3 @@ def test_peak_tracks_unified_residency():
     assert mm.stats.peak_bytes == 2 * NBYTES
     mm.cache.insert_ready(bid(10), Block(SHAPE, np.zeros(SHAPE)))
     assert mm.stats.peak_bytes == 3 * NBYTES
-
-
-# -- the spill victim queue equals the scan it replaced ---------------------
-#
-# Before the per-class queues, every victim pick rescanned the whole
-# ``_spillable`` dict (2.98 M ``tuple.index`` calls per spill-on CCSD
-# run).  The scan below is that code, kept as the reference: after any
-# sequence of register / pin / spill / touch / free / restore_all the
-# queues must name the same victim.
-
-KINDS = ("temp", "local", "static", "distributed")
-
-
-def reference_victim(mm, refused):
-    best, best_rank = None, len(SPILL_ORDER)
-    for block_id, (_block, cls) in mm._spillable.items():
-        rank = SPILL_ORDER.index(cls)
-        if rank < best_rank and block_id not in mm.pinned and block_id not in refused:
-            best, best_rank = block_id, rank
-            if rank == 0:
-                break
-    return best
-
-
-def kind_of(i):
-    return KINDS[i % len(KINDS)]  # a block id's class never changes
-
-
-_ids = st.integers(0, 11)
-_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("register"), _ids),
-        st.tuples(st.just("free"), _ids),
-        st.tuples(st.just("spill"), _ids),
-        st.tuples(st.just("touch"), _ids),
-        st.tuples(st.just("pin"), _ids),
-        st.tuples(st.just("unpin"), _ids),
-        st.tuples(st.just("refuse"), _ids),
-        st.tuples(st.just("victim"), _ids),
-        st.tuples(st.just("restore_all"), _ids),
-    ),
-    max_size=60,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(ops=_ops, scratch_blocks=st.sampled_from([None, 0, 1, 3]))
-def test_spill_victim_queue_equals_the_reference_scan(ops, scratch_blocks):
-    capacity = None if scratch_blocks is None else scratch_blocks * NBYTES
-    # a budget nothing here reaches: victims are picked by the test, so
-    # the sequence of picks is exactly the generated one
-    mm = manager(budget_blocks=64, spill_capacity=capacity)
-    blocks = {}
-    refused = set()
-    for op, i in ops:
-        b = bid(i)
-        if op == "register":
-            if b not in blocks:
-                blocks[b] = mm.allocate(SHAPE)
-            if b not in mm._spill:  # re-registering a resident block keeps its turn
-                mm.register(b, blocks[b], kind_of(i))
-        elif op == "free" and b in blocks:
-            mm.free(b, blocks.pop(b))
-        elif op == "spill" and b in mm._spillable:
-            mm.spill(b)  # with scratch full this re-queues the block at the tail
-        elif op == "touch":
-            mm.touch(b)
-        elif op == "pin":
-            mm.pin_instr(b)
-        elif op == "unpin":
-            mm.pinned.discard(b)
-        elif op == "refuse":
-            refused.add(b)
-        elif op == "victim":
-            victim = mm._spill_victim(refused)
-            assert victim == reference_victim(mm, refused)
-            if victim is not None:
-                mm.spill(victim)
-        elif op == "restore_all":
-            mm.restore_all()
-        assert mm._spill_victim(refused) == reference_victim(mm, refused)
-        queued = [b for queue in mm._victims.values() for b in queue]
-        assert sorted(queued) == sorted(mm._spillable)
-        assert all(mm._spillable[b][1] == cls for cls, q in mm._victims.items() for b in q)

@@ -23,6 +23,8 @@ And for what crosses between mp processes: shared-memory segments are
 created and mapped only by the arena, the transport's one-shot overflow
 and the result gather, and the result pipe carries pickled bytes whose
 length the parent counts -- never a ``send()`` of whole result blocks.
+
+And for memory pressure: victims are ordered by recency of use alone.
 """
 
 import ast
@@ -256,6 +258,22 @@ def test_mp_results_ship_as_counted_bytes_after_the_gather():
     ]
     assert len(packed) == 1 and len(shipped_ok) == 1
     assert packed[0] < shipped_ok[0], "the ok result ships before it is gathered"
+
+
+def test_victims_are_ordered_by_recency_and_nothing_else():
+    """The pressure cascade has one order: the stamp of last use.  A
+    per-kind spill priority, or a mutable "this insert may spill" flag
+    on the manager, is the static preference that drained the block
+    cache under pressure; neither may come back under its old name."""
+    removed = {"SPILL_ORDER", "_KIND_TO_SPILL_CLASS", "_victims", "cache_spill_ok"}
+    offenders = [
+        f"{rel}:{node.lineno} {name}"
+        for rel, tree in repro_modules()
+        for node in ast.walk(tree)
+        for name in [getattr(node, "id", None) or getattr(node, "attr", None)]
+        if name in removed
+    ]
+    assert not offenders, "\n  ".join(offenders)
 
 
 def test_sipconfig_does_not_grow():
