@@ -12,10 +12,7 @@ Transport efficiency is asserted unconditionally (independent of
 machine speed): at least 90 % of the at-or-above-threshold block
 bytes must cross zero-copy through the slab arena, and per-transfer
 segment creation must be ~0 after warmup (a handful of long-lived
-slabs instead of one segment per payload).  CCSD at 2 workers is also
-run with the arena disabled -- the PR 7 per-payload lifecycle -- and
-the arena-on wall-clock is asserted no slower only when real cores
-back the fleet.
+slabs instead of one segment per payload).
 
 Wall time for the mp backend is the runtime's own
 ``stats["wallclock_seconds"]`` (fork through gather); the simulator is
@@ -177,26 +174,6 @@ def _run_pair(case: str, workers: int, repeats: int, smoke: bool) -> dict:
     }
 
 
-def _run_arena_ablation(repeats: int, smoke: bool) -> dict:
-    """CCSD at 2 workers, arena on vs off (the PR 7 lifecycle)."""
-    driver, kwargs = _ACTIVE_CASES["ccsd"]
-    on_wall = off_wall = float("inf")
-    for _ in range(repeats):
-        on = driver(config=_config(2, "mp", smoke), **kwargs)
-        on_wall = min(on_wall, on.result.stats["wallclock_seconds"])
-        off = driver(config=_config(2, "mp", smoke, mp_arena=False), **kwargs)
-        off_wall = min(off_wall, off.result.stats["wallclock_seconds"])
-        if on.result.scalars != off.result.scalars:
-            raise SystemExit("ccsd@2: arena on/off results differ")
-    return {
-        "case": "ccsd",
-        "workers": 2,
-        "arena_on_wall": on_wall,
-        "arena_off_wall": off_wall,
-        "on_over_off": off_wall / on_wall,
-    }
-
-
 _ACTIVE_CASES = CASES
 
 
@@ -242,23 +219,9 @@ def main() -> int:
             )
         report["cases"][case] = rows
 
-    ablation = _run_arena_ablation(repeats, args.smoke)
-    report["arena_ablation"] = ablation
-    print(
-        f"ccsd@2 arena ablation: on {ablation['arena_on_wall']:.3f}s vs "
-        f"off {ablation['arena_off_wall']:.3f}s "
-        f"({ablation['on_over_off']:.2f}x)"
-    )
-
     # wall-clock claims are only physical when the ranks can actually
     # run in parallel; otherwise record the measurement and move on
     if cores >= args.min_cores:
-        if ablation["on_over_off"] < 1.0:
-            failures.append(
-                f"ccsd@2: arena made the mp backend slower "
-                f"({ablation['arena_on_wall']:.3f}s vs "
-                f"{ablation['arena_off_wall']:.3f}s) despite {cores} cores"
-            )
         if not args.smoke:
             for case, rows in report["cases"].items():
                 row = rows[-1]

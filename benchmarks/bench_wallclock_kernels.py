@@ -1,11 +1,8 @@
 """Host wall-clock benchmark of the execution fast path.
 
-Times the bundled CCSD and Fock-build drivers end-to-end with the fast
-path disabled (legacy per-call ``np.einsum(..., optimize=True)``, eager
-block copies) and enabled (compiled kernel plans, pre-decoded
-instruction stream, zero-copy transport), asserts that both modes give
-**bit-identical** simulated times, scalars, and array results, and
-writes the measurements to ``BENCH_kernels.json``.
+Times the bundled CCSD and Fock-build drivers end-to-end (compiled
+kernel plans, pre-decoded instruction stream, copy-on-write transport)
+and writes the measurements to ``BENCH_kernels.json``.
 
 Per-kernel wall-clock comes from ``SIPConfig.kernel_wallclock``, which
 wraps every backend kernel in a ``perf_counter`` accumulator.
@@ -18,9 +15,10 @@ sweep).  The run fails if the warm hit rate drops below
 ``--min-hit-rate`` (default 0.9).
 
 ``--baseline-rev REV`` additionally times the same drivers against a
-clean checkout of ``REV`` (via ``git worktree``) to quantify the
-speedup over the pre-fast-path code; it is skipped gracefully when the
-revision is unavailable (e.g. shallow CI clones).
+clean checkout of ``REV`` (via ``git worktree``); it is the comparison
+with the pre-fast-path code, which no longer exists in the tree.  It is
+skipped gracefully when the revision is unavailable (e.g. shallow CI
+clones).
 
 Usage::
 
@@ -38,14 +36,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.programs.drivers import _default_config, run_ccsd, run_fock_build
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # each driver's own default SIP configuration, replicated here so the
-# fastpath/kernel_wallclock toggles can be applied on top of it
+# kernel_wallclock toggle can be applied on top of it
 _DRIVER_CONFIG = {
     "ccsd": lambda: _default_config(segment_size=3),
     "fock_build": lambda: _default_config(),
@@ -57,42 +53,28 @@ DRIVERS = {
 }
 
 
-def _config(name: str, fastpath: bool, timed: bool = False):
+def _config(name: str, timed: bool = False):
     cfg = _DRIVER_CONFIG[name]()
-    cfg.fastpath = fastpath
     cfg.kernel_wallclock = timed
     return cfg
 
 
-def _time_driver(name: str, fastpath: bool, repeats: int, timed: bool = False):
+def _time_driver(name: str, repeats: int, timed: bool = False):
     """Best-of-``repeats`` wall time; returns (seconds, last outcome)."""
     best = float("inf")
     out = None
     for _ in range(repeats):
-        cfg = _config(name, fastpath, timed)
+        cfg = _config(name, timed)
         t0 = time.perf_counter()
         out = DRIVERS[name](cfg)
         best = min(best, time.perf_counter() - t0)
     return best, out
 
 
-def _check_identical(name: str, slow, fast) -> None:
-    """Fast path on/off must be indistinguishable in results."""
-    if slow.result.elapsed != fast.result.elapsed:
-        raise SystemExit(
-            f"{name}: simulated elapsed differs between fast path off/on: "
-            f"{slow.result.elapsed!r} vs {fast.result.elapsed!r}"
-        )
-    if slow.result.scalars != fast.result.scalars:
-        raise SystemExit(f"{name}: scalars differ between fast path off/on")
-    if not np.array_equal(np.asarray(slow.value), np.asarray(fast.value)):
-        raise SystemExit(f"{name}: result arrays differ between fast path off/on")
-
-
 def _warm_hit_rate(name: str, full_stats: dict) -> float:
     """Plan-cache hit rate over contractions issued after the first sweep."""
     kw = {"iterations": 1} if name == "ccsd" else {}
-    first = DRIVERS[name](_config(name, True), **kw).result.stats
+    first = DRIVERS[name](_config(name), **kw).result.stats
     a1 = first["plan_cache_hits"] + first["plan_cache_misses"]
     m1 = first["plan_cache_misses"]
     a = full_stats["plan_cache_hits"] + full_stats["plan_cache_misses"]
@@ -161,18 +143,13 @@ def main() -> int:
     }
     failures = []
     for name in DRIVERS:
-        slow_wall, slow = _time_driver(name, fastpath=False, repeats=repeats)
-        fast_wall, fast = _time_driver(name, fastpath=True, repeats=repeats)
-        _check_identical(name, slow, fast)
-        _, timed = _time_driver(name, fastpath=True, repeats=1, timed=True)
+        fast_wall, fast = _time_driver(name, repeats=repeats)
+        _, timed = _time_driver(name, repeats=1, timed=True)
         stats = fast.result.stats
         warm = _warm_hit_rate(name, stats)
         entry = {
-            "wall_legacy": slow_wall,
             "wall_fastpath": fast_wall,
-            "speedup_vs_legacy": slow_wall / fast_wall,
             "simulated_elapsed": fast.result.elapsed,
-            "bit_identical": True,
             "plan_cache": {
                 "hits": stats["plan_cache_hits"],
                 "misses": stats["plan_cache_misses"],
@@ -191,8 +168,7 @@ def main() -> int:
         }
         report["drivers"][name] = entry
         print(
-            f"{name}: legacy {slow_wall:.3f}s -> fastpath {fast_wall:.3f}s "
-            f"({entry['speedup_vs_legacy']:.2f}x), warm hit rate {warm:.3f}, "
+            f"{name}: {fast_wall:.3f}s, warm hit rate {warm:.3f}, "
             f"{entry['zero_copy']['bytes_not_copied']} bytes not copied"
         )
         if warm < args.min_hit_rate:

@@ -54,21 +54,6 @@ class Molecule:
     def n_virt(self) -> int:
         return self.n_basis - self.n_occ
 
-    def scaled(self, factor: float) -> "Molecule":
-        """A proportionally smaller copy for laptop-scale real runs."""
-        n_basis = max(4, round(self.n_basis * factor))
-        n_elec = max(2, round(self.n_electrons * factor))
-        n_elec = min(n_elec, 2 * n_basis - 2)
-        if not self.uhf and n_elec % 2:
-            n_elec += 1
-        return Molecule(
-            name=f"{self.name}-x{factor:g}",
-            formula=self.formula,
-            n_basis=n_basis,
-            n_electrons=n_elec,
-            uhf=self.uhf,
-        )
-
 
 def tiny(n_basis: int = 8, n_occ: int = 3, name: str = "tiny") -> Molecule:
     """A synthetic test molecule small enough for real-mode execution."""

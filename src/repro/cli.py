@@ -62,14 +62,9 @@ def _config(args: argparse.Namespace) -> SIPConfig:
     if args.memory_mb is not None:
         kwargs["memory_per_worker"] = args.memory_mb * 1e6
     execution = getattr(args, "backend", "sim")
-    if execution == "mp":
-        if getattr(args, "no_arena", False):
-            kwargs["mp_arena"] = False
-        arena_mb = getattr(args, "arena_mb", None)
-        if arena_mb is not None:
-            kwargs["mp_arena_max_bytes"] = int(arena_mb * 1e6)
-        if getattr(args, "no_batch", False):
-            kwargs["mp_batch_max_msgs"] = 1
+    arena_mb = getattr(args, "arena_mb", None)
+    if execution == "mp" and arena_mb is not None:
+        kwargs["mp_arena_max_bytes"] = int(arena_mb * 1e6)
     # the multiprocess backend exists for real wallclock, so it pairs
     # with real kernels; the simulator defaults to the coarse model
     return SIPConfig(
@@ -187,23 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
         "or real multiprocess workers over pipes + shared memory",
     )
     p.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="mp backend: disable the pooled shared-memory slab arena "
-        "(every detoured payload pays a one-shot segment)",
-    )
-    p.add_argument(
         "--arena-mb",
         type=float,
         default=None,
         metavar="MB",
         help="mp backend: per-rank cap on the slab arena footprint",
-    )
-    p.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="mp backend: disable control-plane frame coalescing "
-        "(one pipe write per message)",
     )
     _add_runtime_options(p)
 

@@ -85,9 +85,6 @@ class _Extractor:
     def operand_elements(self, op: BlockOperand) -> float:
         return prod(self.operand_dims(op), start=1.0)
 
-    def operand_kind(self, op: BlockOperand) -> str:
-        return self.program.array_table[op.array_id].kind
-
     def array_total_bytes(self, array_id: int) -> float:
         desc = self.program.array_table[array_id]
         return prod(

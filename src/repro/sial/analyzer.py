@@ -42,7 +42,7 @@ from .symbols import (
     SymbolTable,
 )
 
-__all__ = ["analyze", "AnalyzedProgram", "classify_block_assign"]
+__all__ = ["analyze", "AnalyzedProgram"]
 
 DISTRIBUTED = "distributed"
 SERVED = "served"
@@ -724,7 +724,3 @@ def _sub_bodies(stmt: ast.Stmt) -> list[list[ast.Stmt]]:
         return [stmt.then_body, stmt.else_body]
     return []
 
-
-def classify_block_assign(analyzed: AnalyzedProgram, stmt: ast.Stmt) -> str:
-    """The single-operation form the analyzer assigned to this statement."""
-    return analyzed.assign_forms[id(stmt)]

@@ -175,13 +175,6 @@ class CompiledProgram:
                 return i
         raise KeyError(name)
 
-    def symbolic_id(self, name: str) -> int:
-        lowered = name.lower()
-        for i, n in enumerate(self.symbolic_table):
-            if n.lower() == lowered:
-                return i
-        raise KeyError(name)
-
     @staticmethod
     def _lookup(table, name: str) -> int:
         lowered = name.lower()

@@ -59,10 +59,6 @@ class Request:
     def completed(self) -> bool:
         return self.event.triggered
 
-    def test(self) -> bool:
-        """Non-blocking completion check (MPI_Test)."""
-        return self.event.triggered
-
 
 @dataclass
 class _PostedRecv:

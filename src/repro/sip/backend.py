@@ -13,12 +13,12 @@ as opaque; here they come in two flavours sharing one interface:
 Every method returns the simulated seconds the instruction costs; the
 interpreter yields a Timeout for that amount.
 
-When a :class:`~repro.sip.plans.KernelPlanCache` is attached (the
-default fast path), contractions execute through compiled GEMM /
-einsum-path plans and axis permutations are memoized; without one the
-backend runs the legacy per-call ``np.einsum(..., optimize=True)``
-path.  Both produce bit-identical data and charge identical simulated
-time.
+Real kernels run through a :class:`~repro.sip.plans.KernelPlanCache`:
+contractions execute compiled GEMM / einsum-path plans and axis
+permutations are memoized.  The runtime shares one cache among all the
+workers of a run; a backend built without one compiles into its own.
+A plan charges the same modeled time the model backend computes from
+shapes alone.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from ..costmodel import CostModel
 from .blocks import DTYPE_BYTES
 from .config import SIPError
-from .plans import KernelPlanCache, einsum_subscripts, perm as _perm
+from .plans import KernelPlanCache
 
 __all__ = ["KernelOperand", "ComputeBackend", "RealBackend", "ModelBackend", "make_backend"]
 
@@ -91,6 +91,8 @@ class ComputeBackend:
         timed: bool = False,
     ) -> None:
         self.cost = cost
+        if plans is None and self.real:
+            plans = KernelPlanCache()
         self.plans = plans
         self.wall: dict[str, float] = {}
         if timed:
@@ -113,9 +115,7 @@ class ComputeBackend:
             setattr(self, name, timed)
 
     def _perm(self, dst_ids: tuple[int, ...], src_ids: tuple[int, ...]) -> tuple[int, ...]:
-        if self.plans is not None:
-            return self.plans.perm(dst_ids, src_ids)
-        return _perm(dst_ids, src_ids)
+        return self.plans.perm(dst_ids, src_ids)
 
     # -- kernels -----------------------------------------------------------
     def fill(self, dst: KernelOperand, value: float, op: str) -> float:
@@ -195,7 +195,7 @@ class ComputeBackend:
     def contract(
         self, dst: KernelOperand, op: str, a: KernelOperand, b: KernelOperand
     ) -> float:
-        if self.real and self.plans is not None:
+        if self.real:
             plan = self.plans.contraction(
                 a.index_ids, a.shape, b.index_ids, b.shape, dst.index_ids
             )
@@ -206,15 +206,6 @@ class ComputeBackend:
             for dim, ix in zip(a.shape, a.index_ids)
             if ix not in dst.index_ids
         )
-        if self.real:
-            subscripts = einsum_subscripts(a.index_ids, b.index_ids, dst.index_ids)
-            result = np.einsum(subscripts, a.data, b.data, optimize=True)
-            if op == "=":
-                dst.data[...] = result
-            elif op == "+=":
-                dst.data[...] += result
-            else:
-                dst.data[...] -= result
         return self.cost.contraction_time(dst.shape, contracted_shape)
 
     def fused_contract(
@@ -235,13 +226,22 @@ class ComputeBackend:
         instruction dispatch less.  Charges the sum of both unfused
         costs, keeping the simulated-time model honest.
         """
-        if self.real and self.plans is not None:
+        if self.real:
             plan = self.plans.contraction(
                 a.index_ids, a.shape, b.index_ids, b.shape, tmp_ids
             )
             res = np.empty(plan.out_shape)
             plan.execute(a.data, b.data, res, "=")
             contraction_time = self._plan_time(plan)
+            aligned = np.transpose(res, self._perm(dst.index_ids, tmp_ids))
+            if factor is not None:
+                aligned = factor * aligned
+            if op == "=":
+                dst.data[...] = aligned
+            elif op == "+=":
+                dst.data[...] += aligned
+            else:
+                dst.data[...] -= aligned
         else:
             dims = dict(zip(a.index_ids, a.shape))
             dims.update(zip(b.index_ids, b.shape))
@@ -252,19 +252,6 @@ class ComputeBackend:
                 if ix not in tmp_ids
             )
             contraction_time = self.cost.contraction_time(tmp_shape, contracted_shape)
-            if self.real:
-                subscripts = einsum_subscripts(a.index_ids, b.index_ids, tmp_ids)
-                res = np.einsum(subscripts, a.data, b.data, optimize=True)
-        if self.real:
-            aligned = np.transpose(res, self._perm(dst.index_ids, tmp_ids))
-            if factor is not None:
-                aligned = factor * aligned
-            if op == "=":
-                dst.data[...] = aligned
-            elif op == "+=":
-                dst.data[...] += aligned
-            else:
-                dst.data[...] -= aligned
         return contraction_time + self.cost.elementwise_time(dst.nbytes)
 
     def scalar_contract(self, a: KernelOperand, b: KernelOperand) -> tuple[float, float]:
@@ -317,17 +304,3 @@ def make_backend(
     if kind == "model":
         return ModelBackend(cost, timed=timed)
     raise ValueError(f"unknown backend {kind!r}")
-
-
-def _einsum_subscripts(
-    a: KernelOperand, b: KernelOperand, out_ids: tuple[int, ...]
-) -> tuple[str, dict[int, str]]:
-    """Backward-compatible wrapper kept for external callers/tests."""
-    import string
-
-    letters: dict[int, str] = {}
-    pool = iter(string.ascii_lowercase)
-    for ix in (*a.index_ids, *b.index_ids, *out_ids):
-        if ix not in letters:
-            letters[ix] = next(pool)
-    return einsum_subscripts(a.index_ids, b.index_ids, out_ids), letters

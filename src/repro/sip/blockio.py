@@ -195,20 +195,13 @@ class BlockTransferEngine:
     ``spawn_retry_monitor()``.
     """
 
-    def __init__(
-        self,
-        port,
-        *,
-        reserve: int = 2,
-        max_in_flight: Optional[int] = None,
-    ) -> None:
+    def __init__(self, port, *, reserve: int = 2) -> None:
         self.port = port
         self.sim = port.sim
         self.comm = port.comm
         self.cache = port.cache
         self.rt = port.rt
         self.reserve = reserve
-        self.max_in_flight = max_in_flight
         self.stats = BlockIOStats()
         self.accums = AccumLedger(self.stats)
         self._inflight: dict[BlockId, _InFlight] = {}
@@ -227,27 +220,13 @@ class BlockTransferEngine:
         # (the locality scheduler's ReplicaMap subscribes here)
         self.on_issue: Optional[Callable[[BlockId], None]] = None
 
-    # -- request-table introspection --------------------------------------
-    @property
-    def in_flight_count(self) -> int:
-        return len(self._inflight)
-
-    def in_flight(self, bid: BlockId) -> bool:
-        return bid in self._inflight
-
     # -- backpressure ------------------------------------------------------
     def headroom(self) -> bool:
         """Whether a *speculative* fetch may be issued right now.
 
         The single backpressure predicate for every prefetch path:
-        leaves ``reserve`` cache slots free for demand fetches, and
-        optionally bounds the request table at ``max_in_flight``.
+        leaves ``reserve`` cache slots free for demand fetches.
         """
-        if (
-            self.max_in_flight is not None
-            and len(self._inflight) >= self.max_in_flight
-        ):
-            return False
         return self.cache.pending_count < self.cache.capacity - self.reserve
 
     # -- worker fetch paths ------------------------------------------------
@@ -388,8 +367,8 @@ class BlockTransferEngine:
 
     # -- worker write paths ------------------------------------------------
     def snapshot(self, block: Block) -> Block:
-        """Transport snapshot of a block (zero-copy share when enabled)."""
-        return snapshot_for_transport(block, self.rt.cow_enabled, self.rt.cow)
+        """Transport snapshot of a block (a copy-on-write share)."""
+        return snapshot_for_transport(block, self.rt.cow)
 
     def post_put(
         self, bid: BlockId, op: str, src_block: Block, accum_key: Optional[tuple]

@@ -31,7 +31,6 @@ __all__ = [
     "BlockId",
     "Block",
     "CowStats",
-    "OperandView",
     "block_shape",
     "block_nbytes",
 ]
@@ -368,25 +367,3 @@ def block_shape(
         table[i].segment(c).length for i, c in zip(desc.index_ids, coords)
     )
 
-
-@dataclass(frozen=True)
-class OperandView:
-    """A resolved block operand: a block plus an optional sub-slice.
-
-    ``index_ids`` records which index *variable* addresses each axis --
-    the kernels use them to align permutations and contractions.
-    ``slices`` is None for a whole-block operand, else per-axis element
-    slices within the block (the subindex slice/insertion feature).
-    ``element_ranges`` gives, per axis, the global element offsets the
-    view covers (used by on-demand integral computation).
-    """
-
-    block_id: BlockId
-    index_ids: tuple[int, ...]
-    shape: tuple[int, ...]
-    slices: Optional[tuple[slice, ...]]
-    element_ranges: tuple[tuple[int, int], ...]
-
-    @property
-    def nbytes(self) -> int:
-        return block_nbytes(self.shape)

@@ -6,6 +6,14 @@ kind), the prefetch lookahead depth, block-cache budgets, the pardo
 chunking policy, and the target machine model.  SIAL programs never see
 any of this -- retuning for a new platform means changing a
 :class:`SIPConfig`, not the program (paper, Section VI-B).
+
+A value with a single setting in use is not a field: it is a constant
+beside the one module that reads it (guided chunk sizing in
+:mod:`~repro.sip.scheduler`, locality weights in
+:mod:`~repro.sip.master`, the block engine's reserve in
+:mod:`~repro.sip.blockio`, outbox flush thresholds in
+:mod:`~repro.sip.mptransport`).  The resilient protocol's retry timing
+is read by every rank kind, so its constants live here.
 """
 
 from __future__ import annotations
@@ -17,7 +25,17 @@ from typing import Any, Callable, Optional
 from ..machines import LAPTOP, Machine
 from ..simmpi.faults import FaultPlan
 
-__all__ = ["SIPConfig", "SIPError"]
+__all__ = ["SIPConfig", "SIPError", "RETRY_TIMEOUT", "RETRY_LIMIT", "RETRY_BACKOFF"]
+
+#: seconds a resilient requester waits for a reply/ack before re-sending;
+#: must comfortably exceed the slowest normal round trip (disk reads,
+#: back-pressured prepares) or spurious retries inflate traffic -- they
+#: stay harmless for correctness
+RETRY_TIMEOUT = 0.05
+#: re-sends attempted before a requester declares the peer dead
+RETRY_LIMIT = 10
+#: multiplier applied to the timeout after each retry
+RETRY_BACKOFF = 2.0
 
 
 class SIPError(Exception):
@@ -47,21 +65,6 @@ class SIPConfig:
         Capacity of each worker's remote-block LRU cache, in blocks.
     server_cache_blocks:
         Capacity of each I/O server's block cache, in blocks.
-    blockio_reserve:
-        Cache slots the block-transfer engine keeps free of speculative
-        fetches so demand fetches always have room (the engine's
-        backpressure predicate drops prefetch hints once fewer than
-        this many slots remain).
-    blockio_max_in_flight:
-        Optional hard bound on a rank's in-flight block fetches;
-        ``None`` (the default) bounds them by cache capacity alone.
-    chunk_factor:
-        Guided-scheduling aggressiveness: a chunk is
-        ``ceil(remaining / (chunk_factor * workers))`` iterations.
-    min_chunk:
-        Lower bound on guided/locality chunk size, in iterations.  1
-        (the default) reproduces classic guided scheduling; larger
-        values trade tail balance for fewer master round-trips.
     scheduling:
         Pardo dole-out policy: ``"guided"`` (shrinking chunks from one
         shared queue), ``"static"`` (one equal slice per worker), or
@@ -69,16 +72,6 @@ class SIPConfig:
         placement, with work stealing; see
         :class:`~repro.sip.scheduler.LocalityScheduler`).  Results are
         bitwise identical across policies.
-    affinity_owner_weight:
-        Locality scoring: weight (per byte) credited to the worker that
-        *owns* a distributed block a pardo iteration gets.
-    affinity_replica_weight:
-        Locality scoring: weight (per byte) credited to each worker
-        recently holding a cached replica of a block the iteration gets
-        (distributed or served).
-    affinity_replica_history:
-        How many recent cache holders the replica map remembers per
-        block; 0 disables replica tracking entirely.
     backend:
         ``"real"`` executes numpy kernels (correctness); ``"model"``
         charges only modeled time (scaling studies).
@@ -99,14 +92,6 @@ class SIPConfig:
         Watchdog, in seconds, for the multiprocess backend: a rank that
         makes no progress and receives no message for this long aborts
         the run, and the parent reports which rank stalled.
-    mp_arena:
-        Use the pooled shared-memory slab arena for at-threshold block
-        payloads (``execution="mp"`` only): senders lease size-classed
-        slots from long-lived slabs and receivers map block views
-        directly over them -- zero per-transfer segment creation and
-        zero receive-side copies (see :mod:`repro.sip.arena`).  Off,
-        every detoured payload pays the legacy one-shot
-        create/copy/attach/copy/unlink lifecycle.
     mp_arena_slab_bytes:
         Size of one arena slab segment in bytes; also the largest
         payload the arena serves (bigger blocks overflow to one-shot
@@ -114,13 +99,6 @@ class SIPConfig:
     mp_arena_max_bytes:
         Cap on a rank's total arena footprint; when all size classes
         are saturated, further payloads overflow to one-shot segments.
-    mp_batch_max_msgs:
-        Outbox depth at which a peer's queued control messages are
-        flushed as one framed ``send_bytes`` write.  1 disables
-        batching (every message is its own frame).
-    mp_batch_max_bytes:
-        Payload-byte threshold that flushes a peer's outbox early, so
-        a burst of inline block replies does not sit queued.
     opt_level:
         SIAL optimization level applied to the compiled program before
         execution (the ``-O`` flag): 0 runs the compiler's output
@@ -130,13 +108,6 @@ class SIPConfig:
         hints and coalesces provably redundant barriers (see
         :mod:`repro.sial.passes`).  Results are bitwise identical
         across levels.
-    fastpath:
-        Enable the execution fast path: compiled kernel plans (cached
-        GEMM lowering / einsum paths), memoized operand resolution, and
-        zero-copy (copy-on-write) block transport.  Results -- data and
-        simulated time -- are bit-identical with it on or off; turning
-        it off recovers the legacy per-call einsum + eager-copy
-        behaviour for benchmarking.
     kernel_wallclock:
         Accumulate host wall-clock time per kernel opcode on each
         worker's backend (``backend.wall``); the benchmark harness uses
@@ -196,15 +167,6 @@ class SIPConfig:
     resilient:
         Force the resilient protocol on (True) or off (False)
         regardless of ``faults``; None (default) follows ``faults``.
-    retry_timeout:
-        Seconds a resilient requester waits for a reply/ack before
-        re-sending.  Must comfortably exceed the slowest normal
-        round-trip (disk reads, back-pressured prepares) or spurious
-        retries inflate traffic -- they stay harmless for correctness.
-    retry_limit:
-        Re-sends attempted before the requester declares the peer dead.
-    retry_backoff:
-        Multiplier applied to the timeout after each retry.
     """
 
     workers: int = 4
@@ -215,25 +177,14 @@ class SIPConfig:
     prefetch_depth: int = 2
     cache_blocks: int = 64
     server_cache_blocks: int = 128
-    blockio_reserve: int = 2
-    blockio_max_in_flight: Optional[int] = None
-    chunk_factor: int = 2
-    min_chunk: int = 1
     scheduling: str = "guided"
-    affinity_owner_weight: float = 2.0
-    affinity_replica_weight: float = 1.0
-    affinity_replica_history: int = 2
     backend: str = "real"
     execution: str = "sim"
     mp_payload_shm_min: int = 1 << 14
     mp_timeout: float = 120.0
-    mp_arena: bool = True
     mp_arena_slab_bytes: int = 1 << 22
     mp_arena_max_bytes: int = 1 << 26
-    mp_batch_max_msgs: int = 128
-    mp_batch_max_bytes: int = 1 << 20
     opt_level: int = 0
-    fastpath: bool = True
     kernel_wallclock: bool = False
     machine: Machine = LAPTOP
     memory_per_worker: Optional[float] = None
@@ -250,9 +201,6 @@ class SIPConfig:
     tracer: Optional[Any] = None  # a repro.sip.tracing.TraceRecorder
     faults: Optional[FaultPlan] = None
     resilient: Optional[bool] = None
-    retry_timeout: float = 0.05
-    retry_limit: int = 10
-    retry_backoff: float = 2.0
 
     def __post_init__(self) -> None:
         if not self.sanitize and os.environ.get("REPRO_SANITIZE"):
@@ -287,32 +235,12 @@ class SIPConfig:
                 raise ValueError(
                     "mp_arena_max_bytes must be >= mp_arena_slab_bytes"
                 )
-            if self.mp_batch_max_msgs < 1:
-                raise ValueError("mp_batch_max_msgs must be >= 1")
-            if self.mp_batch_max_bytes < 1:
-                raise ValueError("mp_batch_max_bytes must be >= 1")
         if self.opt_level not in (0, 1, 2):
             raise ValueError("opt_level must be 0, 1 or 2")
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be >= 0")
-        if self.blockio_reserve < 0:
-            raise ValueError("blockio_reserve must be >= 0")
-        if self.blockio_max_in_flight is not None and self.blockio_max_in_flight < 1:
-            raise ValueError("blockio_max_in_flight must be >= 1 (or None)")
         if self.scheduling not in ("guided", "static", "locality"):
             raise ValueError(f"unknown scheduling policy {self.scheduling!r}")
-        if self.min_chunk < 1:
-            raise ValueError("min_chunk must be >= 1")
-        if self.affinity_owner_weight < 0 or self.affinity_replica_weight < 0:
-            raise ValueError("affinity weights must be >= 0")
-        if self.affinity_replica_history < 0:
-            raise ValueError("affinity_replica_history must be >= 0")
-        if self.retry_timeout <= 0:
-            raise ValueError("retry_timeout must be positive")
-        if self.retry_limit < 1:
-            raise ValueError("retry_limit must be >= 1")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
         if self.scratch_per_worker is not None and self.scratch_per_worker <= 0:
             raise ValueError("scratch_per_worker must be positive")
         try:

@@ -90,21 +90,19 @@ class DecodedOperand:
         self._key = itemgetter(*uids) if uids else (lambda index_values: ())
         self._owner_of = owner_of if desc.kind == "distributed" else None
 
-    def resolve(self, index_values: dict[int, int], memo: bool = True) -> ResolvedOperand:
+    def resolve(self, index_values: dict[int, int]) -> ResolvedOperand:
         try:
             key = self._key(index_values)
         except KeyError:
-            return self._resolve_unbound(index_values, memo)
-        if memo:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
+            return self._resolve_unbound(index_values)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         r = self._resolve((key,) if len(self.index_ids) == 1 else key)
-        if memo:
-            self._memo[key] = r
+        self._memo[key] = r
         return r
 
-    def _resolve_unbound(self, index_values: dict[int, int], memo: bool) -> ResolvedOperand:
+    def _resolve_unbound(self, index_values: dict[int, int]) -> ResolvedOperand:
         """Some index has no value: raise what the reference path raises.
 
         The lookahead prefetcher probes operands of inner loops with
@@ -112,14 +110,13 @@ class DecodedOperand:
         error text is memoised like a successful resolution is.
         """
         key = tuple(map(index_values.get, self.index_ids))
-        message = self._memo.get(key) if memo else None
+        message = self._memo.get(key)
         if message is None:
             try:
                 return self._resolve(key)
             except SIPError as err:
                 message = str(err)
-            if memo:
-                self._memo[key] = message
+            self._memo[key] = message
         raise SIPError(message) from None  # not "while handling KeyError"
 
     def _resolve(self, values: tuple) -> ResolvedOperand:

@@ -27,7 +27,7 @@ from ..simmpi import Disk, Timeout
 from ..simmpi.faults import ResilienceStats
 from .blockio import BlockTransferEngine
 from .blocks import Block, BlockId, block_nbytes
-from .config import SIPError
+from .config import RETRY_BACKOFF, RETRY_LIMIT, RETRY_TIMEOUT, SIPError
 from .memman import MemoryManager
 from .distributed import ConflictTracker
 from .messages import (
@@ -81,11 +81,7 @@ class IOServerProcess:
         self.trackers: dict[int, ConflictTracker] = {}
         # all block movement (cache fills, write-back versions, the
         # canonical '+=' ledger, reply snapshots) goes through the engine
-        self.blockio = BlockTransferEngine(
-            self,
-            reserve=rt.config.blockio_reserve,
-            max_in_flight=rt.config.blockio_max_in_flight,
-        )
+        self.blockio = BlockTransferEngine(self)
         self.memman.blockio = self.blockio
         # resilient protocol: (source rank, seq) -> "pending" | "done",
         # so a retried prepare is applied exactly once but still acked
@@ -141,16 +137,16 @@ class IOServerProcess:
             self._prepare_state[(source, p.seq)] = "pending"
         self.tracker(p.epoch).record_write(p.worker_index, p.block_id, p.op)
         bid = p.block_id
-        if p.op != "=" and p.accum_key is not None:
+        if p.op != "=":
+            # canonical accumulation: every '+=' sender keys its prepare
             self.blockio.accums.buffer(bid, p.accum_key, p.block)
             self._finish_prepare(p, source)
             return
-        if p.op == "=":
-            # an overwrite supersedes any buffered contributions
-            self.blockio.accums.discard(bid)
+        # an overwrite supersedes any buffered contributions
+        self.blockio.accums.discard(bid)
         entry = self.cache.lookup(bid)
         if entry is not None and not entry.pending:
-            self._apply(entry.block, p)
+            self._overwrite(entry.block, p)
             entry.dirty = True
             self._start_writeback(bid)
             self._finish_prepare(p, source)
@@ -164,7 +160,7 @@ class IOServerProcess:
 
     def _prepare_later(self, p: PrepareBlock, source: int) -> Generator:
         entry = yield from self._ensure_cached(p.block_id, allow_missing=True)
-        self._apply(entry.block, p)
+        self._overwrite(entry.block, p)
         entry.dirty = True
         self._start_writeback(p.block_id)
         self._finish_prepare(p, source)
@@ -177,7 +173,7 @@ class IOServerProcess:
     def _ack(self, p: PrepareBlock, source: int) -> None:
         self.comm.isend(Ack(p.ack_tag), dest=source, tag=p.ack_tag)
 
-    def _apply(self, block: Block, p: PrepareBlock) -> None:
+    def _overwrite(self, block: Block, p: PrepareBlock) -> None:
         if block.data is None or p.block.data is None:
             return
         # the cached block may have been shared zero-copy with a
@@ -186,10 +182,7 @@ class IOServerProcess:
         if copied:
             self.rt.cow.cow_copies += 1
             self.rt.cow.cow_bytes_copied += copied
-        if p.op == "=":
-            block.data[...] = p.block.data
-        else:
-            block.data[...] += p.block.data
+        block.data[...] = p.block.data
 
     def _block_nbytes(self, bid: BlockId) -> int:
         n = self._nbytes_memo.get(bid)
@@ -223,15 +216,12 @@ class IOServerProcess:
                 attempts += 1
                 self.resilience.writeback_retries += 1
                 self._trace_fault("disk-write-retry", bid)
-                if attempts > self.rt.config.retry_limit:
+                if attempts > RETRY_LIMIT:
                     raise SIPError(
                         f"ioserver{self.server_index}: write-back of {bid} "
                         f"still failing after {attempts} attempts"
                     )
-                yield Timeout(
-                    self.rt.config.retry_timeout
-                    * self.rt.config.retry_backoff ** (attempts - 1)
-                )
+                yield Timeout(RETRY_TIMEOUT * RETRY_BACKOFF ** (attempts - 1))
             if not self.blockio.writeback_current(bid, version):
                 # a newer write-back owns the disk image; storing this
                 # snapshot would clobber fresher data
@@ -316,15 +306,12 @@ class IOServerProcess:
             attempts += 1
             self.resilience.disk_read_retries += 1
             self._trace_fault("disk-read-retry", bid)
-            if attempts > self.rt.config.retry_limit:
+            if attempts > RETRY_LIMIT:
                 raise SIPError(
                     f"ioserver{self.server_index}: read of {bid} still "
                     f"failing after {attempts} attempts"
                 )
-            yield Timeout(
-                self.rt.config.retry_timeout
-                * self.rt.config.retry_backoff ** (attempts - 1)
-            )
+            yield Timeout(RETRY_TIMEOUT * RETRY_BACKOFF ** (attempts - 1))
         if isinstance(stored, np.ndarray):
             return Block(shape, stored.copy())
         return Block(shape, None)

@@ -21,7 +21,7 @@ from typing import Generator
 from ..simmpi import AnyOf, Timeout
 from ..simmpi.faults import ResilienceStats
 from .blocks import BlockId, block_nbytes
-from .config import SIPError
+from .config import RETRY_BACKOFF, RETRY_LIMIT, RETRY_TIMEOUT, SIPError
 from .messages import (
     MASTER_TAG,
     REPLY_TAG_BASE,
@@ -48,6 +48,12 @@ __all__ = ["MasterProcess"]
 
 # rough wire size of one iteration tuple in a chunk reply
 _BYTES_PER_ITERATION = 16
+
+#: locality scoring, per byte a pardo iteration gets: the credit of the
+#: worker that owns a distributed block (a get served to itself moves
+#: no bytes at all), and of each recent holder of a cached replica
+AFFINITY_OWNER_WEIGHT = 2.0
+AFFINITY_REPLICA_WEIGHT = 1.0
 
 
 class MasterProcess:
@@ -144,18 +150,18 @@ class MasterProcess:
         self._next_reply_tag += 1
         req = self.comm.irecv(source=dest, tag=ack_tag)
         self.comm.isend(Shutdown(ack_tag), dest=dest, tag=tag)
-        timeout = self.config.retry_timeout
+        timeout = RETRY_TIMEOUT
         attempts = 0
         while not req.event.triggered:
             yield AnyOf([req.event, self.rt.sim.timeout_event(timeout)])
             if req.event.triggered:
                 return
             attempts += 1
-            if attempts > self.config.retry_limit:
+            if attempts > RETRY_LIMIT:
                 return
             self.resilience.control_retries += 1
             self.comm.isend(Shutdown(ack_tag), dest=dest, tag=tag)
-            timeout *= self.config.retry_backoff
+            timeout *= RETRY_BACKOFF
 
     def _serve_chunk(self, payload: ChunkRequest, source: int) -> None:
         replay_key = (payload.worker_index, payload.pardo_pc, payload.activation)
@@ -218,8 +224,6 @@ class MasterProcess:
                 self.config.scheduling,
                 iterations,
                 self.config.workers,
-                self.config.chunk_factor,
-                min_chunk=self.config.min_chunk,
                 preferred=preferred,
                 stats=self.sched_stats,
             )
@@ -257,13 +261,13 @@ class MasterProcess:
 
         For each iteration the pardo indices are bound and every
         get/request the body issues at pardo level is resolved; the
-        owner of a distributed block earns ``affinity_owner_weight`` per
-        byte (a get a worker serves to itself moves no bytes at all),
-        and each recent cache holder earns ``affinity_replica_weight``
-        per byte.  Gets whose operands also depend on inner-loop indices
-        cannot be resolved here and are skipped -- correctly so, since
-        those blocks are touched from every iteration.  Iterations with
-        no placement signal round-robin over the workers.
+        owner of a distributed block earns :data:`AFFINITY_OWNER_WEIGHT`
+        per byte and each recent cache holder earns
+        :data:`AFFINITY_REPLICA_WEIGHT` per byte.  Gets whose operands
+        also depend on inner-loop indices cannot be resolved here and
+        are skipped -- correctly so, since those blocks are touched from
+        every iteration.  Iterations with no placement signal
+        round-robin over the workers.
         """
         workers = self.config.workers
         if workers <= 1 or not iterations:
@@ -272,28 +276,25 @@ class MasterProcess:
         ops = [decoded[gpc].args[0] for gpc in get_pcs]
         if not ops:
             return None
-        w_owner = self.config.affinity_owner_weight
-        w_replica = self.config.affinity_replica_weight
+        w_owner, w_replica = AFFINITY_OWNER_WEIGHT, AFFINITY_REPLICA_WEIGHT
         placements = self.rt.placements
         replicas = self.rt.replicas
-        memo = self.config.fastpath
         preferred: list[int] = []
         for n, combo in enumerate(iterations):
             values = dict(zip(index_ids, combo))
             scores: dict[int, float] = {}
             for op in ops:
                 try:
-                    r = op.resolve(values, memo)
+                    r = op.resolve(values)
                 except SIPError:
                     continue  # depends on an index bound inside the body
                 bid = r.block_id
                 nb = self._block_nbytes(bid)
-                if w_owner > 0 and bid.array_id in placements:
+                if bid.array_id in placements:
                     owner = placements[bid.array_id].owner_index(bid.coords)
                     scores[owner] = scores.get(owner, 0.0) + w_owner * nb
-                if w_replica > 0:
-                    for holder in replicas.holders(bid):
-                        scores[holder] = scores.get(holder, 0.0) + w_replica * nb
+                for holder in replicas.holders(bid):
+                    scores[holder] = scores.get(holder, 0.0) + w_replica * nb
             if scores:
                 preferred.append(min(scores, key=lambda w: (-scores[w], w)))
             else:
@@ -345,11 +346,11 @@ class MasterProcess:
         then deltas sorted by their canonical iteration key -- the same
         additions in the same order no matter which worker ran which
         iteration, so collectives are bitwise identical across
-        scheduling policies.  Poisoned or legacy contributions fall back
-        to the historical worker-order sum of full values.
+        scheduling policies.  A poisoned contribution falls back to the
+        historical worker-order sum of full values.
         """
         ordered = sorted(pending, key=lambda p: p.worker_index)
-        if any(p.deltas is None or p.poisoned for p in ordered):
+        if any(p.poisoned for p in ordered):
             return sum(p.value for p in ordered)
         total = 0.0
         for p in ordered:

@@ -180,13 +180,11 @@ class MemoryManager:
         )
 
     def charge_arena(self, nbytes: int) -> None:
-        """Charge a newly created transport arena slab to the budget."""
+        """Charge a newly created transport arena slab to the budget
+        (slabs live for the whole run, so nothing is ever discharged)."""
         self.arena_bytes += nbytes
         self.stats.arena_slab_bytes += nbytes
         self._note_peak()
-
-    def discharge_arena(self, nbytes: int) -> None:
-        self.arena_bytes -= nbytes
 
     @property
     def spilled_blocks(self) -> int:

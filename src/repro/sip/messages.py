@@ -76,8 +76,8 @@ class PutBlock:
     owner: ``(0, pardo_id, activation, iteration, n)`` inside a pardo,
     ``(1, worker_index, n)`` outside one, so the fold order -- and the
     floating-point result -- is independent of arrival order and
-    identical across execution backends.  None (legacy senders) applies
-    immediately in arrival order.
+    identical across execution backends.  Every '+=' carries one; an
+    '=' carries None and applies on arrival.
     """
 
     block_id: BlockId
@@ -128,22 +128,22 @@ class ChunkReply:
 class CollectiveContribution:
     """Worker -> master: my term of an allreduce-sum.
 
-    ``value`` is the worker's full scalar (the legacy wire field);
-    ``base`` and ``deltas`` decompose it into the non-pardo part plus
-    per-iteration increments keyed ``(pardo_id, activation, iteration)``
-    so the master can reduce in canonical iteration order -- making the
-    sum bitwise independent of which worker ran which iteration.
-    ``poisoned`` marks a scalar whose pardo-side updates were not plain
-    accumulations; the master then falls back to the legacy
-    worker-order sum.  ``deltas is None`` means a legacy sender.
+    ``value`` is the worker's full scalar; ``base`` and ``deltas``
+    decompose it into the non-pardo part plus per-iteration increments
+    keyed ``(pardo_id, activation, iteration)`` so the master can
+    reduce in canonical iteration order -- making the sum bitwise
+    independent of which worker ran which iteration.  ``poisoned``
+    marks a scalar whose pardo-side updates were not plain
+    accumulations; the master then sums the full values in worker
+    order.
     """
 
     seq: int
     worker_index: int
     value: float
     reply_tag: int
+    deltas: tuple[tuple[tuple, float], ...]
     base: float = 0.0
-    deltas: Optional[tuple[tuple[tuple, float], ...]] = None
     poisoned: bool = False
 
 
@@ -225,18 +225,17 @@ def message_nbytes(msg: Any) -> Optional[int]:
     return None
 
 
-def snapshot_for_transport(block: Block, zero_copy: bool = False, stats=None) -> Block:
+def snapshot_for_transport(block: Block, stats=None) -> Block:
     """Snapshot a block payload for a message.
 
     The simulated network delivers payloads by reference, so the sender
-    must hand over a snapshot that later local writes cannot disturb.
-    With ``zero_copy`` off that is an eager deep copy (the legacy
-    behaviour); with it on, a copy-on-write share -- the copy happens
-    only if the sender writes the block before the buffer is dropped.
-    ``stats`` (a :class:`~repro.sip.blocks.CowStats`) records the bytes
-    that did not need copying.
+    must hand over a snapshot that later local writes cannot disturb:
+    a copy-on-write share -- the copy happens only if the sender writes
+    the block before the buffer is dropped.  ``stats`` (a
+    :class:`~repro.sip.blocks.CowStats`) records the bytes that did not
+    need copying.
     """
-    if not zero_copy or block.data is None:
+    if block.data is None:
         return block.copy()
     if stats is not None:
         stats.sends_shared += 1

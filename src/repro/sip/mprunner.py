@@ -200,11 +200,8 @@ def _child_main(
             shm_min=config.mp_payload_shm_min,
             timeout=config.mp_timeout,
             coordinator=config.master_rank,
-            arena=config.mp_arena,
             arena_slab_bytes=config.mp_arena_slab_bytes,
             arena_max_bytes=config.mp_arena_max_bytes,
-            batch_max_msgs=config.mp_batch_max_msgs,
-            batch_max_bytes=config.mp_batch_max_bytes,
         )
         rt = SharedRuntime(program, config, symbolics, sim, world)
         baseline = _store_baseline(rt.external_store)
@@ -230,7 +227,7 @@ def _child_main(
             )
         scatter_s = time.perf_counter() - scatter_start
 
-        if world.arena is not None and role in ("worker", "server"):
+        if role in ("worker", "server"):
             # slab footprints count against the rank's memory budget
             world.arena.ledger = proc.memman
 

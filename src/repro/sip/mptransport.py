@@ -28,7 +28,7 @@ Acks, barrier traffic, a whole prefetch burst alike) leaves as a
 *single* ``send_bytes`` frame per peer, pickled once with protocol 5
 and out-of-band buffers so below-threshold block data crosses the pipe
 without an extra pickle copy.  Outboxes flush when they reach
-``mp_batch_max_msgs`` messages or ``mp_batch_max_bytes`` payload
+:data:`BATCH_MAX_MSGS` messages or :data:`BATCH_MAX_BYTES` payload
 bytes, after every event the engine fires, and always before the rank
 blocks on the mesh -- a queued message can therefore never deadlock
 its own reply, and a posted request never waits on local work.
@@ -112,6 +112,12 @@ __all__ = [
 #: distinguishes the shm name streams of MPWorlds created in one process
 _WORLD_EPOCH = itertools.count()
 
+#: outbox depth at which a peer's queued messages leave as one frame
+BATCH_MAX_MSGS = 128
+#: queued payload bytes that flush a peer's outbox early, so a burst of
+#: inline block replies does not sit waiting for the depth bound
+BATCH_MAX_BYTES = 1 << 20
+
 
 @dataclass
 class ShmStats:
@@ -164,8 +170,7 @@ class _ShmRef:
 def pack_payload(payload: Any, shm_min: int, namer, stats: ShmStats) -> Any:
     """Detach a large Block payload into a one-shot shm segment.
 
-    This is the overflow path (arena full or oversize payload) and the
-    whole story when the arena is disabled.
+    This is the arena's overflow path (arena full or oversize payload).
     """
     block = getattr(payload, "block", None)
     if (
@@ -284,11 +289,8 @@ class MPWorld:
         shm_min: int = 1 << 14,
         timeout: float = 120.0,
         coordinator: int = 0,
-        arena: bool = True,
         arena_slab_bytes: int = 1 << 22,
         arena_max_bytes: int = 1 << 26,
-        batch_max_msgs: int = 128,
-        batch_max_bytes: int = 1 << 20,
         ledger=None,
     ) -> None:
         self.sim = sim
@@ -317,21 +319,18 @@ class MPWorld:
         self._barrier_groups: dict[str, list[int]] = {}
         self._shm_counter = 0
         self.epoch = next(_WORLD_EPOCH)
-        self.arena: Optional[SlabArena] = None
-        if arena:
-            self.arena = SlabArena(
-                run_id,
-                rank,
-                size,
-                slab_bytes=arena_slab_bytes,
-                max_bytes=arena_max_bytes,
-                epoch=self.epoch,
-                stats=self.arena_stats,
-                ledger=ledger,
-            )
+        # slabs are created lazily, on the first payload placed
+        self.arena = SlabArena(
+            run_id,
+            rank,
+            size,
+            slab_bytes=arena_slab_bytes,
+            max_bytes=arena_max_bytes,
+            epoch=self.epoch,
+            stats=self.arena_stats,
+            ledger=ledger,
+        )
         self.receiver = ArenaReceiver(stats=self.arena_stats)
-        self._batch_max_msgs = max(1, int(batch_max_msgs))
-        self._batch_max_bytes = max(1, int(batch_max_bytes))
         self._outbox: dict[int, list] = {}
         self._outbox_nbytes: dict[int, int] = {}
 
@@ -370,10 +369,9 @@ class MPWorld:
             or block.data.nbytes < self._shm_min
         ):
             return payload
-        if self.arena is not None:
-            ref = self.arena.place(block, dest)
-            if ref is not None:
-                return dataclasses.replace(payload, block=ref)
+        ref = self.arena.place(block, dest)
+        if ref is not None:
+            return dataclasses.replace(payload, block=ref)
         return pack_payload(payload, self._shm_min, self._shm_name, self.shm_stats)
 
     def _unpack(self, packed: Any) -> Any:
@@ -390,7 +388,7 @@ class MPWorld:
         box.append((self.rank, tag, size, packed))
         pending = self._outbox_nbytes.get(dest, 0) + size
         self._outbox_nbytes[dest] = pending
-        if len(box) >= self._batch_max_msgs or pending >= self._batch_max_bytes:
+        if len(box) >= BATCH_MAX_MSGS or pending >= BATCH_MAX_BYTES:
             self._flush_dest(dest)
 
     def _flush_dest(self, dest: int) -> None:

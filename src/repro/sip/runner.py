@@ -233,7 +233,7 @@ def _finalize(
         elapsed=elapsed,
         program=program,
         plan_cache=rt.plan_cache.stats if rt.plan_cache is not None else None,
-        cow=rt.cow if rt.cow_enabled else None,
+        cow=rt.cow,
         memory=memory,
         memory_budget=config.memory_budget,
         scheduling=master.sched_stats,
@@ -255,13 +255,12 @@ def _finalize(
                 f"{p.hits} hits / {p.misses} misses "
                 f"(hit rate {100.0 * p.hit_rate:.1f} %)",
             )
-        if rt.cow_enabled:
-            tracer.annotate(
-                "zero_copy",
-                f"{rt.cow.sends_shared} payloads shared, "
-                f"{rt.cow.bytes_not_copied} bytes not copied, "
-                f"{rt.cow.cow_copies} cow copies",
-            )
+        tracer.annotate(
+            "zero_copy",
+            f"{rt.cow.sends_shared} payloads shared, "
+            f"{rt.cow.bytes_not_copied} bytes not copied, "
+            f"{rt.cow.cow_copies} cow copies",
+        )
         if memory.cascades or memory.spills or memory.pressure_evictions:
             tracer.annotate(
                 "memory_pressure",
@@ -335,16 +334,14 @@ def scatter_inputs(rt: SharedRuntime, workers=(), servers=()) -> None:
         if value is not None:
             value = np.asarray(value, dtype=rt.dtype)  # convert once, not per rank
         if kind == "static":
-            # with copy-on-write the input is sliced once and every
-            # worker holds a share of the same block (copies happen on
-            # first write); without it each worker slices its own
-            blocks = None
+            # the input is sliced once and every worker holds a
+            # copy-on-write share of the same block (copies happen on
+            # first write)
+            blocks = rt.blocks_from_input(array_id, value) if workers else {}
             for w in workers:
-                if blocks is None or not rt.cow_enabled:
-                    blocks = rt.blocks_from_input(array_id, value)
                 for coords, block in blocks.items():
                     bid = BlockId(array_id, coords)
-                    held = block.share() if rt.cow_enabled else block
+                    held = block.share()
                     w.local_blocks[bid] = held
                     w.memman.adopt(bid, held, "static")
         elif kind == "distributed":

@@ -93,9 +93,8 @@ class SharedRuntime:
             Sanitizer(program) if config.sanitize else None
         )
 
-        # execution fast path: the pre-decoded instruction stream is
-        # always built (it changes nothing observable); the kernel plan
-        # cache and zero-copy transport follow config.fastpath
+        # the pre-decoded instruction stream (it changes nothing
+        # observable; see repro.sip.decode)
         self.decoded = decode_program(program, self.table, self.owner_rank)
         # memoize RPN programs that only read numbers and symbolic
         # constants: their value is fixed for the whole run, so workers
@@ -104,18 +103,19 @@ class SharedRuntime:
         self.rpn_consts: dict[int, float] = _constant_rpns(
             self.decoded, self.table.symbolic_values
         )
+        # one kernel plan cache for every worker of the run (model
+        # mode executes no kernels, so it compiles no plans)
         self.plan_cache: Optional[KernelPlanCache] = (
-            KernelPlanCache() if (config.fastpath and self.real) else None
+            KernelPlanCache() if self.real else None
         )
         self.cow = CowStats()
-        self.cow_enabled = config.fastpath
         self._owner_rank_cache: dict[BlockId, int] = {}
         self._server_rank_cache: dict[BlockId, int] = {}
         self._block_shape_cache: dict[BlockId, tuple[int, ...]] = {}
 
         # recent cached replicas of remote blocks; pure scheduling hint
         # read by the locality policy, never consulted for correctness
-        self.replicas = ReplicaMap(config.affinity_replica_history)
+        self.replicas = ReplicaMap()
 
         # placements for distributed and served arrays
         self.placements: dict[int, Placement] = {}

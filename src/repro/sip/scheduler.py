@@ -256,7 +256,7 @@ def make_scheduler(
     policy: str,
     iterations: list[tuple[int, ...]],
     workers: int,
-    chunk_factor: int,
+    chunk_factor: int = 2,
     min_chunk: int = 1,
     preferred: Optional[list[int]] = None,
     stats: Optional[SchedStats] = None,

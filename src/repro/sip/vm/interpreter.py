@@ -38,7 +38,7 @@ from ...simmpi.faults import ResilienceStats, WorkerCrashed
 from ..backend import KernelOperand
 from ..blockio import BlockTransferEngine
 from ..blocks import Block, BlockId, block_nbytes
-from ..config import SIPError
+from ..config import RETRY_LIMIT, SIPError
 from ..decode import ResolvedOperand
 from ..distributed import ConflictTracker
 from ..memman import MemoryManager
@@ -106,7 +106,7 @@ class WorkerProcess(ResilientMessaging):
             machine=rt.config.machine,
             faults=rt.config.faults,
             fault_device=f"scratch{worker_index}",
-            retry_limit=rt.config.retry_limit,
+            retry_limit=RETRY_LIMIT,
             clock=lambda: rt.sim.now,
             tracer=rt.config.tracer,
             rank=self.rank,
@@ -159,11 +159,7 @@ class WorkerProcess(ResilientMessaging):
         # every block movement for this rank goes through the engine;
         # the ReplicaMap learns of wire fetches through on_issue, and
         # the memory manager reports fault-in/spill traffic back
-        self.engine = BlockTransferEngine(
-            self,
-            reserve=rt.config.blockio_reserve,
-            max_in_flight=rt.config.blockio_max_in_flight,
-        )
+        self.engine = BlockTransferEngine(self)
         self.engine.on_issue = (
             lambda bid: rt.replicas.note(bid, worker_index)
         )
@@ -220,9 +216,9 @@ class WorkerProcess(ResilientMessaging):
         self._fast_tab = [self._fast.get(d.op) for d in self._instrs]
         self._slow_tab = [self._slow.get(d.op) for d in self._instrs]
         # resolve(op): a decoded block operand against the current index
-        # values (memoized by index-value tuple when the fast path is on);
-        # a C-level caller, so the hot path pays one frame, not two
-        self.resolve = methodcaller("resolve", self.index_values, rt.config.fastpath)
+        # values (memoized by index-value tuple); a C-level caller, so the
+        # hot path pays one frame, not two
+        self.resolve = methodcaller("resolve", self.index_values)
         self._rpn_consts = rt.rpn_consts
 
     # convenience views over the engine's ledgers (used by the runners
@@ -562,6 +558,9 @@ class WorkerProcess(ResilientMessaging):
         epoch: int,
         accum_key: Optional[tuple] = None,
     ) -> None:
+        """Apply a put to an owned block: ``=`` overwrites at once, a
+        ``+=`` (which always carries ``accum_key``) is buffered and
+        folded at the first read, sorted by that key."""
         self.tracker(epoch).record_write(writer_index, bid, op)
         block = self.owned.get(bid)
         if block is None:
@@ -569,20 +568,14 @@ class WorkerProcess(ResilientMessaging):
             self.owned[bid] = block
         else:
             self.memman.touch(bid)
-        if op != "=" and accum_key is not None:
-            # canonical accumulation: buffer the contribution and fold
-            # at the first read, sorted by sender-side order key
+        if op != "=":
             self.engine.accums.buffer(bid, accum_key, incoming)
             return
         self._writable(block)
-        if op == "=":
-            # an overwrite supersedes any buffered contributions
-            self.engine.accums.discard(bid)
-            if block.data is not None and incoming.data is not None:
-                block.data[...] = incoming.data
-        elif block.data is not None and incoming.data is not None:
-            # keyless legacy path (direct callers): apply immediately
-            block.data[...] += incoming.data
+        # an overwrite supersedes any buffered contributions
+        self.engine.accums.discard(bid)
+        if block.data is not None and incoming.data is not None:
+            block.data[...] = incoming.data
 
     def _fold_accums(self, bid: BlockId) -> None:
         """Apply buffered '+=' contributions to ``bid`` in key order."""

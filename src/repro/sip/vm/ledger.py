@@ -6,7 +6,8 @@ the master can reduce collectives in canonical iteration order --
 bitwise identical results no matter which worker ran which iteration.
 Updates the decomposition cannot represent (scaling with deltas
 outstanding, increments computed from a mid-accumulation scalar) poison
-the scalar, falling back to the legacy worker-order reduction.
+the scalar: the master then sums the workers' full values in worker
+order instead.
 """
 
 from __future__ import annotations

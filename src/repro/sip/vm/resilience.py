@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator
 
 from ...simmpi import AnyOf
-from ..config import SIPError
+from ..config import RETRY_BACKOFF, RETRY_LIMIT, RETRY_TIMEOUT, SIPError
 
 __all__ = ["ResilientMessaging"]
 
@@ -59,21 +59,21 @@ class ResilientMessaging:
         if not self.rt.resilient:
             return (yield from self._wait(event))
         t0 = self.sim.now
-        timeout = self.config.retry_timeout
+        timeout = RETRY_TIMEOUT
         attempts = 0
         while not event.triggered:
             yield AnyOf([event, self.sim.timeout_event(timeout)])
             if event.triggered:
                 break
             attempts += 1
-            if attempts > self.config.retry_limit:
+            if attempts > RETRY_LIMIT:
                 raise SIPError(
                     f"worker{self.worker_index}: no {what} reply after "
                     f"{attempts} attempts; presuming the peer is dead"
                 )
             self._bump_retry(counter, what, attempts)
             resend()
-            timeout *= self.config.retry_backoff
+            timeout *= RETRY_BACKOFF
         self._wait_acc += self.sim.now - t0
         return event.value
 
@@ -88,18 +88,18 @@ class ResilientMessaging:
         )
 
     def _retry_monitor(self, event, resend, counter: str, what: str) -> Generator:
-        timeout = self.config.retry_timeout
+        timeout = RETRY_TIMEOUT
         attempts = 0
         while not event.triggered:
             yield AnyOf([event, self.sim.timeout_event(timeout)])
             if event.triggered:
                 return
             attempts += 1
-            if attempts > self.config.retry_limit:
+            if attempts > RETRY_LIMIT:
                 raise SIPError(
                     f"worker{self.worker_index}: no {what} reply after "
                     f"{attempts} attempts; presuming the peer is dead"
                 )
             self._bump_retry(counter, what, attempts)
             resend()
-            timeout *= self.config.retry_backoff
+            timeout *= RETRY_BACKOFF

@@ -33,7 +33,7 @@ from repro.programs import (
     run_paper_contraction,
     run_uhf_mp2,
 )
-from repro.sip import SIPConfig, SIPError
+from repro.sip import SIPConfig, SIPError, mptransport
 from repro.sip.runner import run_source
 
 WORKER_COUNTS = (1, 2, 4)
@@ -175,31 +175,37 @@ def test_mp_backend_is_bitwise_identical_to_simulator(name, workers):
 
 
 @pytest.mark.mp
-@pytest.mark.parametrize(
-    "variant,overrides",
-    [
-        ("arena_off", {"mp_arena": False}),
-        ("batching_off", {"mp_batch_max_msgs": 1}),
-        ("tiny_arena", {"mp_arena_slab_bytes": 4096, "mp_arena_max_bytes": 8192}),
-    ],
-)
-def test_transport_variants_stay_bitwise_identical(variant, overrides):
-    """Arena and batching are pure transport optimizations: switching
-    them off (or starving the arena into its one-shot overflow path)
-    must not move a single bit of the results."""
+def test_arena_overflow_path_stays_bitwise_identical():
+    """Starving the arena into its one-shot overflow path is a pure
+    transport detour: it must not move a single bit of the results."""
     driver = DRIVERS["mp2_energy"]
     sim = driver(make_config(2, "sim"))
-    mp = driver(make_config(2, "mp", **overrides))
+    mp = driver(
+        make_config(2, "mp", mp_arena_slab_bytes=4096, mp_arena_max_bytes=8192)
+    )
     assert mp.error < 1e-10
     assert_bitwise_equal_results(sim, mp)
     assert mp.result.stats["mp_shm_leaked"] == 0
     assert mp.result.stats["arena_refs_leaked"] == 0
-    if variant == "arena_off":
-        assert mp.result.stats["arena_slabs"] == 0
-        assert mp.result.stats["arena_hits"] == 0
-    if variant == "batching_off":
-        # one frame per message: piggybacking disabled end to end
-        assert mp.result.stats["batch_msgs_per_write"] == 1.0
+
+
+@pytest.mark.mp
+def test_single_message_frames_stay_bitwise_identical(monkeypatch):
+    """Frame batching is a pure transport optimization: with every
+    message in a frame of its own (the ranks are forked, so they see
+    the patched bound) not a single bit of the results moves."""
+    driver = DRIVERS["ao2mo_transform"]  # its prefetch bursts share frames
+    sim = driver(make_config(2, "sim"))
+    batched = driver(make_config(2, "mp"))
+    assert batched.result.stats["batch_msgs_per_write"] > 1.0
+    monkeypatch.setattr(mptransport, "BATCH_MAX_MSGS", 1)
+    single = driver(make_config(2, "mp"))
+    assert single.result.stats["batch_msgs_per_write"] == 1.0
+    for mp in (batched, single):
+        assert mp.error < 1e-10
+        assert_bitwise_equal_results(sim, mp)
+        assert mp.result.stats["mp_shm_leaked"] == 0
+        assert mp.result.stats["arena_refs_leaked"] == 0
 
 
 SPILL_DRIVERS = {

@@ -10,18 +10,18 @@ surfaced by the runner).
 
 from types import SimpleNamespace
 
-import pytest
-
 from repro.sip import SIPConfig
 from repro.sip.blockio import AccumLedger, BlockIOStats, BlockTransferEngine
 from repro.sip.runner import run_source
 
 
-def make_engine(capacity=8, pending=0, reserve=2, max_in_flight=None):
-    """An engine wired to a fake port -- enough for the predicate paths."""
+def make_engine(capacity=8, pending=0, **reserve):
+    """An engine wired to a fake port -- enough for the predicate paths.
+    Without ``reserve`` it keeps the engine's own default, as every
+    rank's engine does."""
     cache = SimpleNamespace(capacity=capacity, pending_count=pending)
     port = SimpleNamespace(sim=None, comm=None, cache=cache, rt=None)
-    return BlockTransferEngine(port, reserve=reserve, max_in_flight=max_in_flight)
+    return BlockTransferEngine(port, **reserve)
 
 
 # ---------------------------------------------------------------------------
@@ -43,26 +43,6 @@ def test_headroom_reserve_is_configurable():
     assert not make_engine(capacity=8, pending=5, reserve=3).headroom()
     # reserve >= capacity means no speculative fetches at all
     assert not make_engine(capacity=2, pending=0, reserve=2).headroom()
-
-
-def test_headroom_bounds_the_request_table():
-    engine = make_engine(capacity=64, pending=0, max_in_flight=2)
-    assert engine.headroom()
-    engine._inflight["a"] = object()
-    engine._inflight["b"] = object()
-    assert not engine.headroom()
-    engine._inflight.pop("a")
-    assert engine.headroom()
-
-
-def test_headroom_config_knobs_are_validated():
-    with pytest.raises(ValueError):
-        SIPConfig(blockio_reserve=-1)
-    with pytest.raises(ValueError):
-        SIPConfig(blockio_max_in_flight=0)
-    cfg = SIPConfig(blockio_reserve=3, blockio_max_in_flight=4)
-    assert cfg.blockio_reserve == 3
-    assert cfg.blockio_max_in_flight == 4
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,6 @@ def test_resolve_matches_reference_path(case):
     )
     reference = _outcome(lambda: operand._resolve(tuple(bound.get(u) for u in uids)))
 
-    unmemoized = _outcome(lambda: operand.resolve(bound, memo=False))
-    assert unmemoized == reference
-    assert not operand._memo  # memo=False leaves no trace
-
     first = _outcome(lambda: operand.resolve(bound))
     again = _outcome(lambda: operand.resolve(bound))
     assert first == reference and again == reference

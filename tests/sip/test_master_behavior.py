@@ -8,6 +8,8 @@ import pytest
 from repro.sial.bytecode import CompiledCondition
 from repro.sial.compiler import compile_source
 from repro.sip import FaultPlan, SIPConfig, run_program, run_source
+from repro.sip.master import MasterProcess
+from repro.sip.messages import CollectiveContribution
 
 
 def wrap(decls, body):
@@ -263,6 +265,32 @@ collective s
     assert len(values) == 1
 
 
+def test_collective_reduce_ignores_which_worker_ran_an_iteration():
+    """The same per-iteration deltas, dealt to the workers two ways,
+    reduce to the same bits -- chosen so that any other summation order
+    gives another number.  A poisoned contribution falls back to the
+    worker-order sum of full values."""
+    deltas = [((0, 0, i), d) for i, d in enumerate([1e16, 1.0, -1e16, 1.0])]
+
+    def contributions(split):
+        return [
+            CollectiveContribution(
+                seq=0,
+                worker_index=w,
+                value=sum(d for _, d in mine),
+                reply_tag=1,
+                deltas=tuple(mine),
+            )
+            for w, mine in enumerate(split)
+        ]
+
+    dealt = contributions([deltas[0::2], deltas[1::2]])
+    swapped = contributions([deltas[1::2], deltas[0::2]])
+    assert MasterProcess._reduce(dealt) == MasterProcess._reduce(swapped) == 1.0
+    dealt[1] = dataclasses.replace(dealt[1], poisoned=True)
+    assert MasterProcess._reduce(dealt) == 0.0 + 2.0
+
+
 def test_pardo_where_clause_reading_scalar_uses_worker_snapshot():
     """Regression: the master used to enumerate where clauses against
     its own (stale, in fact never-populated) scalar state.  The
@@ -346,7 +374,6 @@ enddo it
             io_servers=1,
             segment_size=2,
             faults=plan,
-            retry_timeout=0.05,
         ),
         {"nb": 6, "niter": 5},
     )

@@ -59,9 +59,12 @@ any_floats = st.floats(allow_nan=True, allow_infinity=True, width=64)
 coords = st.tuples(*[st.integers(0, 7)] * 2) | st.tuples(*[st.integers(0, 7)] * 4)
 block_ids = st.builds(BlockId, st.integers(0, 9), coords)
 shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
-ops = st.sampled_from(["=", "+="])
-accum_keys = st.none() | st.tuples(
+accum_keys = st.tuples(
     st.integers(0, 1), st.integers(0, 9), st.integers(0, 9), st.integers(0, 99)
+)
+#: (op, accum_key): an overwrite carries no key, every '+=' carries one
+ops_and_keys = st.tuples(st.just("="), st.none()) | st.tuples(
+    st.just("+="), accum_keys
 )
 
 
@@ -89,29 +92,25 @@ def blocks(draw):
     return Block(shape, data)
 
 
+@st.composite
+def write_messages(draw, cls):
+    """A PutBlock or PrepareBlock as a sender builds it."""
+    op, accum_key = draw(ops_and_keys)
+    return cls(
+        block_id=draw(block_ids),
+        op=op,
+        block=draw(blocks()),
+        worker_index=draw(st.integers(0, 7)),
+        epoch=draw(st.integers(0, 99)),
+        ack_tag=draw(st.integers(-1, 5000)),
+        seq=draw(st.integers(-1, 1000)),
+        accum_key=accum_key,
+    )
+
+
 block_messages = st.one_of(
-    st.builds(
-        PutBlock,
-        block_id=block_ids,
-        op=ops,
-        block=blocks(),
-        worker_index=st.integers(0, 7),
-        epoch=st.integers(0, 99),
-        ack_tag=st.integers(-1, 5000),
-        seq=st.integers(-1, 1000),
-        accum_key=accum_keys,
-    ),
-    st.builds(
-        PrepareBlock,
-        block_id=block_ids,
-        op=ops,
-        block=blocks(),
-        worker_index=st.integers(0, 7),
-        epoch=st.integers(0, 99),
-        ack_tag=st.integers(-1, 5000),
-        seq=st.integers(-1, 1000),
-        accum_key=accum_keys,
-    ),
+    write_messages(PutBlock),
+    write_messages(PrepareBlock),
     st.builds(BlockReply, block_id=block_ids, block=blocks()),
 )
 
@@ -153,8 +152,7 @@ control_messages = st.one_of(
         value=finite_floats,
         reply_tag=st.integers(1000, 9000),
         base=finite_floats,
-        deltas=st.none()
-        | st.lists(
+        deltas=st.lists(
             st.tuples(
                 st.tuples(st.integers(0, 9), st.integers(0, 9)), finite_floats
             ),

@@ -14,7 +14,9 @@ events fired, and asserts the invariants in code:
 
 The second half runs a real :class:`MPWorld` over real ``Pipe()`` pairs
 inside this one process: the watchdog and all-peers-gone errors keep
-their text, worlds release their selector, and a Hypothesis test
+their text, outboxes leave at their depth and byte bounds, the slab
+arena stays unmapped until a block needs it, worlds release their
+selector, and a Hypothesis test
 interleaves frames from 1-3 peers (one of which may hang up
 mid-stream) against polls.
 """
@@ -22,14 +24,25 @@ mid-stream) against polls.
 import os
 from multiprocessing import Pipe
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simmpi import Simulator
 from repro.simmpi.simulator import Timeout
+from repro.sip.blocks import Block, BlockId
 from repro.sip.config import SIPError
-from repro.sip.mptransport import EngineStats, MPEngine, MPWorld, encode_batch
+from repro.sip.messages import BlockReply
+from repro.sip.mptransport import (
+    BATCH_MAX_BYTES,
+    BATCH_MAX_MSGS,
+    EngineStats,
+    MPEngine,
+    MPWorld,
+    decode_batch,
+    encode_batch,
+)
 
 
 class ScriptedWorld:
@@ -175,9 +188,7 @@ def _world(n_peers, timeout=5.0):
     mine, theirs = {}, {}
     for peer in range(1, n_peers + 1):
         mine[peer], theirs[peer] = Pipe(duplex=True)
-    world = MPWorld(
-        Simulator(), n_peers + 1, 0, mine, "feedc0de", timeout=timeout, arena=False
-    )
+    world = MPWorld(Simulator(), n_peers + 1, 0, mine, "feedc0de", timeout=timeout)
     return world, theirs
 
 
@@ -258,6 +269,58 @@ def test_isend_hands_back_one_completed_request():
         assert first is second and first.completed and first.kind == "send"
     finally:
         _hang_up(world, far)
+
+
+def _payloads_of_next_frame(conn):
+    assert conn.poll(5.0), "no frame was flushed"
+    return [raw[3] for raw in decode_batch(conn.recv_bytes())]
+
+
+def test_an_outbox_leaves_as_one_frame_at_its_depth_bound():
+    world, far = _world(1)
+    try:
+        for i in range(BATCH_MAX_MSGS - 1):
+            world.queue_send(1, 3, 8, i)
+        assert not far[1].poll(0), "the outbox left before it was full"
+        world.queue_send(1, 3, 8, BATCH_MAX_MSGS - 1)
+        assert _payloads_of_next_frame(far[1]) == list(range(BATCH_MAX_MSGS))
+        assert not far[1].poll(0)
+        stats = world.batch_stats
+        assert (stats.batches, stats.messages) == (1, BATCH_MAX_MSGS)
+    finally:
+        _hang_up(world, far)
+
+
+def test_queued_payload_bytes_flush_an_outbox_early():
+    world, far = _world(1)
+    try:
+        world.queue_send(1, 3, 8, "small")
+        assert not far[1].poll(0)
+        world.queue_send(1, 3, BATCH_MAX_BYTES - 8, "large")  # the declared size counts
+        assert _payloads_of_next_frame(far[1]) == ["small", "large"]
+    finally:
+        _hang_up(world, far)
+
+
+def test_the_arena_creates_no_slab_until_a_block_needs_one():
+    def slabs():
+        return {n for n in os.listdir("/dev/shm") if n.startswith("rmpfeedc0de")}
+
+    world, far = _world(1)
+    try:
+        assert world.arena_stats.slabs_created == 0 and not slabs()
+        bid = BlockId(0, (1, 1))
+        inline = Block((2,), np.zeros(2))  # below the shm threshold
+        world.queue_send(1, 3, inline.data.nbytes, BlockReply(bid, inline))
+        assert world.arena_stats.slabs_created == 0 and not slabs()
+        detoured = Block((4096,), np.ones(4096))
+        world.queue_send(1, 3, detoured.data.nbytes, BlockReply(bid, detoured))
+        assert world.arena_stats.slabs_created == 1 and len(slabs()) == 1
+        assert world.arena_stats.hits == 1
+    finally:
+        world.arena.destroy()
+        _hang_up(world, far)
+    assert not slabs()
 
 
 def test_200_worlds_leak_no_descriptor():

@@ -32,19 +32,12 @@ def old_scatter_inputs(rt, workers, servers):
         array_id = rt.array_id_by_name(name)
         desc = rt.array_desc(array_id)
         if desc.kind == "static":
-            if rt.cow_enabled:
-                for coords, block in rt.blocks_from_input(array_id, value).items():
-                    bid = BlockId(array_id, coords)
-                    for w in workers:
-                        twin = block.share()
-                        w.local_blocks[bid] = twin
-                        w.memman.adopt(bid, twin, "static")
-            else:
+            for coords, block in rt.blocks_from_input(array_id, value).items():
+                bid = BlockId(array_id, coords)
                 for w in workers:
-                    for coords, block in rt.blocks_from_input(array_id, value).items():
-                        bid = BlockId(array_id, coords)
-                        w.local_blocks[bid] = block
-                        w.memman.adopt(bid, block, "static")
+                    twin = block.share()
+                    w.local_blocks[bid] = twin
+                    w.memman.adopt(bid, twin, "static")
         elif desc.kind == "distributed":
             placement = rt.placements[array_id]
             for coords, block in rt.blocks_from_input(array_id, value).items():
@@ -233,26 +226,19 @@ def test_every_bundled_program_scatters_as_before(name, workers, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize(
-    "config", [{}, {"fastpath": False}, {"backend": "model"}], ids=["cow", "no_cow", "model"]
-)
+@pytest.mark.parametrize("config", [{}, {"backend": "model"}], ids=["cow", "model"])
 def test_every_input_kind_scatters_as_before(workers, config):
     expected = assert_helper_matches_the_old_functions(all_kinds_case(workers, **config))
     served = [pair for k, v in expected.items() if k[0] == "server" for pair in v]
     assert len(served) == 9  # 3 x 3 blocks of V over the two servers
 
 
-def test_static_inputs_are_shared_copy_on_write_but_not_without_it():
+def test_static_inputs_are_shared_copy_on_write():
     rt, workers, _ = ranks(all_kinds_case(2))
     scatter_inputs(rt, workers)
     bid = next(iter(workers[0].local_blocks))
     a, b = (w.local_blocks[bid] for w in workers)
     assert a is not b and a.data is b.data and a._shared is b._shared
-
-    rt, workers, _ = ranks(all_kinds_case(2, fastpath=False))
-    scatter_inputs(rt, workers)
-    a, b = (w.local_blocks[bid] for w in workers)
-    assert a.data is not b.data and a._shared is None
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)

@@ -25,12 +25,20 @@ and the result gather, and the result pipe carries pickled bytes whose
 length the parent counts -- never a ``send()`` of whole result blocks.
 
 And for memory pressure: victims are ordered by recency of use alone.
+
+And for the configuration: one path, not two.  The ablation switches
+and the fields nobody set are gone and may not come back, and every
+definition in ``src/`` has a caller in the product, the benchmarks or
+the examples -- or a written reason in an allowlist.
 """
 
 import ast
+import fnmatch
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 
 #: the block-transfer wire messages; constructing one of these is
 #: putting a block movement on the wire
@@ -281,7 +289,144 @@ def test_sipconfig_does_not_grow():
 
     from repro.sip import SIPConfig
 
-    assert len(dataclasses.fields(SIPConfig)) <= 46
+    assert len(dataclasses.fields(SIPConfig)) <= 32
+
+
+#: SIPConfig fields that were ablation switches onto pre-optimisation
+#: code, or that no caller ever set: each is now a constant beside the
+#: module reading it, or gone with the twin path it selected
+REMOVED_CONFIG_FIELDS = {
+    "fastpath", "mp_arena", "mp_batch_max_msgs", "mp_batch_max_bytes",
+    "affinity_owner_weight", "affinity_replica_weight",
+    "affinity_replica_history", "blockio_reserve", "blockio_max_in_flight",
+    "chunk_factor", "min_chunk", "retry_timeout", "retry_limit", "retry_backoff",
+}  # fmt: skip
+
+
+def test_removed_config_axes_stay_removed():
+    """No second path may grow back: not as a config field or a
+    ``config.<name>`` read, not as the runtime's ``cow_enabled`` switch,
+    a ``memo=`` / ``zero_copy=`` parameter, or a CLI flag turning the
+    slab arena or frame batching off."""
+    import dataclasses
+
+    from repro.sip import SIPConfig
+
+    fields = {f.name for f in dataclasses.fields(SIPConfig)}
+    offenders = [f"SIPConfig.{name}" for name in sorted(fields & REMOVED_CONFIG_FIELDS)]
+    for rel, tree in repro_modules():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in REMOVED_CONFIG_FIELDS
+                and ast.unparse(node.value).endswith("config")
+            ):
+                offenders.append(f"{rel}:{node.lineno} reads {ast.unparse(node)}")
+            elif getattr(node, "attr", None) == "cow_enabled":
+                offenders.append(f"{rel}:{node.lineno} cow_enabled")
+            elif isinstance(node, ast.arg) and node.arg in ("memo", "zero_copy"):
+                offenders.append(f"{rel}:{node.lineno} parameter {node.arg}")
+            elif isinstance(node, ast.Constant) and node.value in (
+                "--no-arena",
+                "--no-batch",
+            ):
+                offenders.append(f"{rel}:{node.lineno} flag {node.value}")
+    assert not offenders, "\n  ".join(offenders)
+
+
+#: definitions nothing in src/, benchmarks/ or examples/ calls, each with
+#: the reason it stays
+UNCALLED_ALLOWLIST = {
+    "_Checker.check_*": "analyzer visitor, dispatched by getattr",
+    "_Compiler.emit_*": "compiler visitor, dispatched by getattr",
+    "RunProfile.by_line": "the paper's per-source-line profile (public API)",
+    "Machine.with_memory": "public API: a machine with another memory size",
+    "FaultPlan.any_faults_configured": "public API of the fault plan",
+    "SyntheticIntegrals.h_block": "public API: one-electron integral blocks",
+    "ConflictTracker.new_epoch": "public API of the barrier-conflict tracker",
+    "GACluster.read_array": "public API of the Global Arrays baseline",
+    "MemoryManager.spilled_blocks": "public API: blocks parked on scratch",
+    "ALL_OPS": "the opcode list the disassembler test checks coverage against",
+    "SlabArena.outstanding": "read by the test suite's arena leak sweep",
+    "ArenaReceiver.outstanding": "read by the test suite's arena leak sweep",
+    "store_to_array": "public checkpoint API: store -> ndarray",
+    "array_to_store": "public checkpoint API: ndarray -> store",
+    "checkpoint_scalars": "public checkpoint API: the saved scalar state",
+    "save_store": "public checkpoint API: write a store to disk",
+    "load_store": "public checkpoint API: read a store from disk",
+    "path_cache_info": "public API of the host einsum path cache",
+    "clear_path_cache": "public API of the host einsum path cache",
+    "format_source": "public API: the SIAL pretty-printer on source text",
+}
+
+
+def _references(node) -> Counter:
+    """Names a subtree uses: loads, attributes, imports and identifier
+    strings (getattr dispatch, methodcaller, benchmark patch targets)."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.Constant) and str(n.value).isidentifier():
+            refs[n.value] += 1
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            refs.update(alias.name.rpartition(".")[2] for alias in n.names)
+    return refs
+
+
+def _definitions(tree):
+    """(qualified name, node) of top-level functions, classes, methods
+    and upper-case module constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.endswith("__"):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, node
+
+
+def test_every_definition_has_a_caller():
+    """A definition whose only reference is itself is dead code.  A
+    module's ``__all__`` is a declaration, not a use, so it is left out."""
+    used = Counter()
+    src_trees = []
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used += _references(tree)
+            for node in tree.body:
+                targets = getattr(node, "targets", ())
+                if any(ast.unparse(t) == "__all__" for t in targets):
+                    used -= _references(node)
+            if top == "src":
+                src_trees.append((path.relative_to(SRC).as_posix(), tree))
+    uncalled = {
+        f"{rel}:{qual}": qual
+        for rel, tree in src_trees
+        for qual, node in _definitions(tree)
+        for name in [qual.rpartition(".")[2]]
+        if used[name] <= _references(node)[name]
+    }
+    unexplained = [
+        where
+        for where, qual in uncalled.items()
+        if not any(fnmatch.fnmatchcase(qual, key) for key in UNCALLED_ALLOWLIST)
+    ]
+    assert not unexplained, "delete, or allowlist with a reason:\n  " + "\n  ".join(
+        unexplained
+    )
+    stale = set(UNCALLED_ALLOWLIST) - {
+        key for key in UNCALLED_ALLOWLIST for qual in uncalled.values()
+        if fnmatch.fnmatchcase(qual, key)
+    }  # fmt: skip
+    assert not stale, f"allowlisted but called (or gone): {sorted(stale)}"
 
 
 def test_the_allowlists_still_match_reality():
