@@ -7,10 +7,17 @@ cache before use and had to be refetched; "the performance improvement
 due after tuning was large" (>6 h down to ~4x the XT5 time).
 
 We reproduce the mechanism on the fine-grained simulator: a blocked
-contraction runs on the BG/P machine model with a deliberately small
-block cache across prefetch depths.  Deep prefetch causes
-evicted-before-use blocks and refetches; the tuned depth minimizes
-simulated time.
+contraction runs on the BG/P machine model with a memory budget that
+leaves room for only a few replicas beside each worker's resident
+blocks, across prefetch depths.  Deep prefetch causes evicted-before-use
+blocks and refetches; the tuned depth minimizes simulated time.
+
+The budget is below the dry run's no-spill requirement (which reserves
+room for a full in-flight window), so the runs enable spill; BG/P
+compute nodes have no local disk, so scratch is smaller than one block
+and pressure can only drop replicas.  Much less room than ``ROOM``
+fails at depth 16 with ``OutOfBlockMemory``: its ~21 in-flight blocks
+then leave a pool allocation nothing to drop.
 """
 
 import pytest
@@ -45,20 +52,32 @@ endsial prefetch_probe
 
 NB = 60
 SEG = 5
-CACHE_BLOCKS = 6  # deliberately tight, as on the 0.5 GB/core BG/P
+WORKERS = 4
+BLOCK = SEG * SEG * 8
+# each worker's share of A, B and C plus its TC block
+RESIDENT = 3 * NB * NB * 8 // WORKERS + BLOCK
+ROOM = 12  # replicas beside the residents: tight, as on the 0.5 GB/core BG/P
+NO_SCRATCH = 1.0  # less than one block: nothing can spill
 DEPTHS = [0, 1, 2, 4, 8, 16]
 
 
-def run_depth(depth, machine=BLUEGENE_P, cache=CACHE_BLOCKS):
+def run_depth(depth, machine=BLUEGENE_P, tight=True):
+    memory = {}
+    if tight:
+        memory = dict(
+            memory_per_worker=float(RESIDENT + ROOM * BLOCK),
+            spill=True,
+            scratch_per_worker=NO_SCRATCH,
+        )
     cfg = SIPConfig(
-        workers=4,
+        workers=WORKERS,
         io_servers=1,
         segment_size=SEG,
         backend="model",
         machine=machine,
         prefetch_depth=depth,
-        cache_blocks=cache,
         inputs={"A": None, "B": None},
+        **memory,
     )
     return run_source(SRC, cfg, symbolics={"nb": NB})
 
@@ -85,7 +104,8 @@ def test_prefetch_tuning_on_bgp(benchmark):
     best = min(rows, key=lambda r: r["time"])
     emit_table(
         "ablation_prefetch_bgp",
-        "Section VI-A -- prefetch depth on BlueGene/P (tight block cache)",
+        "Section VI-A -- prefetch depth on BlueGene/P (room for "
+        f"{ROOM} replicas)",
         ["depth", "time (ms)", "wait (ms)", "evicted unused", "refetches"],
         [
             [
@@ -127,7 +147,7 @@ def test_bgp_vs_xt5_after_tuning(benchmark):
             (run_depth(d).elapsed for d in DEPTHS),
             default=None,
         )
-        xt5 = run_depth(2, machine=CRAY_XT5, cache=64).elapsed
+        xt5 = run_depth(2, machine=CRAY_XT5, tight=False).elapsed
         return best_bgp, xt5
 
     best_bgp, xt5 = benchmark(generate)

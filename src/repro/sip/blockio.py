@@ -50,7 +50,11 @@ from .messages import (
     snapshot_for_transport,
 )
 
-__all__ = ["AccumLedger", "BlockIOStats", "BlockTransferEngine"]
+__all__ = ["AccumLedger", "BlockIOStats", "BlockTransferEngine", "IN_FLIGHT_CAP"]
+
+#: fetches a rank may have in flight before speculation stops (the
+#: cache itself is bounded by bytes, not by a count of blocks)
+IN_FLIGHT_CAP = 64
 
 
 @dataclass
@@ -225,25 +229,30 @@ class BlockTransferEngine:
         """Whether a *speculative* fetch may be issued right now.
 
         The single backpressure predicate for every prefetch path:
-        leaves ``reserve`` cache slots free for demand fetches.
+        leaves ``reserve`` of the ``IN_FLIGHT_CAP`` in-flight slots free
+        for demand fetches.
         """
-        return self.cache.pending_count < self.cache.capacity - self.reserve
+        return self.cache.pending_count < IN_FLIGHT_CAP - self.reserve
 
     # -- worker fetch paths ------------------------------------------------
     def hint(self, bid: BlockId, kind: str, *, mark_refetch: bool = True) -> bool:
         """Speculative fetch: issue early, never wait, never fault.
 
-        Returns False when the hint had to be dropped (cache momentarily
-        full of in-flight blocks); the demand access that follows fetches
-        with backpressure.  A hint for a block already cached or already
-        in flight is a success -- the in-flight case is the coalesced
-        duplicate the request table exists to absorb.
+        Returns False when the hint had to be dropped (no
+        :meth:`headroom`, or no room for its bytes without a spill); the
+        demand access that follows fetches with backpressure.  A hint for
+        a block already cached or already in flight is a success -- the
+        in-flight case is the coalesced duplicate the request table
+        exists to absorb.
         """
         entry = self.cache.lookup(bid, touch=False)
         if entry is not None:
             if entry.pending:
                 self.stats.coalesced += 1
             return True
+        if not self.headroom():
+            self.stats.hint_drops += 1
+            return False
         if mark_refetch and bid in self.ever_fetched:
             self.cache.mark_refetch(bid)
         try:
@@ -285,7 +294,7 @@ class BlockTransferEngine:
                 if entry is None or entry.block is None:
                     raise SIPError(
                         f"block {bid} thrashed out of the cache; increase "
-                        "cache_blocks or reduce prefetch_depth"
+                        "memory_per_worker or reduce prefetch_depth"
                     )
         self.cache.record_use(bid, hit=True)  # mark used for eviction stats
         self.cache.stats.hits -= 1  # the extra record_use is bookkeeping only
@@ -300,8 +309,8 @@ class BlockTransferEngine:
                 self.stats.waiter_peak = inf.waiters
 
     def _issue_with_backpressure(self, bid: BlockId, kind: str, wait) -> Generator:
-        """Issue a fetch, waiting for cache space when it is full of
-        in-flight blocks (demand fetches outrank prefetches)."""
+        """Issue a fetch, waiting for an in-flight arrival when the cache
+        has no room for it (demand fetches outrank prefetches)."""
         while True:
             try:
                 return self._issue(bid, kind)
@@ -316,7 +325,7 @@ class BlockTransferEngine:
         """Put one fetch on the wire and register it in the request table.
 
         Raises :class:`SIPError` when the cache cannot take another
-        pending entry (full of pinned/pending/dirty blocks).  A demand
+        pending entry (what it holds is pinned, pending or dirty).  A demand
         fetch may spill resident blocks for its bytes; a speculative one
         (``demand=False``) only ever drops clean replicas.
         """

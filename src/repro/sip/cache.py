@@ -11,7 +11,10 @@ Entries move through three states:
 * *ready*    -- data present (and, on servers, possibly *dirty*);
 * evicted    -- removed by LRU pressure; a later use must refetch.
 
-Pending and pinned entries are never evicted.  The cache records the
+Pending and pinned entries are never evicted.  A worker's cache has
+no block limit (``capacity_blocks=None``): its replicas are bounded by
+bytes, under the rank's memory budget, through the ledger.  An I/O
+server's write-back cache keeps a block limit.  The cache records the
 statistics the prefetch-tuning ablation needs: hits, misses, evictions
 of blocks that were fetched but never used (the BlueGene/P pathology
 from Section VI-A), and refetches.
@@ -68,13 +71,13 @@ class BlockCache:
 
     def __init__(
         self,
-        capacity_blocks: int,
+        capacity_blocks: Optional[int] = None,
         name: str = "cache",
         on_evict: Optional[Callable[[BlockId, CacheEntry], None]] = None,
         nbytes_of: Optional[Callable[[BlockId], int]] = None,
         ledger=None,
     ) -> None:
-        if capacity_blocks < 1:
+        if capacity_blocks is not None and capacity_blocks < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity_blocks
         self.name = name
@@ -129,7 +132,7 @@ class BlockCache:
     def insert_pending(
         self, block_id: BlockId, arrival: Event, demand: bool = True
     ) -> CacheEntry:
-        """Register an in-flight fetch; evicts LRU if at capacity.
+        """Register an in-flight fetch; evicts LRU if at a block limit.
 
         A speculative insert (``demand=False``) may only drop replicas
         for its bytes: speculation never pays a disk seek.
@@ -260,6 +263,8 @@ class BlockCache:
         return freed, count
 
     def _make_room(self) -> None:
+        if self.capacity is None:
+            return  # bounded by bytes alone (the ledger's headroom check)
         while len(self._entries) >= self.capacity:
             victim = self._lru_victim()
             if victim is None:

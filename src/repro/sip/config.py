@@ -2,7 +2,7 @@
 
 Everything the paper treats as a runtime parameter lives here: the
 number of workers and I/O servers, segment sizes (globally or per index
-kind), the prefetch lookahead depth, block-cache budgets, the pardo
+kind), the prefetch lookahead depth, memory budgets, the pardo
 chunking policy, and the target machine model.  SIAL programs never see
 any of this -- retuning for a new platform means changing a
 :class:`SIPConfig`, not the program (paper, Section VI-B).
@@ -10,8 +10,8 @@ any of this -- retuning for a new platform means changing a
 A value with a single setting in use is not a field: it is a constant
 beside the one module that reads it (guided chunk sizing in
 :mod:`~repro.sip.scheduler`, locality weights in
-:mod:`~repro.sip.master`, the block engine's reserve in
-:mod:`~repro.sip.blockio`, outbox flush thresholds in
+:mod:`~repro.sip.master`, the block engine's reserve and in-flight
+cap in :mod:`~repro.sip.blockio`, outbox flush thresholds in
 :mod:`~repro.sip.mptransport`).  The resilient protocol's retry timing
 is read by every rank kind, so its constants live here.
 """
@@ -61,8 +61,6 @@ class SIPConfig:
     prefetch_depth:
         How many future loop iterations the lookahead prefetcher
         requests blocks for.  0 disables prefetching.
-    cache_blocks:
-        Capacity of each worker's remote-block LRU cache, in blocks.
     server_cache_blocks:
         Capacity of each I/O server's block cache, in blocks.
     scheduling:
@@ -115,7 +113,9 @@ class SIPConfig:
     machine:
         Machine performance model used for all costs.
     memory_per_worker:
-        Override of the machine's per-rank memory budget, bytes.
+        Override of the machine's per-rank memory budget, bytes.  A
+        worker's remote-block cache is bounded by what this budget
+        leaves beside its resident blocks, not by a count of blocks.
     spill:
         Unify each rank's pool, cache and adopted input bytes under one
         budget and, under pressure, run the victim cascade (least
@@ -175,7 +175,6 @@ class SIPConfig:
     segment_sizes: dict[str, int] = field(default_factory=dict)
     subsegments_per_segment: int = 2
     prefetch_depth: int = 2
-    cache_blocks: int = 64
     server_cache_blocks: int = 128
     scheduling: str = "guided"
     backend: str = "real"

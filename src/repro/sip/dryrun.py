@@ -14,7 +14,8 @@ The estimate covers, per worker:
   placement function),
 * one live block per temp array and per local array (the block-stack
   working set),
-* the remote-block cache reserve (``cache_blocks`` x largest block).
+* the remote-block cache reserve (``IN_FLIGHT_CAP`` x largest block:
+  the replicas a worker may have in flight at once).
 
 Their sum is the *no-spill requirement*: with that much memory no
 block ever leaves RAM.  The report also states the *pinned-only
@@ -32,6 +33,7 @@ from math import ceil, prod
 import numpy as np
 
 from ..sial.bytecode import CompiledProgram
+from .blockio import IN_FLIGHT_CAP
 from .blocks import ResolvedIndexTable
 from .config import SIPConfig, SIPError
 
@@ -144,7 +146,7 @@ def dry_run(
             dist_max_block = max(dist_max_block, largest_block)
         # served arrays live on the I/O servers' disks, not worker RAM
 
-    cache_reserve = config.cache_blocks * max_block
+    cache_reserve = IN_FLIGHT_CAP * max_block
     pinned_floor = PINNED_FLOOR_BLOCKS * max_block
 
     def dist_share(workers: int) -> int:

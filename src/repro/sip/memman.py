@@ -22,9 +22,10 @@ when pinned + in-flight blocks alone exceed the budget.
 Scratch traffic is charged simulated disk time (seek + bytes/bandwidth
 on the rank's machine model) and is subject to injected disk faults
 (device ``scratch<rank>``), retried with backoff like every other disk
-in the system.  With spill disabled (the default) the manager is pure
-accounting: allocation, eviction and failure behaviour are bitwise
-identical to the historical per-mechanism budgets.
+in the system.  With spill disabled (the default) nothing is ever
+spilled: the pool enforces its own budget, and a worker's cache -- which
+has no block limit -- drops its least recently used clean replicas until
+pool, cache, adopted and arena bytes fit the budget again.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ class MemoryManager:
     Two modes:
 
     * *legacy* (``spill=False``, default): the pool enforces its own
-      budget exactly as before; the manager only observes.
+      budget; a cache without a block limit (a worker's) drops clean
+      replicas for its bytes, and nothing is spilled.
     * *unified* (``spill=True``): the pool budget is lifted and the
       manager enforces the total via :meth:`ensure_headroom`'s victim
       cascade.
@@ -98,7 +100,7 @@ class MemoryManager:
         real: bool,
         name: str = "rank",
         *,
-        cache_blocks: int = 64,
+        cache_blocks: Optional[int] = None,
         nbytes_of: Optional[Callable[[BlockId], int]] = None,
         dtype=np.float64,
         spill: bool = False,
@@ -220,7 +222,8 @@ class MemoryManager:
 
     def adopt(self, bid: BlockId, block: Block, kind: str) -> None:
         """Charge an input block scattered outside the pool."""
-        self.ensure_headroom(block.nbytes)
+        if self.unified:
+            self.ensure_headroom(block.nbytes)
         self._adopted.add(bid)
         self.adopted_bytes += block.nbytes
         self.register(bid, block, kind)
@@ -244,9 +247,11 @@ class MemoryManager:
     # -- pressure --------------------------------------------------------
     def cache_headroom(self, nbytes: int, allow_spill: bool = True) -> None:
         """Headroom check the cache runs before charging an insert (a
-        speculative one passes ``allow_spill=False``)."""
-        if self.unified:
-            self.ensure_headroom(nbytes, allow_spill=allow_spill)
+        speculative one passes ``allow_spill=False``).  A cache without a
+        block limit is bounded by the budget in legacy mode too, by
+        dropping replicas only."""
+        if self.unified or self.cache.capacity is None:
+            self.ensure_headroom(nbytes, allow_spill and self.unified)
         used = self.bytes_in_use + nbytes
         if used > self.stats.peak_bytes:
             self.stats.peak_bytes = used
@@ -260,8 +265,6 @@ class MemoryManager:
         passes ``allow_spill=False``).  Raises :class:`OutOfBlockMemory`
         only when what is left is pinned or in flight.
         """
-        if not self.unified:
-            return
         need = self.bytes_in_use + nbytes - self.budget_bytes
         if need <= 0:
             return

@@ -98,7 +98,6 @@ class WorkerProcess(ResilientMessaging):
             rt.config.memory_budget,
             real=rt.real,
             name=f"worker{worker_index}",
-            cache_blocks=rt.config.cache_blocks,
             nbytes_of=self._block_nbytes,
             dtype=rt.dtype,
             spill=rt.config.spill,

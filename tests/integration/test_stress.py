@@ -55,17 +55,25 @@ def test_sixty_four_workers_complete_and_scale():
 
 
 def test_thousands_of_blocks_through_tiny_cache():
-    """4096 pardo iterations with a small cache: thrash-but-correct."""
+    """4096 pardo iterations with room for ~8 replicas: thrash-but-correct.
+
+    The budget is each worker's share of A, B and C, one TC block, and 8
+    replicas -- below the dry run's no-spill requirement, so spill is on.
+    """
+    nb, seg, workers = 64, 2, 16
+    block = seg * seg * 8
+    resident = 3 * nb * nb * 8 // workers + block
     cfg = SIPConfig(
-        workers=16,
+        workers=workers,
         io_servers=1,
-        segment_size=2,
+        segment_size=seg,
         backend="model",
         machine=CRAY_XT5,
-        cache_blocks=8,
+        memory_per_worker=float(resident + 8 * block),
+        spill=True,
         prefetch_depth=4,
         inputs={"A": None, "B": None},
     )
-    res = run_source(MATMUL, cfg, {"nb": 64})
-    assert res.profile.pardo_totals()[0].iterations == 32 * 32
+    res = run_source(MATMUL, cfg, {"nb": nb})
+    assert res.profile.pardo_totals()[0].iterations == (nb // seg) ** 2
     assert res.stats["cache_evictions"] > 0  # the cache really was tight

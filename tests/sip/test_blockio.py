@@ -11,15 +11,20 @@ surfaced by the runner).
 from types import SimpleNamespace
 
 from repro.sip import SIPConfig
-from repro.sip.blockio import AccumLedger, BlockIOStats, BlockTransferEngine
+from repro.sip.blockio import (
+    IN_FLIGHT_CAP,
+    AccumLedger,
+    BlockIOStats,
+    BlockTransferEngine,
+)
 from repro.sip.runner import run_source
 
 
-def make_engine(capacity=8, pending=0, **reserve):
+def make_engine(pending=0, **reserve):
     """An engine wired to a fake port -- enough for the predicate paths.
     Without ``reserve`` it keeps the engine's own default, as every
     rank's engine does."""
-    cache = SimpleNamespace(capacity=capacity, pending_count=pending)
+    cache = SimpleNamespace(pending_count=pending)
     port = SimpleNamespace(sim=None, comm=None, cache=cache, rt=None)
     return BlockTransferEngine(port, **reserve)
 
@@ -30,19 +35,18 @@ def make_engine(capacity=8, pending=0, **reserve):
 
 
 def test_headroom_leaves_reserve_slots_free():
-    # the historical guard was ``pending_count >= capacity - 2``: with
-    # the default reserve of 2, a 8-slot cache admits speculative
-    # fetches only while fewer than 6 are pending
-    for pending in range(8):
-        engine = make_engine(capacity=8, pending=pending)
-        assert engine.headroom() == (pending < 6)
+    # with the default reserve of 2, speculation stops at cap - 2 pending
+    for pending in range(IN_FLIGHT_CAP - 4, IN_FLIGHT_CAP + 1):
+        engine = make_engine(pending=pending)
+        assert engine.headroom() == (pending < IN_FLIGHT_CAP - 2)
 
 
 def test_headroom_reserve_is_configurable():
-    assert make_engine(capacity=8, pending=5, reserve=0).headroom()
-    assert not make_engine(capacity=8, pending=5, reserve=3).headroom()
-    # reserve >= capacity means no speculative fetches at all
-    assert not make_engine(capacity=2, pending=0, reserve=2).headroom()
+    pending = IN_FLIGHT_CAP - 3
+    assert make_engine(pending=pending, reserve=0).headroom()
+    assert not make_engine(pending=pending, reserve=3).headroom()
+    # reserve >= the cap means no speculative fetches at all
+    assert not make_engine(pending=0, reserve=IN_FLIGHT_CAP).headroom()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ def manager(budget_blocks=4, **kwargs):
         budget_blocks * NBYTES,
         real=True,
         name="test",
-        cache_blocks=8,
         nbytes_of=lambda block_id: NBYTES,
         **kwargs,
     )
@@ -53,6 +52,29 @@ def test_legacy_mode_pool_enforces_budget():
     with pytest.raises(OutOfBlockMemory):
         mm.allocate(SHAPE)
     assert mm.stats.cascades == 0  # legacy mode never cascades
+
+
+def test_legacy_mode_drops_replicas_for_bytes_but_never_spills():
+    mm = manager(budget_blocks=3, spill=False)
+    fill(mm, 1)
+    mm.cache.insert_ready(bid(10), Block(SHAPE, np.zeros(SHAPE)))
+    mm.cache.insert_ready(bid(11), Block(SHAPE, np.zeros(SHAPE)))
+    mm.cache.insert_pending(bid(12), object())  # the LRU replica goes
+    assert bid(10) not in mm.cache and bid(11) in mm.cache
+    assert mm.bytes_in_use == mm.budget_bytes
+    mm.cache.insert_pending(bid(13), object(), demand=False)
+    with pytest.raises(OutOfBlockMemory):  # only block 1 and pending entries
+        mm.cache.insert_pending(bid(14), object())
+    assert (mm.stats.pressure_evictions, mm.stats.spills) == (2, 0)
+
+
+def test_a_count_bounded_cache_is_not_budgeted_in_legacy_mode():
+    mm = manager(budget_blocks=1, spill=False, cache_blocks=2)
+    for i in (10, 11, 12):  # the I/O server's cache: its block limit alone
+        mm.cache.insert_ready(bid(i), Block(SHAPE, np.zeros(SHAPE)))
+    assert len(mm.cache) == 2
+    assert mm.bytes_in_use == 2 * NBYTES > mm.budget_bytes
+    assert mm.stats.pressure_evictions == 0
 
 
 def test_spill_makes_room_and_fault_in_restores_data():

@@ -30,7 +30,6 @@ from hypothesis.stateful import (
 
 from repro.simmpi.simulator import Simulator
 from repro.sip.blocks import Block, BlockId, block_nbytes
-from repro.sip.config import SIPError
 from repro.sip.memman import MemoryManager
 from repro.sip.memory import OutOfBlockMemory
 
@@ -52,17 +51,15 @@ def replica_id(j):
 
 class MemoryHierarchy(RuleBasedStateMachine):
     @initialize(
-        budget_blocks=st.integers(2, 8),
-        cache_blocks=st.integers(1, 6),
+        budget_bytes=st.integers(2 * NBYTES, 8 * NBYTES),
         scratch_blocks=st.sampled_from([None, 0, 1, 3]),
     )
-    def build(self, budget_blocks, cache_blocks, scratch_blocks):
+    def build(self, budget_bytes, scratch_blocks):
         self.capacity = None if scratch_blocks is None else scratch_blocks * NBYTES
         self.mm = MemoryManager(
-            budget_blocks * NBYTES,
+            budget_bytes,
             real=True,
             name="machine",
-            cache_blocks=cache_blocks,
             nbytes_of=lambda bid: NBYTES,
             spill=True,
             spill_capacity=self.capacity,
@@ -103,20 +100,16 @@ class MemoryHierarchy(RuleBasedStateMachine):
             ]
         return out
 
-    def reference(self, allow_spill=True, gone=(), returning=0):
+    def reference(self, allow_spill=True, returning=0):
         """Victims a request for one more block must take, oldest stamp
-        first, and whether they make enough room.  `gone` entries are
-        already on their way out (a capacity eviction); `returning`
-        bytes leave scratch as the request is served (a fault-in)."""
+        first, and whether they make enough room.  `returning` bytes
+        leave scratch as the request is served (a fault-in)."""
         need = self.mm.bytes_in_use + NBYTES - self.mm.budget_bytes
-        need -= NBYTES * len(gone)
         on_scratch = self.mm.spilled_out_bytes - returning
         victims = []
         for _stamp, action, key in sorted(self.evictables(allow_spill)):
             if need <= 0:
                 break
-            if key in gone:
-                continue
             if action == "spill":
                 if self.capacity is not None and on_scratch + NBYTES > self.capacity:
                     continue  # scratch-refused: stays resident
@@ -125,14 +118,14 @@ class MemoryHierarchy(RuleBasedStateMachine):
             need -= NBYTES
         return victims, need <= 0
 
-    def expect(self, victims, fits, operation, error=OutOfBlockMemory):
+    def expect(self, victims, fits, operation):
         """Run `operation`; it must take exactly `victims`, and raise
-        `error` exactly when the reference found no room."""
+        OutOfBlockMemory exactly when the reference found no room."""
         self.log.clear()
         if fits:
             operation()
         else:
-            with pytest.raises(error):
+            with pytest.raises(OutOfBlockMemory):
                 operation()
         assert self.log == [(action, str(key)) for action, key in victims]
         for action, key in victims:
@@ -201,21 +194,11 @@ class MemoryHierarchy(RuleBasedStateMachine):
 
     # -- replicas --------------------------------------------------------
     def insert(self, key, demand, operation):
-        """A new cache entry: a capacity eviction if the cache is at its
-        block limit (the LRU replica, whatever the residents' age), then
-        the cascade for the entry's bytes."""
-        first = []
-        if len(self.cache) >= self.cache.capacity:
-            replicas = sorted(self.evictables(allow_spill=False))
-            if not replicas:
-                self.expect([], False, operation, error=SIPError)
-                return
-            first = [replicas[0][1:]]
-        victims, fits = self.reference(
-            allow_spill=demand, gone=[key for _action, key in first]
-        )
+        """A new cache entry: the cascade for its bytes (a worker's cache
+        has no block limit)."""
+        victims, fits = self.reference(allow_spill=demand)
         spills = self.mm.stats.spills
-        if self.expect(first + victims, fits, operation):
+        if self.expect(victims, fits, operation):
             self.replicas.add(key)
             self.used(key)
         if not demand:

@@ -289,17 +289,19 @@ def test_sipconfig_does_not_grow():
 
     from repro.sip import SIPConfig
 
-    assert len(dataclasses.fields(SIPConfig)) <= 32
+    assert len(dataclasses.fields(SIPConfig)) <= 31
 
 
 #: SIPConfig fields that were ablation switches onto pre-optimisation
 #: code, or that no caller ever set: each is now a constant beside the
-#: module reading it, or gone with the twin path it selected
+#: module reading it, or gone with the twin path it selected (a worker's
+#: cache is bounded by ``memory_per_worker``, not ``cache_blocks``)
 REMOVED_CONFIG_FIELDS = {
     "fastpath", "mp_arena", "mp_batch_max_msgs", "mp_batch_max_bytes",
     "affinity_owner_weight", "affinity_replica_weight",
     "affinity_replica_history", "blockio_reserve", "blockio_max_in_flight",
     "chunk_factor", "min_chunk", "retry_timeout", "retry_limit", "retry_backoff",
+    "cache_blocks",
 }  # fmt: skip
 
 
