@@ -36,7 +36,7 @@ __all__ = [
 
 
 def compile_sial(source: str, filename: str = "<sial>") -> CompiledProgram:
-    """Compile SIAL source text into SIA bytecode."""
+    """Compile SIAL source text into SIA bytecode, optimized at ``-O2``."""
     return compile_source(source, filename)
 
 
@@ -47,7 +47,8 @@ def run(
 ) -> RunResult:
     """Execute a SIAL program (source or compiled) on the simulated SIP."""
     if isinstance(program, str):
-        program = compile_sial(program)
+        # verbatim: run_program applies the config's -O level
+        program = compile_source(program, optimize=0)
     return run_program(program, config, symbolics)
 
 
@@ -57,9 +58,9 @@ def dry_run(
     symbolics: Optional[dict[str, float]] = None,
 ) -> DryRunReport:
     """The master's memory-feasibility analysis, without executing."""
-    if isinstance(program, str):
-        program = compile_sial(program)
     config = config if config is not None else SIPConfig()
+    if isinstance(program, str):
+        program = compile_source(program, optimize=config.opt_level)
     table = ResolvedIndexTable(
         program,
         symbolics or {},

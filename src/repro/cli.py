@@ -76,7 +76,7 @@ def _config(args: argparse.Namespace) -> SIPConfig:
         machine=get_machine(args.machine),
         prefetch_depth=args.prefetch,
         spill=args.spill,
-        opt_level=getattr(args, "opt_level", 0),
+        opt_level=getattr(args, "opt_level", 2),
         **kwargs,
     )
 
@@ -86,10 +86,10 @@ def _add_opt_option(parser: argparse.ArgumentParser) -> None:
         "-O",
         dest="opt_level",
         type=int,
-        default=0,
+        default=2,
         choices=(0, 1, 2),
         metavar="N",
-        help="SIAL optimization level (0 = verbatim, 2 = full pipeline)",
+        help="SIAL optimization level (0 = verbatim, 2 = full pipeline; default 2)",
     )
 
 
@@ -143,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="also lint every bundled SIAL program",
     )
 
-    p = sub.add_parser("compile", help="compile and show SIA bytecode")
+    p = sub.add_parser(
+        "compile", help="compile and show the verbatim (-O0) SIA bytecode"
+    )
     p.add_argument("file")
 
     p = sub.add_parser(
@@ -264,7 +266,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "compile":
-        compiled = compile_source(source, args.file)
+        compiled = compile_source(source, args.file, optimize=0)
         print(disassemble(compiled))
         return 0
 
@@ -283,9 +285,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(pretty(parse(source, args.file)), end="")
         return 0
 
-    compiled = compile_source(source, args.file)
     symbolics = _symbolics(getattr(args, "defines", None))
     config = _config(args)
+    compiled = compile_source(source, args.file, optimize=config.opt_level)
 
     if args.command == "dryrun":
         table = ResolvedIndexTable(

@@ -156,11 +156,20 @@ class CompiledProgram:
     # PipelineReport describing what each pass did
     opt_level: int = 0
     opt_report: Optional[Any] = None
+    # the AnalyzedProgram this program was compiled from, for passes that
+    # reason about the source (barrier coalescing); never pickled, so a
+    # program crosses a pipe at its bytecode's size
+    analysis: Optional[Any] = field(default=None, repr=False, compare=False)
     # optimize_program's results for this program, by level: a driver
     # that compiles once and runs many times pays the passes once
     optimized: dict[int, "CompiledProgram"] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("analysis", None)  # unpickles as the class default, None
+        return state
 
     def index_id(self, name: str) -> int:
         return self._lookup(self.index_table, name)

@@ -54,12 +54,13 @@ __all__ = ["compile_program", "compile_source"]
 
 
 def compile_source(
-    source: str, filename: str = "<sial>", optimize: int = 0
+    source: str, filename: str = "<sial>", optimize: int = 2
 ) -> CompiledProgram:
     """Parse, analyze and compile SIAL source text.
 
     ``optimize`` selects the middle-end level (``-O0``..``-O2``, see
-    :mod:`repro.sial.passes`); the default compiles verbatim.
+    :mod:`repro.sial.passes`); the default runs the full pipeline, and
+    ``optimize=0`` returns the compiler's output verbatim.
     """
     program = parse(source, filename)
     analyzed = analyze(program, source)
@@ -187,6 +188,7 @@ class _Compiler:
             symbolic_table=self.symbolic_table,
             proc_entries=proc_entries,
             source=self.source,
+            analysis=self.analyzed,
         )
 
     # -- emission helpers ----------------------------------------------------

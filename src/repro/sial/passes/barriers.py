@@ -5,13 +5,17 @@ phases it separates already commute: no access before it conflicts with
 an access after it.  That is exactly the question the race detector's
 phase segmentation answers, so instead of a bespoke (and inevitably
 weaker) dependence analysis, the pass *reuses the checker as an
-oracle*: re-run :func:`~..racecheck.check_races` with the candidate
-barrier's source location in ``ignore_barriers`` -- which merges the
-two phases -- and remove the barrier only when the merged-phase run
-reports **no diagnostic beyond the baseline** run's.  A barrier whose
-removal could reorder a write against a conflicting access would
-produce a new read-write/write-write diagnostic in the merged run and
-is kept.
+oracle*.  It walks the program once, with every barrier present
+(:class:`~..racecheck.RaceWalk`), and takes that walk's diagnostics as
+the baseline.  A candidate barrier is removed only when merging the
+phases it separates (:meth:`~..racecheck.RaceWalk.merged_report`)
+reports **no diagnostic beyond the baseline**.  A barrier whose removal
+could reorder a write against a conflicting access would produce a new
+read-write/write-write diagnostic in the merged phases and is kept.
+
+The pass reads the analyzed AST the compiler left on the program
+(``CompiledProgram.analysis``); only a program that lost it (one that
+crossed a pickle) is parsed again.
 
 Conservatisms: programs without source text (hand-built
 ``CompiledProgram`` objects) are skipped, as are barriers the compiler
@@ -52,24 +56,27 @@ def coalesce_barriers(prog: CompiledProgram) -> tuple[CompiledProgram, PassRepor
         report.notes.append("no provable barriers (no source or none present)")
         return prog, report
 
-    from ..analyzer import analyze
     from ..errors import SialError
-    from ..parser import parse
-    from ..racecheck import check_races
+    from ..racecheck import RaceWalk
 
-    try:
-        analyzed = analyze(parse(prog.source, prog.name), prog.source)
-    except SialError:
-        report.notes.append("source no longer analyzable; pass skipped")
-        return prog, report
+    analyzed = prog.analysis
+    if analyzed is None:
+        from ..analyzer import analyze
+        from ..parser import parse
 
-    baseline = _diag_keys(check_races(analyzed))
+        try:
+            analyzed = analyze(parse(prog.source, prog.name), prog.source)
+        except SialError:
+            report.notes.append("source no longer analyzable; pass skipped")
+            return prog, report
+
+    walk = RaceWalk(analyzed)
+    baseline = _diag_keys(walk.report())
     accepted: set[tuple[int, int]] = set()
     removed_pcs: list[int] = []
     for pc, loc in candidates:
         trial = accepted | {(loc.line, loc.column)}
-        merged = check_races(analyzed, ignore_barriers=frozenset(trial))
-        if _diag_keys(merged) <= baseline:
+        if _diag_keys(walk.merged_report(trial)) <= baseline:
             accepted = trial
             removed_pcs.append(pc)
 

@@ -128,16 +128,7 @@ def fold_constants(prog: CompiledProgram) -> tuple[CompiledProgram, PassReport]:
     report.notes.append(
         f"{len(interned)} distinct RPN programs after interning"
     )
-    out = CompiledProgram(
-        name=prog.name,
-        instructions=instrs,
-        index_table=prog.index_table,
-        array_table=prog.array_table,
-        scalar_table=prog.scalar_table,
-        symbolic_table=prog.symbolic_table,
-        proc_entries=dict(prog.proc_entries),
-        source=prog.source,
-        opt_level=prog.opt_level,
-        opt_report=prog.opt_report,
+    out = dc_replace(
+        prog, instructions=instrs, proc_entries=dict(prog.proc_entries)
     )
     return out, report

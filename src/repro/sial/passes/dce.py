@@ -49,13 +49,17 @@ _COMPUTE_OPS = {
 }
 
 
-def _operands(arg):
+def _operands(arg) -> list[BlockOperand]:
     """Every BlockOperand inside one (possibly nested) argument."""
-    if isinstance(arg, BlockOperand):
-        yield arg
-    elif isinstance(arg, (tuple, list)):
-        for item in arg:
-            yield from _operands(item)
+    found: list[BlockOperand] = []
+    stack = [arg]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, BlockOperand):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return found
 
 
 def _read_array_ids(prog: CompiledProgram) -> set[int]:

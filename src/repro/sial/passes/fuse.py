@@ -106,22 +106,19 @@ def fuse_contractions(prog: CompiledProgram) -> tuple[CompiledProgram, PassRepor
     sanctioned: dict[int, set[int]] = {}  # array id -> {producer pcs}
     for pc, (_, tmp_op) in pairs.items():
         sanctioned.setdefault(tmp_op.array_id, set()).add(pc)
-    for array_id, producer_pcs in list(sanctioned.items()):
-        member_pcs = set(producer_pcs) | {pc + 1 for pc in producer_pcs}
+    referenced_at: dict[int, set[int]] = {}  # array id -> pcs naming it
+    if sanctioned:
         for pc, instr in enumerate(prog.instructions):
-            if pc in member_pcs:
-                continue
-            refs = any(
-                operand.array_id == array_id
-                for operand in _operands(instr.args)
-            )
+            for operand in _operands(instr.args):
+                referenced_at.setdefault(operand.array_id, set()).add(pc)
             if instr.op in (
                 Op.CREATE, Op.DELETE, Op.BLOCKS_TO_LIST, Op.LIST_TO_BLOCKS
             ):
-                refs = refs or instr.args[0] == array_id
-            if refs:
-                del sanctioned[array_id]
-                break
+                referenced_at.setdefault(instr.args[0], set()).add(pc)
+    for array_id, producer_pcs in list(sanctioned.items()):
+        member_pcs = set(producer_pcs) | {pc + 1 for pc in producer_pcs}
+        if referenced_at.get(array_id, set()) - member_pcs:
+            del sanctioned[array_id]
 
     rw = Rewriter(prog)
     fused = 0

@@ -122,4 +122,7 @@ class PassManager:
                 )
         prog.opt_level = self.level
         prog.opt_report = report
+        # the passes were the AST's last reader; a run should not keep
+        # it resident beside its blocks
+        prog.analysis = None
         return prog

@@ -137,19 +137,12 @@ class Rewriter:
 
         _relink_loops(remapped)
         _rebuild_get_pcs(remapped)
-        return CompiledProgram(
-            name=self.prog.name,
+        return dc_replace(
+            self.prog,
             instructions=remapped,
-            index_table=self.prog.index_table,
-            array_table=self.prog.array_table,
-            scalar_table=self.prog.scalar_table,
-            symbolic_table=self.prog.symbolic_table,
             proc_entries={
                 name: target(pc) for name, pc in self.prog.proc_entries.items()
             },
-            source=self.prog.source,
-            opt_level=self.prog.opt_level,
-            opt_report=self.prog.opt_report,
         )
 
 
@@ -239,17 +232,11 @@ def remove_arrays(
             )
         else:
             instrs.append(dc_replace(instr, args=fix(instr.args)))
-    return CompiledProgram(
-        name=prog.name,
+    return dc_replace(
+        prog,
         instructions=instrs,
-        index_table=prog.index_table,
         array_table=table,
-        scalar_table=prog.scalar_table,
-        symbolic_table=prog.symbolic_table,
         proc_entries=dict(prog.proc_entries),
-        source=prog.source,
-        opt_level=prog.opt_level,
-        opt_report=prog.opt_report,
     )
 
 

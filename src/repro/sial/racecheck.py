@@ -44,7 +44,7 @@ from . import ast_nodes as ast
 from .errors import SourceLocation
 from .symbols import ArraySymbol, SubindexSymbol, SymbolTable
 
-__all__ = ["RaceDiagnostic", "RaceReport", "check_races"]
+__all__ = ["RaceDiagnostic", "RaceReport", "RaceWalk", "check_races"]
 
 DISTRIBUTED = "distributed"
 SERVED = "served"
@@ -93,7 +93,7 @@ class RaceReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs 6x
 class _Access:
     """One get/request/put/prepare occurrence along the symbolic walk."""
 
@@ -122,21 +122,27 @@ class _WalkState:
     pardo_location: Optional[SourceLocation] = None
 
 
+#: statements that touch only worker-local state or replicated scalars;
+#: the walk skips them before its type dispatch (most statements are
+#: block or scalar assignments)
+_LOCAL_ONLY = (
+    ast.BlockAssign, ast.ScalarAssign, ast.Collective, ast.Create,
+    ast.Delete, ast.Allocate, ast.Deallocate, ast.ComputeIntegrals,
+    ast.Execute,
+)  # fmt: skip
+
+
 class _Walker:
-    def __init__(
-        self,
-        program: ast.Program,
-        symbols: SymbolTable,
-        ignore_barriers: frozenset = frozenset(),
-    ) -> None:
+    def __init__(self, program: ast.Program, symbols: SymbolTable) -> None:
         self.program = program
         self.symbols = symbols
-        #: (line, column) of barrier statements to treat as absent --
-        #: used by the optimizer's barrier-coalescing pass to prove a
-        #: barrier redundant: if ignoring it adds no diagnostics, the
-        #: phases it separated already commute
-        self.ignore_barriers = ignore_barriers
         self.accesses: list[_Access] = []
+        # id(BlockRef) -> (array symbol, canonical tuple): loop bodies
+        # are walked twice, nested ones four times, ...
+        self._refs: dict[int, tuple[ArraySymbol, tuple[str, ...]]] = {}
+        #: barrier statement (line, column) -> one (phase id it opens,
+        #: phase set it closes) per walked instance
+        self.barriers: dict[tuple[int, int], list[tuple[int, frozenset[int]]]] = {}
         self._next_id = 0
 
     def fresh(self) -> int:
@@ -167,10 +173,15 @@ class _Walker:
         verb: str,
         location: Optional[SourceLocation],
     ) -> None:
-        sym = self.array_symbol(ref.array)
+        resolved = self._refs.get(id(ref))
+        if resolved is None:
+            resolved = self._refs[id(ref)] = (
+                self.array_symbol(ref.array),
+                self.canonical(ref),
+            )
+        sym, canonical = resolved
         if sym.kind not in (DISTRIBUTED, SERVED):
             return
-        canonical = self.canonical(ref)
         covers = st.pardo is not None and st.pardo_indices <= set(canonical)
         self.accesses.append(
             _Access(
@@ -232,12 +243,17 @@ class _Walker:
     def walk_stmt(
         self, stmt: ast.Stmt, st: _WalkState, proc_stack: tuple[str, ...]
     ) -> None:
+        if isinstance(stmt, _LOCAL_ONLY):
+            return
         if isinstance(stmt, ast.Barrier):
-            loc = stmt.location
-            if loc is not None and (loc.line, loc.column) in self.ignore_barriers:
-                return  # pretend the barrier is not there
             cls = DISTRIBUTED if stmt.kind == "sip" else SERVED
-            st.phases[cls] = frozenset([self.fresh()])
+            opened = self.fresh()
+            loc = stmt.location
+            if loc is not None:
+                self.barriers.setdefault((loc.line, loc.column), []).append(
+                    (opened, st.phases[cls])
+                )
+            st.phases[cls] = frozenset([opened])
         elif isinstance(stmt, ast.Pardo):
             inner = _WalkState(
                 phases=st.phases,
@@ -319,9 +335,7 @@ class _Walker:
                         st, sym.name, "read", "checkpoint", stmt.location
                     )
             st.phases[DISTRIBUTED] = frozenset([self.fresh()])
-        # all remaining statements (block assignments, scalar work,
-        # collective, create/delete, allocate, compute_integrals,
-        # execute) touch only worker-local state or replicated scalars
+        # all remaining statements are _LOCAL_ONLY
 
 
 # -- conflict rules ---------------------------------------------------------
@@ -364,6 +378,11 @@ class _ConflictFinder:
     def __init__(self, program_name: str) -> None:
         self.report = RaceReport(program_name)
         self._seen: set[tuple] = set()
+
+    def reported(
+        self, kind: str, acc: _Access, related: Optional[SourceLocation] = None
+    ) -> bool:
+        return (kind, acc.array, acc.location, related) in self._seen
 
     def add(
         self,
@@ -410,6 +429,7 @@ class _ConflictFinder:
             )
 
     def check_pair(self, a: _Access, b: _Access) -> None:
+        """Cross-conflicts of two accesses the caller found in one phase."""
         if a.mode == "read" and b.mode == "read":
             return
         if a.mode == "+=" and b.mode == "+=":
@@ -423,8 +443,6 @@ class _ConflictFinder:
             # the same sequential statement seen again through a loop
             # unroll; SPMD self-conflicts are reported by check_single
             return
-        if not (a.phases & b.phases):
-            return
         if not _branch_compatible(a, b):
             return
         if not _may_overlap(a, b):
@@ -432,41 +450,138 @@ class _ConflictFinder:
         # order: writer first for the message
         if a.mode == "read":
             a, b = b, a
-        kind = READ_WRITE if b.mode == "read" else WRITE_WRITE
+        if b.mode == "read":
+            kind, primary, related = READ_WRITE, b, a.location
+        else:
+            kind, primary, related = WRITE_WRITE, a, b.location
+        if self.reported(kind, primary, related):
+            return  # loop unrolls repeat a pair; build its message once
         if kind == READ_WRITE:
             msg = (
                 f"{_describe(b)} may read a block that {_describe(a)} writes "
                 "in the same barrier phase"
             )
-            primary, related = b, a.location
         else:
             msg = (
                 f"{_describe(a)} and {_describe(b)} may write the same block "
                 "in the same barrier phase and at most one is an accumulate"
             )
-            primary, related = a, b.location
         self.add(kind, primary, msg, related)
 
 
-def check_races(analyzed, ignore_barriers: frozenset = frozenset()) -> RaceReport:
-    """Run the race check on an :class:`~.analyzer.AnalyzedProgram`.
+class RaceWalk:
+    """A program's barrier phases, walked once with every barrier present.
 
-    ``ignore_barriers`` is a set of ``(line, column)`` source positions
-    of barrier statements to treat as absent; the phase segmentation is
-    otherwise identical.  The optimizer's barrier-coalescing pass uses
-    this to prove a barrier redundant by re-running the check without it.
+    Removing a barrier never needs a second walk.  Each walked instance
+    of a barrier closes a phase set ``S`` and opens a fresh phase ``p``;
+    without that barrier the walk would simply have carried ``S`` on
+    where it now carries ``{p}``.  Phase sets only ever flow on by
+    copy and union, which commute with substitution, so every access's
+    phase set in the barrier-free walk is its recorded set with each
+    removed ``p`` replaced by (the substituted) ``S``.  Ids in ``S``
+    are older than ``p``, so one ascending sweep resolves chains of
+    removed barriers.
     """
-    walker = _Walker(analyzed.program, analyzed.symbols, ignore_barriers)
-    walker.walk_program()
-    finder = _ConflictFinder(analyzed.program.name)
 
-    by_array: dict[tuple[str, str], list[_Access]] = {}
-    for acc in walker.accesses:
-        finder.check_single(acc)
-        by_array.setdefault((acc.cls, acc.array), []).append(acc)
+    def __init__(self, analyzed) -> None:
+        walker = _Walker(analyzed.program, analyzed.symbols)
+        walker.walk_program()
+        self.name = analyzed.program.name
+        self.accesses = walker.accesses
+        self.barriers = walker.barriers
+        # (class, array) -> phase id -> (readers, writers): indices of the
+        # accesses in that phase.  Two reads never conflict, so only
+        # pairs with a writer are ever checked.  Groups keep
+        # first-appearance order, which fixes the report's order.
+        self._buckets: dict[
+            tuple[str, str], dict[int, tuple[list[int], list[int]]]
+        ] = {}
+        for i, acc in enumerate(self.accesses):
+            by_phase = self._buckets.setdefault((acc.cls, acc.array), {})
+            for pid in acc.phases:
+                by_phase.setdefault(pid, ([], []))[acc.mode != "read"].append(i)
 
-    for group in by_array.values():
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                finder.check_pair(a, b)
-    return finder.report
+    def report(self) -> RaceReport:
+        """Every diagnostic of the program as written."""
+        finder = _ConflictFinder(self.name)
+        for acc in self.accesses:
+            finder.check_single(acc)
+        for by_phase in self._buckets.values():
+            pairs = set()
+            for readers, writers in by_phase.values():
+                for x, i in enumerate(writers):
+                    pairs.update(
+                        (i, j) if i < j else (j, i)
+                        for j in (*writers[x + 1 :], *readers)
+                    )
+            self._check_pairs(finder, pairs)
+        return finder.report
+
+    def merged_report(self, removed: set[tuple[int, int]]) -> RaceReport:
+        """The diagnostics the program gains without the barriers at the
+        ``removed`` (line, column) positions.
+
+        Only pairs of accesses whose phase sets newly intersect are
+        checked; a pair that already shared a phase reports the same
+        diagnostic with or without the barriers.
+        """
+        subst = self._substitution(removed)
+        finder = _ConflictFinder(self.name)
+        accesses = self.accesses
+        for by_phase in self._buckets.values():
+            # the accesses whose phase set the removal rewrites
+            moved: dict[int, frozenset[int]] = {}
+            for pid in subst:
+                for side in by_phase.get(pid, ()):
+                    for i in side:
+                        if i not in moved:
+                            moved[i] = frozenset().union(
+                                *(subst.get(x, (x,)) for x in accesses[i].phases)
+                            )
+            merged: dict[int, tuple[list[int], list[int]]] = {}
+            for i, phases in moved.items():
+                for pid in phases:
+                    merged.setdefault(pid, ([], []))[
+                        accesses[i].mode != "read"
+                    ].append(i)
+            pairs = set()
+            for pid, (moved_r, moved_w) in merged.items():
+                readers, writers = by_phase.get(pid, ((), ()))
+                kept_r = [j for j in readers if j not in moved]
+                kept_w = [j for j in writers if j not in moved]
+                # every new pair has a moved access and a writer
+                new = [
+                    (i, j)
+                    for x, i in enumerate(moved_w)
+                    for j in (*moved_w[x + 1 :], *moved_r, *kept_r, *kept_w)
+                ]
+                new += [(i, j) for i in kept_w for j in moved_r]
+                pairs.update(
+                    (i, j) if i < j else (j, i)
+                    for i, j in new
+                    if not accesses[i].phases & accesses[j].phases
+                )
+            self._check_pairs(finder, pairs)
+        return finder.report
+
+    def _substitution(
+        self, removed: set[tuple[int, int]]
+    ) -> dict[int, frozenset[int]]:
+        """Phase id a removed barrier opened -> the phases it continues."""
+        opened = sorted(
+            instance for loc in removed for instance in self.barriers.get(loc, ())
+        )
+        subst: dict[int, frozenset[int]] = {}
+        for pid, closed in opened:
+            subst[pid] = frozenset().union(*(subst.get(x, (x,)) for x in closed))
+        return subst
+
+    def _check_pairs(self, finder: _ConflictFinder, pairs: set) -> None:
+        # walk order, as a pairwise sweep over the group would visit them
+        for i, j in sorted(pairs):
+            finder.check_pair(self.accesses[i], self.accesses[j])
+
+
+def check_races(analyzed) -> RaceReport:
+    """Run the race check on an :class:`~.analyzer.AnalyzedProgram`."""
+    return RaceWalk(analyzed).report()

@@ -105,7 +105,9 @@ class SIPConfig:
         pairs, hoists loop-invariant fetches, inserts pardo prefetch
         hints and coalesces provably redundant barriers (see
         :mod:`repro.sial.passes`).  Results are bitwise identical
-        across levels.
+        across levels.  The default is 2, the level every benchmark
+        and golden counter runs at; 0 is the differential suites'
+        reference.
     kernel_wallclock:
         Accumulate host wall-clock time per kernel opcode on each
         worker's backend (``backend.wall``); the benchmark harness uses
@@ -183,7 +185,7 @@ class SIPConfig:
     mp_timeout: float = 120.0
     mp_arena_slab_bytes: int = 1 << 22
     mp_arena_max_bytes: int = 1 << 26
-    opt_level: int = 0
+    opt_level: int = 2
     kernel_wallclock: bool = False
     machine: Machine = LAPTOP
     memory_per_worker: Optional[float] = None

@@ -548,6 +548,7 @@ def _merge(
             tgt.hits += ps.hits
             tgt.misses += ps.misses
             tgt.gemm_plans += ps.gemm_plans
+            tgt.outer_plans += ps.outer_plans
             tgt.einsum_plans += ps.einsum_plans
             tgt.perm_hits += ps.perm_hits
             tgt.perm_misses += ps.perm_misses

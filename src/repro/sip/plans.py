@@ -14,10 +14,14 @@ result:
   scratch buffer (``out=``); this mirrors exactly how numpy's own
   optimized einsum lowers a two-operand contraction, so the results are
   bit-identical to the legacy path;
-* a :class:`_EinsumPlan` holding a precomputed ``np.einsum_path``
-  otherwise (repeated indices, batch dimensions, pure reductions,
-  outer products), which skips the per-call path search while executing
-  the identical contraction sequence.
+* an :class:`_OuterPlan` when nothing is contracted -- one broadcast
+  ``np.multiply`` and the output transpose; every output element is a
+  single product, so the bits equal einsum's;
+* a :class:`_EinsumPlan` otherwise (repeated indices, batch dimensions,
+  pure reductions).  Its precomputed ``np.einsum_path`` pins the
+  contraction order, but ``np.einsum`` still parses the subscripts and
+  validates the path on every call (~25 us on 2x2 blocks, ten times a
+  small GEMM), which is why the common shapes get plans of their own.
 
 The cache key is ``(index-id signature, operand shapes)``; the
 same cache also memoizes the ``_perm`` axis permutations used by the
@@ -80,6 +84,7 @@ class PlanCacheStats:
     hits: int = 0
     misses: int = 0
     gemm_plans: int = 0
+    outer_plans: int = 0
     einsum_plans: int = 0
     perm_hits: int = 0
     perm_misses: int = 0
@@ -146,8 +151,32 @@ class _GemmPlan(_Plan):
         _apply(dst, self.scratch.reshape(self.res_shape).transpose(self.out_perm), op)
 
 
+class _OuterPlan(_Plan):
+    """An outer product: ``a`` broadcast against ``b``, then transposed.
+
+    ``a`` gains one trailing unit axis per axis of ``b``, so the
+    multiply yields ``a``'s axes followed by ``b``'s; ``out_perm`` puts
+    them in output order.
+    """
+
+    __slots__ = ("a_shape", "out_perm")
+
+    def __init__(
+        self, a_shape: tuple[int, ...], b_ndim: int, out_perm: tuple[int, ...]
+    ) -> None:
+        self.a_shape = a_shape + (1,) * b_ndim
+        self.out_perm = out_perm
+
+    def execute(self, a: np.ndarray, b: np.ndarray, dst: np.ndarray, op: str) -> None:
+        _apply(dst, np.multiply(a.reshape(self.a_shape), b).transpose(self.out_perm), op)
+
+
 class _EinsumPlan(_Plan):
-    """Fallback: the naive einsum with its contraction path precomputed."""
+    """Fallback: the naive einsum with its contraction order fixed.
+
+    The precomputed path spares the path search, not einsum's per-call
+    subscript parsing and path validation.
+    """
 
     __slots__ = ("subscripts", "path")
 
@@ -171,16 +200,17 @@ def _compile_contraction(
     b_shape: tuple[int, ...],
     out_ids: tuple[int, ...],
 ):
-    """Lower one contraction signature to a GEMM plan, or bail to einsum.
+    """Lower one contraction signature to a GEMM or outer-product plan,
+    or bail to einsum.
 
-    GEMM applies only to the clean case: no repeated index within an
+    Both apply only to the clean case: no repeated index within an
     operand (diagonals), no batch index (present in a, b, and out), no
     pure reductions (an index of one operand absent from both the other
-    operand and the output), and a non-empty contracted set.  Everything
-    else runs through the cached einsum path, which is what the legacy
-    backend executed anyway.
+    operand and the output).  A clean signature with a contracted index
+    is a GEMM, one without is an outer product.  Everything else runs
+    through einsum on a fixed path, which is what the legacy backend
+    executed anyway.
     """
-    subscripts = einsum_subscripts(a_ids, b_ids, out_ids)
     set_a, set_b, set_out = set(a_ids), set(b_ids), set(out_ids)
     clean = (
         len(set_a) == len(a_ids)
@@ -192,7 +222,7 @@ def _compile_contraction(
         and all(ix in set_a or ix in set_b for ix in out_ids)
     )
     if not clean:
-        return _EinsumPlan(subscripts, a_shape, b_shape)
+        return _EinsumPlan(einsum_subscripts(a_ids, b_ids, out_ids), a_shape, b_shape)
     # numpy's path executor pops operands in reverse, so the pair
     # contraction runs as "b, a": b's kept axes are the GEMM rows (M),
     # the contracted axes fold in b-order (K), a's kept axes are the
@@ -201,7 +231,7 @@ def _compile_contraction(
     k_ids = tuple(ix for ix in b_ids if ix in set_a)
     n_ids = tuple(ix for ix in a_ids if ix in set_out)
     if not k_ids:
-        return _EinsumPlan(subscripts, a_shape, b_shape)  # outer product
+        return _OuterPlan(a_shape, len(b_ids), perm(out_ids, (*a_ids, *b_ids)))
     a_pos = {ix: p for p, ix in enumerate(a_ids)}
     b_pos = {ix: p for p, ix in enumerate(b_ids)}
     b_perm = tuple(b_pos[ix] for ix in (*m_ids, *k_ids))
@@ -259,6 +289,8 @@ class KernelPlanCache:
         plan.cost = None
         if isinstance(plan, _GemmPlan):
             self.stats.gemm_plans += 1
+        elif isinstance(plan, _OuterPlan):
+            self.stats.outer_plans += 1
         else:
             self.stats.einsum_plans += 1
         self._contractions[key] = plan

@@ -193,7 +193,8 @@ class RunProfile:
             lines.append(
                 f"kernel plans: {p.hits} hits / {p.misses} misses "
                 f"(hit rate {100.0 * p.hit_rate:.1f} %, "
-                f"{p.gemm_plans} gemm / {p.einsum_plans} einsum)"
+                f"{p.gemm_plans} gemm / {p.outer_plans} outer / "
+                f"{p.einsum_plans} einsum)"
             )
         if self.cow is not None:
             c = self.cow

@@ -85,7 +85,8 @@ def run_source(
     symbolics: Optional[dict[str, float]] = None,
 ) -> RunResult:
     """Compile SIAL source and run it (convenience wrapper)."""
-    return run_program(compile_source(source), config, symbolics)
+    # verbatim: run_program applies the config's -O level
+    return run_program(compile_source(source, optimize=0), config, symbolics)
 
 
 def run_program(
@@ -405,7 +406,13 @@ def _collect_stats(rt, workers, servers, master) -> dict[str, Any]:
         "plan_cache_misses": plans.stats.misses if plans is not None else 0,
         "plan_cache_hit_rate": plans.stats.hit_rate if plans is not None else 0.0,
         "plan_cache_gemm": plans.stats.gemm_plans if plans is not None else 0,
-        "plan_cache_einsum": plans.stats.einsum_plans if plans is not None else 0,
+        # every plan that is not a GEMM, as before outer products had
+        # a plan of their own: the golden counters pin this sum
+        "plan_cache_einsum": (
+            plans.stats.einsum_plans + plans.stats.outer_plans
+            if plans is not None
+            else 0
+        ),
         "cow_shared_payloads": rt.cow.sends_shared,
         "cow_bytes_not_copied": rt.cow.bytes_not_copied,
         "cow_copies": rt.cow.cow_copies,

@@ -25,7 +25,7 @@ local LO(M, N)
 
 
 def compile_body(body, decls=DECLS):
-    return compile_source(f"sial t\n{decls}\n{body}\nendsial t\n")
+    return compile_source(f"sial t\n{decls}\n{body}\nendsial t\n", optimize=0)
 
 
 def ops(prog):
@@ -122,7 +122,7 @@ endproc setx
 call setx
 endsial t
 """
-    prog = compile_source(src)
+    prog = compile_source(src, optimize=0)
     assert ops(prog) == [Op.CALL, Op.STOP, Op.SCALAR_ASSIGN, Op.RETURN]
     assert prog.instructions[0].args[0] == 2
     assert prog.proc_entries == {"setx": 2}

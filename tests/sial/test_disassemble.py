@@ -101,7 +101,7 @@ def test_format_rpn_round_trips_shapes():
 
 def test_disassemble_marks_optimized_programs():
     source = ALL_PROGRAMS["ccsd"]
-    plain = disassemble(compile_source(source))
+    plain = disassemble(compile_source(source, optimize=0))
     opt = disassemble(compile_source(source, optimize=2))
     assert "; optimized at -O2" in opt
     assert "; optimized" not in plain

@@ -65,7 +65,7 @@ endsial t
 
 
 def test_constfold_reduces_rpn_to_literal():
-    prog = compile_source(CONSTFOLD_SRC)
+    prog = compile_source(CONSTFOLD_SRC, optimize=0)
     folded, report = fold_constants(prog)
     assert bool(verify_program(folded))
     assigns = [i for i in folded.instructions if i.op == Op.SCALAR_ASSIGN]
@@ -79,7 +79,7 @@ def test_constfold_reduces_rpn_to_literal():
 
 
 def test_constfold_interns_identical_rpn_programs():
-    prog = compile_source(CONSTFOLD_SRC)
+    prog = compile_source(CONSTFOLD_SRC, optimize=0)
     folded, _ = fold_constants(prog)
     assigns = [i for i in folded.instructions if i.op == Op.SCALAR_ASSIGN]
     # x and y are assigned the same folded expression: one shared tuple
@@ -106,7 +106,7 @@ endsial t
 
 
 def test_dce_removes_unread_temp_writes_and_prunes_the_array():
-    prog = compile_source(DCE_SRC)
+    prog = compile_source(DCE_SRC, optimize=0)
     before_arrays = [d.name for d in prog.array_table]
     assert "DEAD" in before_arrays
     after, report = eliminate_dead(prog)
@@ -162,7 +162,7 @@ endsial t
 
 
 def test_fuse_rewrites_contract_accum_pair_into_one_superinstruction():
-    prog = compile_source(FUSE_SRC)
+    prog = compile_source(FUSE_SRC, optimize=0)
     fused, report = fuse_contractions(prog)
     assert bool(verify_program(fused))
     assert report.removed == 1
@@ -176,7 +176,7 @@ def test_fuse_rewrites_contract_accum_pair_into_one_superinstruction():
 
 
 def test_fused_pipeline_sweeps_the_dead_temp():
-    prog = optimize_program(compile_source(FUSE_SRC), 2)
+    prog = optimize_program(compile_source(FUSE_SRC, optimize=0), 2)
     # TMP only existed to carry the contraction into the +=; after
     # fusion + DCE its descriptor is gone
     assert "TMP" not in [d.name for d in prog.array_table]
@@ -192,7 +192,7 @@ def test_fuse_refuses_when_temp_escapes():
         "  put C(M, N) = ACC(M, N)\n",
         "  TMP(M, N) *= 2.0\n  put C(M, N) = ACC(M, N)\n",
     )
-    prog = compile_source(source)
+    prog = compile_source(source, optimize=0)
     fused, report = fuse_contractions(prog)
     assert report.removed == 0
     assert Op.CONTRACT_FUSED not in ops(fused)
@@ -230,7 +230,7 @@ endsial t
 
 
 def test_hoist_moves_invariant_get_before_the_loop():
-    prog = compile_source(HOIST_SRC)
+    prog = compile_source(HOIST_SRC, optimize=0)
     hoisted, report = hoist_invariants(prog)
     assert bool(verify_program(hoisted))
     assert report.removed == 1
@@ -272,7 +272,7 @@ endsial t
 
 
 def test_dedup_deletes_refetch_of_identical_operand():
-    prog = compile_source(DEDUP_SRC)
+    prog = compile_source(DEDUP_SRC, optimize=0)
     deduped, report = eliminate_redundant_fetches(prog)
     assert bool(verify_program(deduped))
     assert report.removed == 1
@@ -317,7 +317,7 @@ pardo M, N
 endpardo M, N
 endsial t
 """
-    prog = compile_source(source)
+    prog = compile_source(source, optimize=0)
     deduped, report = eliminate_redundant_fetches(prog)
     # the second sibling `do K` re-fetches exactly the blocks the first
     # already enumerated: its gets are dominated and deleted
@@ -355,7 +355,7 @@ endsial t
 
 
 def test_prefetch_hints_land_at_body_start():
-    prog = compile_source(PREFETCH_SRC)
+    prog = compile_source(PREFETCH_SRC, optimize=0)
     hinted, report = insert_prefetches(prog)
     assert bool(verify_program(hinted))
     assert report.inserted >= 1
@@ -401,7 +401,7 @@ endsial t
 
 
 def test_barrier_coalescing_removes_provably_redundant_barrier():
-    prog = compile_source(REDUNDANT_BARRIER_SRC)
+    prog = compile_source(REDUNDANT_BARRIER_SRC, optimize=0)
     assert ops(prog).count(Op.SIP_BARRIER) == 2
     merged, report = coalesce_barriers(prog)
     assert bool(verify_program(merged))
@@ -412,7 +412,7 @@ def test_barrier_coalescing_removes_provably_redundant_barrier():
 
 
 def test_barrier_coalescing_keeps_load_bearing_barriers():
-    prog = compile_source(HOIST_SRC)
+    prog = compile_source(HOIST_SRC, optimize=0)
     merged, report = coalesce_barriers(prog)
     # the single barrier separates the producing and consuming pardos:
     # removing it would introduce a race diagnostic, so it stays
@@ -424,7 +424,7 @@ def test_barrier_coalescing_keeps_load_bearing_barriers():
 # pass manager plumbing
 # ---------------------------------------------------------------------------
 def test_optimize_program_is_idempotent_and_tags_the_program():
-    prog = compile_source(FUSE_SRC)
+    prog = compile_source(FUSE_SRC, optimize=0)
     opt = optimize_program(prog, 2)
     assert opt.opt_level == 2
     assert opt.opt_report is not None
@@ -441,7 +441,7 @@ def test_optimize_program_runs_the_passes_once_per_program_and_level(monkeypatch
     monkeypatch.setattr(
         passes, "build_pipeline", lambda level: built.append(level) or real(level)
     )
-    prog = compile_source(FUSE_SRC)
+    prog = compile_source(FUSE_SRC, optimize=0)
     o2 = optimize_program(prog, 2)
     assert optimize_program(prog, 2) is o2
     o1 = optimize_program(prog, 1)
@@ -454,11 +454,11 @@ def test_optimize_program_runs_the_passes_once_per_program_and_level(monkeypatch
         run_program(prog, cfg, dict(NB))
     assert built == [2, 1]
     # and a recompile starts clean
-    assert optimize_program(compile_source(FUSE_SRC), 2) is not o2
+    assert optimize_program(compile_source(FUSE_SRC, optimize=0), 2) is not o2
 
 
 def test_optimize_program_rejects_bad_levels():
-    prog = compile_source(CONSTFOLD_SRC)
+    prog = compile_source(CONSTFOLD_SRC, optimize=0)
     with pytest.raises(ValueError):
         optimize_program(prog, 3)
     with pytest.raises(ValueError):
@@ -473,7 +473,8 @@ def test_pipeline_report_counters_flow_into_run_stats():
     assert stats["opt_instructions_before"] > stats["opt_instructions_after"]
     assert stats["opt_fuse_removed"] == 1
     # unoptimized runs report level 0 and no pass counters
-    stats0 = run_source(FUSE_SRC, SIPConfig(workers=2, segment_size=2), dict(NB)).stats
+    cfg0 = SIPConfig(workers=2, segment_size=2, opt_level=0)
+    stats0 = run_source(FUSE_SRC, cfg0, dict(NB)).stats
     assert stats0["opt_level"] == 0
     assert "opt_fuse_removed" not in stats0
 
@@ -491,7 +492,7 @@ def test_every_pass_preserves_source_locations():
 def test_verify_program_catches_corruption():
     from dataclasses import replace as dc_replace
 
-    prog = compile_source(FUSE_SRC)
+    prog = compile_source(FUSE_SRC, optimize=0)
     bad_instrs = list(prog.instructions)
     jump_pcs = [
         pc for pc, i in enumerate(bad_instrs) if i.op == Op.BRANCH_FALSE

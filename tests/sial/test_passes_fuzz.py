@@ -153,7 +153,7 @@ def execute(prog, level: int):
 @given(programs())
 @settings(max_examples=25, deadline=None)
 def test_random_programs_are_bitwise_identical_across_opt_levels(source):
-    prog = compile_source(source)
+    prog = compile_source(source, optimize=0)
     r0 = execute(prog, 0)
     for level in (1, 2):
         opt = optimize_program(prog, level)

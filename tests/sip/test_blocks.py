@@ -13,7 +13,7 @@ from repro.sip.blocks import (
 
 
 def make_table(decls, symbolics=None, seg=4, sub=2, segment_sizes=None):
-    prog = compile_source(f"sial t\n{decls}\nendsial t\n")
+    prog = compile_source(f"sial t\n{decls}\nendsial t\n", optimize=0)
     return prog, ResolvedIndexTable(
         prog,
         symbolics or {},

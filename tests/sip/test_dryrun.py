@@ -22,7 +22,7 @@ served SV(M, N)
 
 
 def report_for(nb=16, seg=4, workers=4, **cfg_kw):
-    prog = compile_source(f"sial t\n{DECLS}\nendsial t\n")
+    prog = compile_source(f"sial t\n{DECLS}\nendsial t\n", optimize=0)
     config = SIPConfig(workers=workers, segment_size=seg, **cfg_kw)
     table = ResolvedIndexTable(prog, {"nb": nb}, segment_size=seg)
     return dry_run(prog, config, table)

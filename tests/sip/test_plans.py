@@ -1,10 +1,12 @@
 """Property tests for the compiled contraction plans.
 
-Every plan -- GEMM-lowered or einsum-path -- must produce results
+Every plan -- GEMM-lowered, outer product or einsum-path -- must produce results
 **bitwise identical** to the legacy ``np.einsum(..., optimize=True)``
 call it replaces, across permuted layouts, repeated (diagonal)
 indices, reductions, and operand slices.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from repro.sip.plans import (
     einsum_subscripts,
     perm,
 )
-from repro.sip.plans import _EinsumPlan, _GemmPlan  # type: ignore
+from repro.sip.plans import _EinsumPlan, _GemmPlan, _OuterPlan  # type: ignore
 
 
 def legacy(a_ids, a, b_ids, b, out_ids, out_shape, op="=", seed_dst=None):
@@ -59,7 +61,7 @@ CASES = [
     ((0, 1), (4, 5), (0, 1), (4, 5), (0,), (4,)),
     # pure reduction of an operand-only index -> einsum plan
     ((0, 1, 2), (4, 5, 3), (1,), (5,), (0,), (4,)),
-    # outer product (no contracted index) -> einsum plan
+    # outer product (no contracted index) -> outer plan
     ((0,), (4,), (1,), (5,), (0, 1), (4, 5)),
 ]
 
@@ -99,7 +101,61 @@ def test_gemm_applies_to_clean_contractions_only():
     diagonal = cache.contraction((0, 0), (4, 4), (0, 1), (4, 3), (1,))
     assert isinstance(diagonal, _EinsumPlan)
     outer = cache.contraction((0,), (4,), (1,), (5,), (0, 1))
-    assert isinstance(outer, _EinsumPlan)
+    assert isinstance(outer, _OuterPlan)
+
+
+def _outer_signatures():
+    """(a_ids, a_shape, b_ids, b_shape, out_ids): every output order of
+    the 2x2-block products CCSD runs, plus lopsided and 0-d operands."""
+    for out_ids in itertools.permutations((0, 1, 2, 3)):
+        yield (0, 1), (2, 3), (2, 3), (2, 2), out_ids
+    for out_ids in itertools.permutations((0, 1, 2)):
+        yield (0,), (3,), (1, 2), (2, 4), out_ids
+        yield (0, 2), (3, 2), (1,), (5,), out_ids
+    yield (), (), (0, 1), (3, 2), (1, 0)
+    yield (0, 1), (3, 2), (), (), (0, 1)
+
+
+def _with_signed_zeros(rng, shape):
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    flat[:: 3] = 0.0
+    flat[1 :: 4] = -0.0
+    return x
+
+
+@pytest.mark.parametrize(
+    "sig", list(_outer_signatures()), ids=lambda sig: str(sig[4])
+)
+@pytest.mark.parametrize("op", ["=", "+=", "-="])
+def test_outer_plan_is_bitwise_einsum(sig, op):
+    """One broadcast multiply equals einsum bit for bit, signed zeros
+    included: each output element is a single product."""
+    a_ids, a_shape, b_ids, b_shape, out_ids = sig
+    rng = np.random.default_rng(len(out_ids) * 31 + sum(out_ids))
+    a = _with_signed_zeros(rng, a_shape)
+    b = _with_signed_zeros(rng, b_shape)
+    dims = dict(zip(a_ids + b_ids, a_shape + b_shape))
+    out_shape = tuple(dims[ix] for ix in out_ids)
+    seed = _with_signed_zeros(rng, out_shape)
+    cache = KernelPlanCache()
+    plan, got = run_plan(cache, a_ids, a, b_ids, b, out_ids, out_shape, op, seed)
+    want = legacy(a_ids, a, b_ids, b, out_ids, out_shape, op, seed)
+    assert isinstance(plan, _OuterPlan)
+    assert got.tobytes() == want.tobytes()
+    assert (cache.stats.outer_plans, cache.stats.gemm_plans) == (1, 0)
+    assert cache.stats.einsum_plans == 0
+
+
+def test_plan_stats_name_the_kind_that_ran():
+    cache = KernelPlanCache()
+    cache.contraction((0, 1), (2, 2), (2, 3), (2, 2), (0, 2, 1, 3))  # outer
+    cache.contraction((0, 1), (2, 2), (1, 2), (2, 2), (0, 2))  # gemm
+    cache.contraction((0, 0), (2, 2), (0, 1), (2, 2), (1,))  # diagonal
+    cache.contraction((0, 1), (2, 2), (2, 3), (2, 2), (0, 2, 1, 3))  # hit
+    stats = cache.stats
+    assert (stats.outer_plans, stats.gemm_plans, stats.einsum_plans) == (1, 1, 1)
+    assert (stats.misses, stats.hits) == (3, 1)
 
 
 def test_plan_reuse_is_bit_identical_and_counted():

@@ -71,7 +71,8 @@ def test_pardo_totals_max_elapsed_sum_waits():
 def test_report_maps_pcs_to_source_lines():
     prog = compile_source(
         "sial t\nsymbolic nb\naoindex M = 1, nb\ntemp T(M, M)\n"
-        "pardo M\nT(M, M) = 1.0\nendpardo\nendsial t\n"
+        "pardo M\nT(M, M) = 1.0\nendpardo\nendsial t\n",
+        optimize=0,  # -O2 deletes the dead temp fills
     )
     fill_pc = [i for i, ins in enumerate(prog.instructions) if ins.op == "FILL"][0]
     w = make_worker([(fill_pc, 1.0, 0.0)])
@@ -90,7 +91,8 @@ def test_report_without_program_still_renders():
 def test_by_line_merges_instructions_on_same_source_line():
     prog = compile_source(
         "sial t\nsymbolic nb\naoindex M = 1, nb\ntemp T(M, M)\n"
-        "pardo M\nT(M, M) = 1.0\nT(M, M) += 2.0\nendpardo\nendsial t\n"
+        "pardo M\nT(M, M) = 1.0\nT(M, M) += 2.0\nendpardo\nendsial t\n",
+        optimize=0,  # -O2 deletes the dead temp fills
     )
     fills = [i for i, ins in enumerate(prog.instructions) if ins.op == "FILL"]
     assert len(fills) == 2

@@ -149,7 +149,7 @@ def ranks(case):
     source, config, symbolics = case
     sim = Simulator()
     world = World(sim, config.world_size, config.machine.network(), None)
-    rt = SharedRuntime(compile_source(source), config, symbolics, sim, world)
+    rt = SharedRuntime(compile_source(source, optimize=0), config, symbolics, sim, world)
     workers = [
         WorkerProcess(rt, i, world.comm(config.worker_rank(i)))
         for i in range(config.workers)

@@ -42,6 +42,7 @@ def run_traced(workers=3, sanitize=False):
         tracer=tracer,
         inputs={"A": a, "B": b},
         sanitize=sanitize,
+        opt_level=0,  # the op counts below are the verbatim program's
     )
     res = run_source(SRC, cfg, symbolics={"nb": 8})
     return tracer, res

@@ -7,7 +7,9 @@ from repro.sip import SIPConfig, SIPError, run_source
 
 
 def cfg(**kw):
-    defaults = dict(workers=2, io_servers=1, segment_size=3)
+    # -O0: dead-code elimination would delete some of the faulty
+    # instructions these tests need the VM to trip over
+    defaults = dict(workers=2, io_servers=1, segment_size=3, opt_level=0)
     defaults.update(kw)
     return SIPConfig(**defaults)
 
