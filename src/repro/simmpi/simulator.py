@@ -225,7 +225,6 @@ class Simulator:
         self._processes: list[Process] = []
         self._active = 0
         self._errors: list[BaseException] = []
-        self.trace: Optional[Callable[[float, str], None]] = None
 
     # -- scheduling primitives -------------------------------------------
     def _schedule_call(self, delay: float, fn: Callable[..., None], *args: Any) -> None:

@@ -23,7 +23,6 @@ shapes alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Optional
@@ -36,22 +35,6 @@ from .config import SIPError
 from .plans import KernelPlanCache
 
 __all__ = ["KernelOperand", "ComputeBackend", "RealBackend", "ModelBackend", "make_backend"]
-
-#: kernel methods wrapped by the wall-clock instrumentation
-_KERNEL_NAMES = (
-    "fill",
-    "copy",
-    "accumulate",
-    "scale",
-    "scale_inplace",
-    "negate",
-    "addsub",
-    "contract",
-    "fused_contract",
-    "scalar_contract",
-    "compute_integrals",
-)
-
 
 @dataclass
 class KernelOperand:
@@ -85,34 +68,12 @@ class ComputeBackend:
     real = False
 
     def __init__(
-        self,
-        cost: CostModel,
-        plans: Optional[KernelPlanCache] = None,
-        timed: bool = False,
+        self, cost: CostModel, plans: Optional[KernelPlanCache] = None
     ) -> None:
         self.cost = cost
         if plans is None and self.real:
             plans = KernelPlanCache()
         self.plans = plans
-        self.wall: dict[str, float] = {}
-        if timed:
-            self._enable_wall_timing()
-
-    def _enable_wall_timing(self) -> None:
-        """Wrap every kernel to accumulate host wall-clock per opcode."""
-        for name in _KERNEL_NAMES:
-            inner = getattr(self, name)
-
-            def timed(*args, __inner=inner, __name=name):
-                t0 = time.perf_counter()
-                try:
-                    return __inner(*args)
-                finally:
-                    self.wall[__name] = (
-                        self.wall.get(__name, 0.0) + time.perf_counter() - t0
-                    )
-
-            setattr(self, name, timed)
 
     def _perm(self, dst_ids: tuple[int, ...], src_ids: tuple[int, ...]) -> tuple[int, ...]:
         return self.plans.perm(dst_ids, src_ids)
@@ -297,10 +258,9 @@ def make_backend(
     kind: str,
     cost: CostModel,
     plans: Optional[KernelPlanCache] = None,
-    timed: bool = False,
 ) -> ComputeBackend:
     if kind == "real":
-        return RealBackend(cost, plans=plans, timed=timed)
+        return RealBackend(cost, plans=plans)
     if kind == "model":
-        return ModelBackend(cost, timed=timed)
+        return ModelBackend(cost)
     raise ValueError(f"unknown backend {kind!r}")

@@ -108,10 +108,6 @@ class SIPConfig:
         across levels.  The default is 2, the level every benchmark
         and golden counter runs at; 0 is the differential suites'
         reference.
-    kernel_wallclock:
-        Accumulate host wall-clock time per kernel opcode on each
-        worker's backend (``backend.wall``); the benchmark harness uses
-        this for per-kernel timings.
     machine:
         Machine performance model used for all costs.
     memory_per_worker:
@@ -159,8 +155,9 @@ class SIPConfig:
     superinstructions:
         Extra user super instructions: name -> callable (see
         :mod:`repro.sip.registry`).
-    trace:
-        Optional callable ``(time, rank, text)`` for debugging.
+    tracer:
+        Optional :class:`~repro.sip.tracing.TraceRecorder` that records
+        per-rank timelines and per-section counters of the run.
     faults:
         Optional :class:`~repro.simmpi.faults.FaultPlan` injecting
         message drops/delays, disk errors and rank crashes.  Attaching
@@ -186,7 +183,6 @@ class SIPConfig:
     mp_arena_slab_bytes: int = 1 << 22
     mp_arena_max_bytes: int = 1 << 26
     opt_level: int = 2
-    kernel_wallclock: bool = False
     machine: Machine = LAPTOP
     memory_per_worker: Optional[float] = None
     spill: bool = False
@@ -198,7 +194,6 @@ class SIPConfig:
     inputs: dict[str, Any] = field(default_factory=dict)
     external_store: dict[str, Any] = field(default_factory=dict)
     superinstructions: dict[str, Callable[..., Any]] = field(default_factory=dict)
-    trace: Optional[Callable[[float, int, str], None]] = None
     tracer: Optional[Any] = None  # a repro.sip.tracing.TraceRecorder
     faults: Optional[FaultPlan] = None
     resilient: Optional[bool] = None

@@ -208,20 +208,14 @@ class IOServerProcess:
         nbytes = entry.block.nbytes
 
         def writer() -> Generator:
-            attempts = 0
-            while True:
-                fault = yield self.disk.write(nbytes)
-                if fault is None:
-                    break
-                attempts += 1
-                self.resilience.writeback_retries += 1
-                self._trace_fault("disk-write-retry", bid)
-                if attempts > RETRY_LIMIT:
-                    raise SIPError(
-                        f"ioserver{self.server_index}: write-back of {bid} "
-                        f"still failing after {attempts} attempts"
-                    )
-                yield Timeout(RETRY_TIMEOUT * RETRY_BACKOFF ** (attempts - 1))
+            yield from self._disk_io(
+                self.disk.write,
+                nbytes,
+                bid,
+                "write-back",
+                "writeback_retries",
+                "disk-write-retry",
+            )
             if not self.blockio.writeback_current(bid, version):
                 # a newer write-back owns the disk image; storing this
                 # snapshot would clobber fresher data
@@ -298,23 +292,38 @@ class IOServerProcess:
                 )
             return self._fresh_block(bid)
         shape = self.rt.block_shape(bid)
-        attempts = 0
-        while True:
-            fault = yield self.disk.read(self._block_nbytes(bid))
-            if fault is None:
-                break
-            attempts += 1
-            self.resilience.disk_read_retries += 1
-            self._trace_fault("disk-read-retry", bid)
-            if attempts > RETRY_LIMIT:
-                raise SIPError(
-                    f"ioserver{self.server_index}: read of {bid} still "
-                    f"failing after {attempts} attempts"
-                )
-            yield Timeout(RETRY_TIMEOUT * RETRY_BACKOFF ** (attempts - 1))
+        yield from self._disk_io(
+            self.disk.read,
+            self._block_nbytes(bid),
+            bid,
+            "read",
+            "disk_read_retries",
+            "disk-read-retry",
+        )
         if isinstance(stored, np.ndarray):
             return Block(shape, stored.copy())
         return Block(shape, None)
+
+    def _disk_io(
+        self, op, nbytes: int, bid: BlockId, what: str, counter: str, kind: str
+    ) -> Generator:
+        """One disk transfer of ``bid``, re-issued with exponential
+        backoff while the disk reports a fault; each retry bumps the
+        resilience ``counter`` and is traced as ``kind``."""
+        attempts = 0
+        while True:
+            fault = yield op(nbytes)
+            if fault is None:
+                return
+            attempts += 1
+            setattr(self.resilience, counter, getattr(self.resilience, counter) + 1)
+            self._trace_fault(kind, bid)
+            if attempts > RETRY_LIMIT:
+                raise SIPError(
+                    f"ioserver{self.server_index}: {what} of {bid} still "
+                    f"failing after {attempts} attempts"
+                )
+            yield Timeout(RETRY_TIMEOUT * RETRY_BACKOFF ** (attempts - 1))
 
     def _trace_fault(self, kind: str, detail: object) -> None:
         tracer = self.rt.config.tracer

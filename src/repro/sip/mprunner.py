@@ -76,7 +76,6 @@ class _WorkerStandIn:
         self.memman = _Bag(stats=res["mem_stats"], restore_all=lambda: None)
         self.cache = _Bag(stats=res["cache_stats"])
         self.pool = _Bag(stats=res["pool_stats"])
-        self.backend = _Bag(wall=res["kernel_wall"])
         self.blockio = _Bag(stats=res["blockio_stats"])
         self.resilience = ResilienceStats()
 
@@ -259,7 +258,6 @@ def _child_main(
                 cache_stats=proc.cache.stats,
                 pool_stats=proc.pool.stats,
                 blockio_stats=proc.blockio.stats,
-                kernel_wall=dict(getattr(proc.backend, "wall", None) or {}),
                 plan_stats=(
                     rt.plan_cache.stats if rt.plan_cache is not None else None
                 ),

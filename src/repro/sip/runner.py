@@ -391,10 +391,6 @@ def _collect_stats(rt, workers, servers, master) -> dict[str, Any]:
     cache_hits = sum(w.cache.stats.hits for w in workers)
     cache_misses = sum(w.cache.stats.misses for w in workers)
     plans = rt.plan_cache
-    kernel_wall: dict[str, float] = {}
-    for w in workers:
-        for name, seconds in getattr(w.backend, "wall", {}).items():
-            kernel_wall[name] = kernel_wall.get(name, 0.0) + seconds
     opt_counters: dict[str, Any] = {"opt_level": rt.program.opt_level}
     if rt.program.opt_report is not None:
         opt_counters = rt.program.opt_report.counters()
@@ -417,7 +413,6 @@ def _collect_stats(rt, workers, servers, master) -> dict[str, Any]:
         "cow_bytes_not_copied": rt.cow.bytes_not_copied,
         "cow_copies": rt.cow.cow_copies,
         "cow_bytes_copied": rt.cow.cow_bytes_copied,
-        "kernel_wall": kernel_wall,
         "messages_sent": rt.world.stats.messages_sent,
         "bytes_sent": rt.world.stats.bytes_sent,
         "remote_bytes": rt.world.stats.remote_bytes,

@@ -177,12 +177,7 @@ class SharedRuntime:
         return shape
 
     def make_backend(self):
-        return make_backend(
-            self.config.backend,
-            self.cost,
-            plans=self.plan_cache,
-            timed=self.config.kernel_wallclock,
-        )
+        return make_backend(self.config.backend, self.cost, plans=self.plan_cache)
 
     @property
     def real(self) -> bool:

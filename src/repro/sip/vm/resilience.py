@@ -59,21 +59,7 @@ class ResilientMessaging:
         if not self.rt.resilient:
             return (yield from self._wait(event))
         t0 = self.sim.now
-        timeout = RETRY_TIMEOUT
-        attempts = 0
-        while not event.triggered:
-            yield AnyOf([event, self.sim.timeout_event(timeout)])
-            if event.triggered:
-                break
-            attempts += 1
-            if attempts > RETRY_LIMIT:
-                raise SIPError(
-                    f"worker{self.worker_index}: no {what} reply after "
-                    f"{attempts} attempts; presuming the peer is dead"
-                )
-            self._bump_retry(counter, what, attempts)
-            resend()
-            timeout *= RETRY_BACKOFF
+        yield from self._retry_monitor(event, resend, counter, what)
         self._wait_acc += self.sim.now - t0
         return event.value
 

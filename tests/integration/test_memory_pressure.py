@@ -16,16 +16,47 @@ hiding latency (the thrash guard at the end of this file).
 import numpy as np
 import pytest
 
-from repro.programs import run_ao2mo, run_ccsd, run_fock_build, run_lccd, run_mp2
+from repro.programs import (
+    run_ao2mo,
+    run_ccsd,
+    run_ccsd_t,
+    run_fock_build,
+    run_lccd,
+    run_lccd_anderson,
+    run_mp2,
+    run_paper_contraction,
+    run_uhf_mp2,
+)
 from repro.simmpi.faults import FaultPlan
 from repro.sip import SIPConfig
 from repro.sip.dryrun import InfeasibleComputation
 
+#: every bundled program, sized so that a halved budget bites; the
+#: slower six run in the full (``-m ""``) set only
 DRIVERS = {
     "mp2_energy": lambda cfg: run_mp2(n_basis=10, n_occ=4, config=cfg),
     "ao2mo_transform": lambda cfg: run_ao2mo(n_basis=6, config=cfg),
     "fock_build": lambda cfg: run_fock_build(n_basis=8, n_occ=3, config=cfg),
+    "paper_contraction": lambda cfg: run_paper_contraction(
+        n_basis=8, n_occ=3, config=cfg
+    ),
+    "uhf_mp2_energy": lambda cfg: run_uhf_mp2(
+        n_basis=8, n_alpha=3, n_beta=2, config=cfg
+    ),
+    "lccd_iteration": lambda cfg: run_lccd(
+        n_basis=6, n_occ=2, iterations=2, config=cfg
+    ),
+    "lccd_anderson": lambda cfg: run_lccd_anderson(
+        n_basis=6, n_occ=2, iterations=2, config=cfg
+    ),
+    "ccsd": lambda cfg: run_ccsd(n_basis=6, n_occ=2, iterations=2, config=cfg),
+    "ccsd_t": lambda cfg: run_ccsd_t(n_basis=4, n_occ=1, sweeps=1, config=cfg),
 }
+TIER1_DRIVERS = {"mp2_energy", "ao2mo_transform", "fock_build"}
+
+#: a program with fewer unconstrained cache accesses than this barely
+#: uses the cache; its hit rate under pressure is not held to a floor
+HIT_RATE_MIN_ACCESSES = 1000
 
 
 def config(budget=None, **kw):
@@ -51,7 +82,13 @@ def assert_within_budget(stats):
     assert 0 < stats["mem_peak_bytes"] <= stats["mem_budget_bytes"], stats
 
 
-@pytest.mark.parametrize("name", sorted(DRIVERS))
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=[] if name in TIER1_DRIVERS else [pytest.mark.slow])
+        for name in sorted(DRIVERS)
+    ],
+)
 def test_constrained_run_is_bitwise_identical(name):
     driver = DRIVERS[name]
     base = driver(config())
@@ -68,6 +105,10 @@ def test_constrained_run_is_bitwise_identical(name):
     assert_within_budget(stats)
     # pressure costs simulated time: the constrained run cannot be faster
     assert out.result.elapsed >= base.result.elapsed
+    # pressure costs disk time, not the replicas the running iteration
+    # needs: a program that uses the cache keeps 0.6x its hit rate
+    if accesses(base.result.stats) >= HIT_RATE_MIN_ACCESSES:
+        assert hit_rate(stats) >= 0.6 * hit_rate(base.result.stats)
 
 
 def test_prefetch_restores_loop_index_when_cache_fills():
@@ -175,8 +216,12 @@ def test_float32_run_is_dtype_aware_end_to_end():
     assert out.result.stats["mem_peak_bytes"] < base.result.stats["mem_peak_bytes"]
 
 
+def accesses(stats):
+    return stats["cache_hits"] + stats["cache_misses"]
+
+
 def hit_rate(stats):
-    return stats["cache_hits"] / (stats["cache_hits"] + stats["cache_misses"])
+    return stats["cache_hits"] / accesses(stats)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.programs import (
+    run_ao2mo,
+    run_ccsd,
+    run_fock_build,
+    run_lccd,
+    run_mp2,
+    run_paper_contraction,
+)
 from repro.sial.bytecode import CompiledCondition
 from repro.sial.compiler import compile_source
 from repro.sip import FaultPlan, SIPConfig, run_program, run_source
@@ -175,11 +183,14 @@ collective acc
 )
 
 
+_POLICIES = ("guided", "static", "locality")
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_locality_bitwise_identical_to_guided(workers):
     """The acceptance bar: same bits out of every policy."""
     results = {}
-    for policy in ("guided", "static", "locality"):
+    for policy in _POLICIES:
         res = run_source(
             _LOCALITY_SRC,
             SIPConfig(
@@ -191,17 +202,41 @@ def test_locality_bitwise_identical_to_guided(workers):
     assert results["locality"] == results["guided"] == results["static"]
 
 
-def test_locality_end_to_end_stats_and_fewer_remote_bytes():
-    runs = {}
-    for policy in ("guided", "locality"):
-        runs[policy] = run_source(
-            _LOCALITY_SRC,
+#: program -> one run under a config; MP2 stays at ten basis functions
+#: (at six, locality and guided both move 5 184 B)
+_LOCALITY_DRIVERS = {
+    "mp2": lambda cfg: run_mp2(n_basis=10, n_occ=4, config=cfg),
+    "ccsd": lambda cfg: run_ccsd(n_basis=4, n_occ=2, iterations=1, config=cfg),
+}
+
+
+def _locality_run(program, cfg):
+    """(stats, value bytes) of one run; a bundled program must also
+    reproduce its numpy reference."""
+    if program == "micro":
+        res = run_source(_LOCALITY_SRC, cfg, {"nb": 12})
+        return res.stats, res.array("E").tobytes()
+    out = _LOCALITY_DRIVERS[program](cfg)
+    assert out.error < 1e-10, (program, cfg.scheduling, out.error)
+    return out.result.stats, np.asarray(out.value).tobytes()
+
+
+@pytest.mark.parametrize(
+    "program,workers",
+    [("micro", 4), ("mp2", 2), ("mp2", 4), ("ccsd", 2), ("ccsd", 4)],
+)
+def test_locality_end_to_end_stats_and_fewer_remote_bytes(program, workers):
+    runs = {
+        policy: _locality_run(
+            program,
             SIPConfig(
-                workers=4, io_servers=1, segment_size=2, scheduling=policy
+                workers=workers, io_servers=1, segment_size=2, scheduling=policy
             ),
-            {"nb": 12},
         )
-    loc = runs["locality"].stats
+        for policy in _POLICIES
+    }
+    assert runs["locality"][1] == runs["guided"][1] == runs["static"][1]
+    loc, g = runs["locality"][0], runs["guided"][0]
     assert loc["sched_policy"] == "locality"
     assert loc["sched_locality_hits"] > 0
     assert loc["sched_locality_hits"] + loc["sched_locality_misses"] == loc[
@@ -209,10 +244,56 @@ def test_locality_end_to_end_stats_and_fewer_remote_bytes():
     ]
     # aligning iterations with the owners of the blocks they get must
     # move strictly fewer remote bytes than placement-blind guided
-    assert loc["remote_bytes"] < runs["guided"].stats["remote_bytes"]
-    g = runs["guided"].stats
+    assert loc["remote_bytes"] < g["remote_bytes"]
     assert g["sched_policy"] == "guided"
     assert g["sched_locality_hits"] == 0 and g["sched_steals"] == 0
+
+
+#: every bundled driver that takes a config, at the sizes the scheduling
+#: sweep has always used; all but MP2 take seconds, so they are `slow`
+_SWEEP_DRIVERS = {
+    "mp2_energy": lambda cfg: run_mp2(n_basis=10, n_occ=4, config=cfg),
+    "ccsd": lambda cfg: run_ccsd(n_basis=6, n_occ=2, iterations=2, config=cfg),
+    "paper_contraction": lambda cfg: run_paper_contraction(
+        n_basis=8, n_occ=3, config=cfg
+    ),
+    "ao2mo_transform": lambda cfg: run_ao2mo(n_basis=6, config=cfg),
+    "lccd_iteration": lambda cfg: run_lccd(
+        n_basis=6, n_occ=2, iterations=2, config=cfg
+    ),
+    "fock_build": lambda cfg: run_fock_build(n_basis=8, n_occ=3, config=cfg),
+}
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        pytest.param(
+            name, marks=[] if name == "mp2_energy" else [pytest.mark.slow]
+        )
+        for name in _SWEEP_DRIVERS
+    ],
+)
+def test_bundled_program_bitwise_identical_across_policies(program):
+    """Every policy gives the same bits, and the right answer, for every
+    bundled program at 1, 2 and 4 workers."""
+    for workers in (1, 2, 4):
+        values = {}
+        for policy in _POLICIES:
+            out = _SWEEP_DRIVERS[program](
+                SIPConfig(
+                    workers=workers,
+                    io_servers=1,
+                    segment_size=2,
+                    scheduling=policy,
+                )
+            )
+            assert out.error < 1e-10, (program, policy, workers, out.error)
+            values[policy] = np.asarray(out.value).tobytes()
+        assert values["locality"] == values["guided"] == values["static"], (
+            program,
+            workers,
+        )
 
 
 def test_locality_profile_and_trace_surface_counters():

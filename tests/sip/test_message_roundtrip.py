@@ -354,6 +354,44 @@ def test_block_messages_roundtrip_via_arena(msg):
 
 
 @pytest.mark.mp
+def test_arena_steady_state_reuses_its_slabs():
+    """A working set cycled through the arena: half the payloads are
+    re-sends of resident buffers (zero-copy handoffs), half are fresh
+    buffers that need a slot.  After one warm-up round every slot comes
+    back through reclamation -- no new slab, no overflow to a one-shot
+    segment, and no lease left live on the receiving side."""
+    arena, receiver = _arena_pair()
+    resident = [Block((512,), np.full(512, float(i))) for i in range(4)]
+
+    def round_trip(round_no: int) -> None:
+        fresh = [Block((512,), np.full(512, -float(round_no))) for _ in range(4)]
+        for block in resident + fresh:
+            ref = arena.place(block, dest=1)
+            assert ref is not None
+            view = receiver.unpack(ref)
+            assert np.array_equal(view.data, block.data)
+            del view  # the consumer is done: its finalizer frees the slot
+
+    try:
+        round_trip(0)
+        gc.collect()
+        slabs = arena.stats.slabs_created
+        for round_no in range(1, 50):
+            round_trip(round_no)
+        gc.collect()
+        assert arena.stats.slabs_created == slabs
+        assert arena.stats.misses == 0
+        # every fresh payload took a slot, every resident one a handoff
+        assert arena.stats.hits == 4 + 4 * 50
+        assert arena.stats.handoffs == 4 * 49
+        assert receiver.live_leases() == 0
+        assert arena.outstanding() == 0
+    finally:
+        receiver.close()
+        arena.destroy()
+
+
+@pytest.mark.mp
 def test_arena_resend_is_zero_copy_handoff():
     """Re-sending an unmodified block to another rank copies nothing."""
     arena, receiver = _arena_pair()

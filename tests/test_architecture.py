@@ -30,6 +30,10 @@ And for the configuration: one path, not two.  The ablation switches
 and the fields nobody set are gone and may not come back, and every
 definition in ``src/`` has a caller in the product, the benchmarks or
 the examples -- or a written reason in an allowlist.
+
+And for measurement: one benchmark.  Host time is sipbench's, a gate
+is a test; a ``benchmarks/bench_*.py`` script reproduces a paper figure
+or an ablation and writes text tables, never a ``main`` or a JSON file.
 """
 
 import ast
@@ -289,19 +293,20 @@ def test_sipconfig_does_not_grow():
 
     from repro.sip import SIPConfig
 
-    assert len(dataclasses.fields(SIPConfig)) <= 31
+    assert len(dataclasses.fields(SIPConfig)) <= 29
 
 
 #: SIPConfig fields that were ablation switches onto pre-optimisation
 #: code, or that no caller ever set: each is now a constant beside the
 #: module reading it, or gone with the twin path it selected (a worker's
-#: cache is bounded by ``memory_per_worker``, not ``cache_blocks``)
+#: cache is bounded by ``memory_per_worker``, not ``cache_blocks``; host
+#: time per kernel is sipbench's trace, not ``kernel_wallclock``)
 REMOVED_CONFIG_FIELDS = {
     "fastpath", "mp_arena", "mp_batch_max_msgs", "mp_batch_max_bytes",
     "affinity_owner_weight", "affinity_replica_weight",
     "affinity_replica_history", "blockio_reserve", "blockio_max_in_flight",
     "chunk_factor", "min_chunk", "retry_timeout", "retry_limit", "retry_backoff",
-    "cache_blocks",
+    "cache_blocks", "kernel_wallclock", "trace",
 }  # fmt: skip
 
 
@@ -442,3 +447,43 @@ def test_the_allowlists_still_match_reality():
         | {EVENT_HEAP_OWNER, MP_TRANSPORT, MP_RUNNER}
     ):
         assert rel in all_rel, f"allowlisted module {rel} no longer exists"
+
+
+def _is_main_guard(node) -> bool:
+    """``if __name__ == "__main__":`` in either operand order."""
+    test = node.test if isinstance(node, ast.If) else None
+    if not (isinstance(test, ast.Compare) and len(test.comparators) == 1):
+        return False
+    sides = (test.left, test.comparators[0])
+    return any(isinstance(n, ast.Name) and n.id == "__name__" for n in sides) and any(
+        isinstance(n, ast.Constant) and n.value == "__main__" for n in sides
+    )
+
+
+def test_bench_scripts_hold_no_gates_and_write_no_json():
+    """A gate belongs in ``tests/`` or in sipbench's ``compare``, not in a
+    bespoke script entry point that asserts and dumps its own JSON."""
+    offenders = []
+    for path in sorted((REPO / "benchmarks").glob("bench_*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if _is_main_guard(node):
+                offenders.append(f"{path.name}:{node.lineno} has a __main__ block")
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.FunctionDef) and node.name == "main":
+                offenders.append(f"{where} defines main()")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name for a in node.names}
+                if isinstance(node, ast.ImportFrom):
+                    names.add(node.module or "")
+                if names & {"json", "argparse"}:
+                    offenders.append(f"{where} imports json or argparse")
+            elif (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and "BENCH_" in node.value
+            ):
+                # an f-string's literal parts are Constants too
+                offenders.append(f"{where} names a BENCH_* file")
+    assert not offenders, "\n  ".join(offenders)
