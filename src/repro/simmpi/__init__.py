@@ -8,7 +8,9 @@ overlap, prefetching and scheduling behaviour can be both *executed*
 (real numpy data) and *measured* (simulated seconds) on one laptop.
 """
 
-from .comm import ANY_SOURCE, ANY_TAG, Barrier, Message, Request, SimComm, World
+from .comm import (
+    ANY_SOURCE, ANY_TAG, Barrier, Message, Request, SimComm, World, WorldStats
+)  # fmt: skip
 from .disk import Disk, DiskStats
 from .faults import (
     DiskFault,
@@ -57,5 +59,6 @@ __all__ = [
     "Simulator",
     "Timeout",
     "World",
+    "WorldStats",
     "payload_nbytes",
 ]

@@ -29,7 +29,7 @@ The recovery side lives in the SIP layer (retry/backoff/dedup in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .simulator import SimulationError
@@ -259,10 +259,6 @@ class ResilienceStats:
             + self.collective_retries
             + self.control_retries
         )
-
-    def add(self, other: "ResilienceStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass

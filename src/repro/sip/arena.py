@@ -114,23 +114,6 @@ class ArenaStats:
     recv_live_at_exit: int = 0  # leases still held when the rank reported
     refs_leaked: int = 0  # mapped - released - live; must be 0
 
-    def add(self, other: "ArenaStats") -> None:
-        self.hits += other.hits
-        self.handoffs += other.handoffs
-        self.misses += other.misses
-        self.bytes_placed += other.bytes_placed
-        self.handoff_bytes += other.handoff_bytes
-        self.slabs_created += other.slabs_created
-        self.slab_bytes += other.slab_bytes
-        self.slots_leased += other.slots_leased
-        self.slots_reclaimed += other.slots_reclaimed
-        self.residencies_evicted += other.residencies_evicted
-        self.recv_mapped += other.recv_mapped
-        self.bytes_zero_copy += other.bytes_zero_copy
-        self.recv_released += other.recv_released
-        self.recv_live_at_exit += other.recv_live_at_exit
-        self.refs_leaked += other.refs_leaked
-
 
 @dataclass(frozen=True)
 class ArenaRef:

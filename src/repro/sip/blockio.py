@@ -26,9 +26,8 @@ The engine is transport-agnostic: it talks to a
 :class:`~repro.sip.transport.CommEndpoint`, so the simulated world and
 the multiprocess transport sit below it unchanged.  Clients are the VM
 interpreter, the lookahead prefetcher, the locality scheduler's
-ReplicaMap (via :attr:`on_issue`), the memory manager's fault-in/spill
-paths (via :meth:`note_fault_in`/:meth:`note_spill`) and the I/O
-server's read/write-back machinery.
+ReplicaMap (via :attr:`on_issue`) and the I/O server's read/write-back
+machinery.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from typing import Callable, Generator, Optional
 
 from .blocks import Block, BlockId
 from .config import SIPError
+from .fold import MAX
 from .messages import (
     SERVER_TAG,
     SERVICE_TAG,
@@ -65,8 +65,10 @@ class BlockIOStats:
     issued_requests: int = 0  # RequestBlock messages put on the wire
     coalesced: int = 0  # fetches satisfied by attaching to an in-flight one
     waiters: int = 0  # demand acquires that blocked on an arrival
-    waiter_peak: int = 0  # most waiters ever attached to one in-flight block
-    in_flight_peak: int = 0  # largest request table this engine ever held
+    # most waiters ever attached to one in-flight block
+    waiter_peak: int = field(default=0, metadata=MAX)
+    # largest request table this engine ever held
+    in_flight_peak: int = field(default=0, metadata=MAX)
     backpressure_stalls: int = 0  # demand fetches that waited for cache space
     hint_drops: int = 0  # speculative fetches dropped for lack of headroom
     puts_posted: int = 0  # PutBlock messages put on the wire
@@ -77,33 +79,10 @@ class BlockIOStats:
     writebacks_superseded: int = 0  # write-backs dropped for a fresher one
     accums_buffered: int = 0  # '+=' contributions parked in the ledger
     accum_folds: int = 0  # ledger folds applied (in canonical key order)
-    fault_ins: int = 0  # spilled blocks faulted back in by the memman
-    spills: int = 0  # resident blocks parked on scratch by the memman
 
     @property
     def issued(self) -> int:
         return self.issued_gets + self.issued_requests
-
-    def add(self, other: "BlockIOStats") -> None:
-        """Merge another rank's counters into this one (peaks take max)."""
-        self.issued_gets += other.issued_gets
-        self.issued_requests += other.issued_requests
-        self.coalesced += other.coalesced
-        self.waiters += other.waiters
-        self.waiter_peak = max(self.waiter_peak, other.waiter_peak)
-        self.in_flight_peak = max(self.in_flight_peak, other.in_flight_peak)
-        self.backpressure_stalls += other.backpressure_stalls
-        self.hint_drops += other.hint_drops
-        self.puts_posted += other.puts_posted
-        self.prepares_posted += other.prepares_posted
-        self.replies_served += other.replies_served
-        self.disk_loads += other.disk_loads
-        self.writebacks += other.writebacks
-        self.writebacks_superseded += other.writebacks_superseded
-        self.accums_buffered += other.accums_buffered
-        self.accum_folds += other.accum_folds
-        self.fault_ins += other.fault_ins
-        self.spills += other.spills
 
 
 class AccumLedger:
@@ -517,12 +496,3 @@ class BlockTransferEngine:
         if not current:
             self.stats.writebacks_superseded += 1
         return current
-
-    # -- memory-manager observability --------------------------------------
-    def note_fault_in(self, nbytes: int) -> None:
-        """A spilled block was faulted back in (local block movement)."""
-        self.stats.fault_ins += 1
-
-    def note_spill(self, nbytes: int) -> None:
-        """A resident block was parked on scratch."""
-        self.stats.spills += 1

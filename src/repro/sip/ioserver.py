@@ -82,7 +82,6 @@ class IOServerProcess:
         # all block movement (cache fills, write-back versions, the
         # canonical '+=' ledger, reply snapshots) goes through the engine
         self.blockio = BlockTransferEngine(self)
-        self.memman.blockio = self.blockio
         # resilient protocol: (source rank, seq) -> "pending" | "done",
         # so a retried prepare is applied exactly once but still acked
         self._prepare_state: dict[tuple[int, int], str] = {}
@@ -371,17 +370,15 @@ class IOServerProcess:
             else:
                 self.disk_data[bid] = shape
 
-    def current_blocks(self, array_id: int) -> dict[tuple[int, ...], Block]:
-        """Freshest contents of one array's blocks on this server."""
-        out: dict[tuple[int, ...], Block] = {}
+    def current_blocks(self) -> dict[BlockId, Block]:
+        """Freshest contents of every block this server holds."""
+        out: dict[BlockId, Block] = {}
         for bid, stored in self.disk_data.items():
-            if bid.array_id != array_id:
-                continue
             if isinstance(stored, np.ndarray):
-                out[bid.coords] = Block(stored.shape, stored)
+                out[bid] = Block(stored.shape, stored)
             else:
-                out[bid.coords] = Block(tuple(stored), None)
+                out[bid] = Block(tuple(stored), None)
         for bid, entry in self.cache.items():
-            if bid.array_id == array_id and entry.block is not None:
-                out[bid.coords] = entry.block
+            if entry.block is not None:
+                out[bid] = entry.block
         return out

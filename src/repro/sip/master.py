@@ -65,7 +65,6 @@ class MasterProcess:
         self.sched_stats = SchedStats(policy=self.config.scheduling)
         self.collectives: dict[int, list[CollectiveContribution]] = {}
         self.collective_sources: dict[int, dict[int, int]] = {}
-        self.chunks_served = 0
         self.resilience = ResilienceStats()
         # resilient protocol state: replayed replies for retried
         # requests, keyed (worker, pardo_pc, activation) so a late
@@ -188,7 +187,7 @@ class MasterProcess:
         if payload.seq >= 0:
             self._chunk_replay[replay_key] = (payload.seq, reply, nbytes)
         self.comm.isend(reply, dest=source, tag=payload.reply_tag, nbytes=nbytes)
-        self.chunks_served += 1
+        stats.replies += 1
         tracer = self.config.tracer
         if tracer is not None and chunk and hasattr(tracer, "record_sched"):
             tracer.record_sched(

@@ -38,6 +38,7 @@ import numpy as np
 from .blocks import Block, BlockId, block_nbytes
 from .cache import BlockCache
 from .config import SIPError
+from .fold import MAX
 from .memory import BlockPool, OutOfBlockMemory
 
 __all__ = ["MemoryManager", "MemStats"]
@@ -55,24 +56,11 @@ class MemStats:
     fault_bytes: int = 0
     spill_write_retries: int = 0
     spill_read_retries: int = 0
-    peak_bytes: int = 0  # unified resident peak (pool+cache+adopted-spilled)
-    peak_spill_bytes: int = 0  # scratch high-water mark
+    # unified resident peak (pool+cache+adopted-spilled)
+    peak_bytes: int = field(default=0, metadata=MAX)
+    peak_spill_bytes: int = field(default=0, metadata=MAX)  # scratch high-water mark
     oom_refusals: int = 0  # cascades that still ended in OutOfBlockMemory
     arena_slab_bytes: int = 0  # mp transport slabs charged to this rank
-
-    def add(self, other: "MemStats") -> None:
-        self.cascades += other.cascades
-        self.pressure_evictions += other.pressure_evictions
-        self.spills += other.spills
-        self.spill_bytes += other.spill_bytes
-        self.faults_in += other.faults_in
-        self.fault_bytes += other.fault_bytes
-        self.spill_write_retries += other.spill_write_retries
-        self.spill_read_retries += other.spill_read_retries
-        self.peak_bytes = max(self.peak_bytes, other.peak_bytes)
-        self.peak_spill_bytes = max(self.peak_spill_bytes, other.peak_spill_bytes)
-        self.oom_refusals += other.oom_refusals
-        self.arena_slab_bytes += other.arena_slab_bytes
 
 
 class MemoryManager:
@@ -132,10 +120,6 @@ class MemoryManager:
         self.rank = rank
         self.resilience = resilience
         self.stats = MemStats()
-        # the rank's BlockTransferEngine, when one exists: spill and
-        # fault-in traffic is local block movement the engine accounts
-        # alongside the wire traffic it owns (set by the rank object)
-        self.blockio = None
 
         pool_budget = float("inf") if self.unified else budget_bytes
         self.pool = BlockPool(pool_budget, real, name=name, dtype=self.dtype)
@@ -320,8 +304,6 @@ class MemoryManager:
         self.spilled_out_bytes += nbytes
         self.stats.spills += 1
         self.stats.spill_bytes += nbytes
-        if self.blockio is not None:
-            self.blockio.note_spill(nbytes)
         if self.spilled_out_bytes > self.stats.peak_spill_bytes:
             self.stats.peak_spill_bytes = self.spilled_out_bytes
         self._scratch_io("write", nbytes)
@@ -350,8 +332,6 @@ class MemoryManager:
         self._spillable[bid] = (block, self._tick())
         self.stats.faults_in += 1
         self.stats.fault_bytes += nbytes
-        if self.blockio is not None:
-            self.blockio.note_fault_in(nbytes)
         self._scratch_io("read", nbytes)
         self._trace("fault-in", bid, nbytes)
         self._note_peak()

@@ -16,6 +16,7 @@ import numpy as np
 
 from .blocks import Block, block_nbytes
 from .config import SIPError
+from .fold import MAX
 
 __all__ = ["BlockPool", "OutOfBlockMemory", "PoolStats"]
 
@@ -30,13 +31,15 @@ class PoolStats:
     reuses: int = 0
     frees: int = 0
     bytes_in_use: int = 0
-    peak_bytes: int = 0
+    peak_bytes: int = field(default=0, metadata=MAX)
     # peak *total* live block count across all shapes
-    peak_blocks: int = 0
+    peak_blocks: int = field(default=0, metadata=MAX)
     blocks_in_use: int = 0
     # peak live block count per shape, for dry-run validation (how many
     # buffers of each size a preallocating runtime would need)
-    peak_by_shape: dict[tuple[int, ...], int] = field(default_factory=dict)
+    peak_by_shape: dict[tuple[int, ...], int] = field(
+        default_factory=dict, metadata=MAX
+    )
 
 
 class BlockPool:

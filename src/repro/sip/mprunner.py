@@ -6,19 +6,19 @@ one OS process per SIP rank.  Each child wires its single rank object
 (:class:`~.vm.WorkerProcess`, :class:`~.ioserver.IOServerProcess` or
 :class:`~.master.MasterProcess`) onto an :class:`~.mptransport.MPWorld`
 over a pre-forked full mesh of duplex pipes, drives it with an
-:class:`~.mptransport.MPEngine`, and ships its results home: scalars,
-profile, stats and sanitizer/trace state pickled over a dedicated
-result pipe, every array byte (owned blocks, served blocks, external
-store writes) through one shared-memory segment per rank that the
-parent maps instead of copying (:mod:`~.gather`).
+:class:`~.mptransport.MPEngine`, and ships its results home: its rank
+report and sanitizer/trace state pickled over a dedicated result pipe,
+every array byte (owned blocks, served blocks, external store writes)
+through one shared-memory segment per rank that the parent maps
+instead of copying (:mod:`~.gather`).
 
 The parent supervises: it drains result pipes while children run (a
 send larger than the pipe buffer blocks until the reader catches up,
 so results must be read *before* join), detects a child that died
 without reporting, tears the fleet down on any error, and finally
-sweeps ``/dev/shm`` for segments the crashed path may have leaked.  Gathered per-rank state is wrapped in duck-typed stand-ins so
-:func:`~.runner._finalize` and :meth:`~.runner.RunResult.array` work
-unchanged on both backends.
+sweeps ``/dev/shm`` for segments the crashed path may have leaked.  A
+child's report is the :class:`~.stats.RankReport` the simulator builds
+from its live ranks, so both backends finish through one path.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from ..sial.bytecode import CompiledProgram
 from ..simmpi import Simulator, World
 from ..simmpi.faults import ResilienceStats
 from . import gather
-from .blocks import Block
 from .config import SIPConfig, SIPError
 from .dryrun import InfeasibleComputation, dry_run
 from .ioserver import IOServerProcess
@@ -45,6 +44,7 @@ from .master import MasterProcess
 from .mptransport import MPEngine, MPWorld, mp_barrier_service
 from .runner import _finalize, scatter_inputs
 from .runtime import SharedRuntime
+from .stats import RunStats, rank_report
 from .vm import WorkerProcess
 
 __all__ = ["execute_mp"]
@@ -52,55 +52,10 @@ __all__ = ["execute_mp"]
 #: seconds to wait for an already-reported child to exit before terminating
 _JOIN_GRACE = 10.0
 
-#: result fields that hold array data; they travel through the rank's
-#: gather segment, never through the result pipe
-_GATHERED = ("owned", "local_blocks", "served", "store_delta")
-
-
-class _Bag:
-    """Attribute bag standing in for a live runtime object."""
-
-    def __init__(self, **kw: Any) -> None:
-        self.__dict__.update(kw)
-
-
-class _WorkerStandIn:
-    """Gathered worker state shaped like a :class:`WorkerProcess`."""
-
-    def __init__(self, res: dict) -> None:
-        self.worker_index = res["worker_index"]
-        self.profile = res["profile"]
-        self.scalars = res["scalars"]
-        self.owned = res["owned"]
-        self.local_blocks = res["local_blocks"]
-        self.memman = _Bag(stats=res["mem_stats"], restore_all=lambda: None)
-        self.cache = _Bag(stats=res["cache_stats"])
-        self.pool = _Bag(stats=res["pool_stats"])
-        self.blockio = _Bag(stats=res["blockio_stats"])
-        self.resilience = ResilienceStats()
-
-
-class _ServerStandIn:
-    """Gathered server state shaped like an :class:`IOServerProcess`."""
-
-    def __init__(self, res: dict) -> None:
-        self.server_index = res["server_index"]
-        self.memman = _Bag(stats=res["mem_stats"])
-        self.cache = _Bag(stats=res["cache_stats"])
-        self.disk = _Bag(stats=res["disk_stats"])
-        self.blockio = _Bag(stats=res["blockio_stats"])
-        self.resilience = ResilienceStats()
-        self._served: dict[int, dict[tuple, Block]] = res["served"]
-
-    def current_blocks(self, array_id: int) -> dict[tuple, Block]:
-        return self._served.get(array_id, {})
-
-
-class _MasterStandIn:
-    def __init__(self, res: dict) -> None:
-        self.sched_stats = res["sched_stats"]
-        self.chunks_served = res["chunks_served"]
-        self.resilience = ResilienceStats()
+#: report fields that hold array data; they travel through the rank's
+#: gather segment (with a worker's external-store writes), never
+#: through the result pipe
+_GATHERED = ("owned", "local_blocks", "served")
 
 
 def _rank_roles(config: SIPConfig) -> dict[int, tuple[str, int]]:
@@ -232,63 +187,27 @@ def _child_main(
 
         MPEngine(sim, world).run()
 
-        res: dict[str, Any] = {
-            "role": role,
-            "rank": rank,
-            "world_stats": world.stats,
-            "shm_stats": world.shm_stats,
-            "arena_stats": world.arena_stats,
-            "batch_stats": world.batch_stats,
-            "engine_stats": world.engine_stats,
-            "scatter_s": scatter_s,
-        }
+        if role == "worker":
+            proc.memman.restore_all()
+            proc.fold_pending_accums()
+        elif role == "server":
+            proc.flush_pending()
+        report = rank_report(proc, rt)
+        arrays = {k: getattr(report, k) for k in _GATHERED}
+        report = dataclasses.replace(report, **{k: {} for k in _GATHERED})
+        if role == "worker":
+            arrays["store_delta"] = _store_delta(rt.external_store, baseline)
+        res: dict[str, Any] = {"report": report, "scatter_s": scatter_s}
         if rt.sanitizer is not None:
             res["sanitizer"] = (rt.sanitizer._records, rt.sanitizer.report_data)
         if config.tracer is not None:
             # the forked recorder holds exactly this rank's events
             res["tracer"] = config.tracer
-        if role == "worker":
-            proc.memman.restore_all()
-            proc.fold_pending_accums()
-            res.update(
-                worker_index=index,
-                scalars=list(proc.scalars),
-                profile=proc.profile,
-                mem_stats=proc.memman.stats,
-                cache_stats=proc.cache.stats,
-                pool_stats=proc.pool.stats,
-                blockio_stats=proc.blockio.stats,
-                plan_stats=(
-                    rt.plan_cache.stats if rt.plan_cache is not None else None
-                ),
-                cow=rt.cow,
-                owned=dict(proc.owned),
-                local_blocks=dict(proc.local_blocks) if index == 0 else {},
-                store_delta=_store_delta(rt.external_store, baseline),
-            )
-        elif role == "server":
-            proc.flush_pending()
-            res.update(
-                server_index=index,
-                mem_stats=proc.memman.stats,
-                cache_stats=proc.cache.stats,
-                disk_stats=proc.disk.stats,
-                blockio_stats=proc.blockio.stats,
-                served={
-                    aid: proc.current_blocks(aid) for aid in rt.served_placements
-                },
-            )
-        else:
-            res.update(
-                sched_stats=proc.sched_stats, chunks_served=proc.chunks_served
-            )
         # lease balance right before anything ships: every mapped slot
-        # must be released or still held by a live block; the stats
-        # object inside ``res`` is pickled with the updated fields
+        # must be released or still held by a live block; the report's
+        # arena stats are pickled with the updated fields
         world.receiver.account_exit()
-        res["gathered"] = gather.pack(
-            {k: res.pop(k) for k in _GATHERED if k in res}, f"rmp{run_id}r{rank}g"
-        )
+        res["gathered"] = gather.pack(arrays, f"rmp{run_id}r{rank}g")
         _ship(result_conn, "ok", res)
     except BaseException as exc:  # noqa: BLE001 - ship *any* failure home
         try:
@@ -410,7 +329,6 @@ def execute_mp(
         rt,
         report,
         results,
-        roles,
         retries,
         restarts,
         slabs_swept,
@@ -489,148 +407,45 @@ def _merge(
     rt: SharedRuntime,
     report,
     results: dict[int, dict],
-    roles: dict[int, tuple[str, int]],
     retries: ResilienceStats,
     restarts: int,
     slabs_swept: int,
     leaked: int,
     wall_seconds: float,
 ):
-    workers = [
-        _WorkerStandIn(results[config.worker_rank(i)])
-        for i in range(config.workers)
-    ]
-    servers = [
-        _ServerStandIn(results[config.server_rank(i)])
-        for i in range(config.io_servers)
-    ]
-    master = _MasterStandIn(results[config.master_rank])
-
-    # traffic, shared-memory, arena and fast-path counters, summed over
-    # ranks in rank order
-    from .arena import ArenaStats
-    from .mptransport import BatchStats, EngineStats
-
-    shm_created = shm_unlinked = shm_bytes = 0
-    arena = ArenaStats()
-    batches = BatchStats()
+    """Put the children's reports back together with their gathered
+    arrays, absorb sanitizer, trace and external-store state, and add
+    what only the parent saw."""
+    reports = []
     for rank in sorted(results):
         res = results[rank]
-        ws = res["world_stats"]
-        rt.world.stats.messages_sent += ws.messages_sent
-        rt.world.stats.bytes_sent += ws.bytes_sent
-        rt.world.stats.remote_bytes += ws.remote_bytes
-        ss = res["shm_stats"]
-        shm_created += ss.segments_created
-        shm_unlinked += ss.segments_unlinked
-        shm_bytes += ss.bytes_shared
-        ar = res.get("arena_stats")
-        if ar is not None:
-            arena.add(ar)
-        bt = res.get("batch_stats")
-        if bt is not None:
-            batches.batches += bt.batches
-            batches.messages += bt.messages
-            batches.frame_bytes += bt.frame_bytes
+        reports.append(
+            dataclasses.replace(res["report"], **{k: res[k] for k in _GATHERED})
+        )
         san = res.get("sanitizer")
         if san is not None and rt.sanitizer is not None:
             rt.sanitizer.absorb(*san)
         child_tracer = res.get("tracer")
         if child_tracer is not None and config.tracer is not None:
             config.tracer.absorb(child_tracer)
-
-    for w_res in (results[config.worker_rank(i)] for i in range(config.workers)):
-        ps = w_res.get("plan_stats")
-        if ps is not None and rt.plan_cache is not None:
-            tgt = rt.plan_cache.stats
-            tgt.hits += ps.hits
-            tgt.misses += ps.misses
-            tgt.gemm_plans += ps.gemm_plans
-            tgt.outer_plans += ps.outer_plans
-            tgt.einsum_plans += ps.einsum_plans
-            tgt.perm_hits += ps.perm_hits
-            tgt.perm_misses += ps.perm_misses
-        cow = w_res.get("cow")
-        if cow is not None:
-            rt.cow.sends_shared += cow.sends_shared
-            rt.cow.bytes_not_copied += cow.bytes_not_copied
-            rt.cow.cow_copies += cow.cow_copies
-            rt.cow.cow_bytes_copied += cow.cow_bytes_copied
-        # merge each worker's external-store writes (worker order keeps
-        # checkpoint chaining deterministic; owned coords are disjoint)
-        for key, val in w_res.get("store_delta", {}).items():
+        # a worker's external-store writes; rank order is worker order,
+        # which keeps checkpoint chaining deterministic (owned coords
+        # are disjoint)
+        for key, val in res.get("store_delta", {}).items():
             if isinstance(val, dict):
                 rt.external_store.setdefault(key, {}).update(val)
             else:
                 rt.external_store[key] = val
-
-    result = _finalize(
-        program,
-        config,
-        rt,
-        report,
-        workers,
-        servers,
-        master,
-        retries,
-        restarts,
-        wall_seconds=wall_seconds,
-    )
-    result.stats["mp_shm_segments"] = shm_created
-    result.stats["mp_shm_bytes"] = shm_bytes
-    result.stats["mp_shm_unlinked"] = shm_unlinked
-    result.stats["mp_shm_leaked"] = leaked
-    result.stats["mp_processes"] = len(results)
-    # the two ends of the run: input scatter in the children, result
-    # gather from the first result readable to the last segment mapped
     ranks = list(results.values())
-    ends = {
-        "mp_scatter_s": max(r["scatter_s"] for r in ranks),
-        "mp_gather_s": max(r["mapped_at"] for r in ranks)
+    run = RunStats(
+        wallclock_seconds=wall_seconds,
+        processes=len(results),
+        shm_leaked=leaked,
+        arena_slabs_swept=slabs_swept,
+        scatter_s=max(r["scatter_s"] for r in ranks),
+        gather_s=max(r["mapped_at"] for r in ranks)
         - min(r["readable_at"] for r in ranks),
-        "mp_gather_bytes": sum(r["gather_bytes"] for r in ranks),
-        "mp_result_pickle_bytes": sum(r["pickle_bytes"] for r in ranks),
-    }
-    result.stats.update(ends)
-    per_write = batches.messages / batches.batches if batches.batches else 0.0
-    result.stats.update(
-        arena_hits=arena.hits,
-        arena_misses=arena.misses,
-        arena_handoffs=arena.handoffs,
-        arena_slabs=arena.slabs_created,
-        arena_slab_bytes=arena.slab_bytes,
-        arena_refs_leaked=arena.refs_leaked,
-        bytes_zero_copy=arena.bytes_zero_copy,
-        mp_arena_slabs_swept=slabs_swept,
-        mp_batches=batches.batches,
-        batch_msgs_per_write=per_write,
+        gather_bytes=sum(r["gather_bytes"] for r in ranks),
+        result_pickle_bytes=sum(r["pickle_bytes"] for r in ranks),
     )
-    # the workers' engine loops; master and servers only ever wait, so
-    # their blocked time is idleness, not cost
-    engines = [
-        results[config.worker_rank(i)]["engine_stats"] for i in range(config.workers)
-    ]
-    for f in dataclasses.fields(EngineStats):
-        result.stats[f"mp_engine_{f.name}"] = sum(getattr(e, f.name) for e in engines)
-    result.stats["mp_engine_blocked_max_s"] = max(e.blocked_s for e in engines)
-    result.profile.transport = {
-        "arena": arena,
-        "batches": batches,
-        "engines": engines,
-        "slabs_swept": slabs_swept,
-        "batch_msgs_per_write": per_write,
-        "ends": ends,
-    }
-    if config.tracer is not None:
-        config.tracer.annotate(
-            "mp_transport",
-            {
-                "arena_hits": arena.hits,
-                "arena_misses": arena.misses,
-                "arena_handoffs": arena.handoffs,
-                "bytes_zero_copy": arena.bytes_zero_copy,
-                "arena_refs_leaked": arena.refs_leaked,
-                "batch_msgs_per_write": per_write,
-            },
-        )
-    return result
+    return _finalize(program, config, rt, report, reports, retries, restarts, run)

@@ -136,6 +136,10 @@ class BatchStats:
     messages: int = 0  # messages carried inside those frames
     frame_bytes: int = 0  # total framed bytes on the wire
 
+    @property
+    def msgs_per_write(self) -> float:
+        return self.messages / self.batches if self.batches else 0.0
+
 
 @dataclass
 class EngineStats:

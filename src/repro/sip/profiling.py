@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..sial.bytecode import CompiledProgram
+from .fold import MAX, fold
 
 __all__ = ["InstrStats", "PardoStats", "WorkerProfile", "RunProfile"]
 
@@ -30,7 +31,7 @@ class InstrStats:
 class PardoStats:
     entries: int = 0
     iterations: int = 0
-    elapsed: float = 0.0
+    elapsed: float = field(default=0.0, metadata=MAX)
     wait_time: float = 0.0
     chunk_wait: float = 0.0
 
@@ -72,8 +73,8 @@ class RunProfile:
     workers: list[WorkerProfile]
     elapsed: float
     program: Optional[CompiledProgram] = None
-    # fast-path observability: a PlanCacheStats and a CowStats when the
-    # run used compiled kernel plans / zero-copy transport, else None
+    # fast-path observability: the folded PlanCacheStats (None only in
+    # model mode, which runs no kernels) and CowStats of every runtime
     plan_cache: Optional[Any] = None
     cow: Optional[Any] = None
     # memory-pressure observability: an aggregated MemStats plus the
@@ -115,12 +116,7 @@ class RunProfile:
         out: dict[int, PardoStats] = {}
         for w in self.workers:
             for pid, stats in w.pardo.items():
-                agg = out.setdefault(pid, PardoStats())
-                agg.entries += stats.entries
-                agg.iterations += stats.iterations
-                agg.elapsed = max(agg.elapsed, stats.elapsed)
-                agg.wait_time += stats.wait_time
-                agg.chunk_wait += stats.chunk_wait
+                fold(out.setdefault(pid, PardoStats()), stats)
         return out
 
     def by_line(self) -> dict[Optional[int], InstrStats]:
@@ -137,10 +133,7 @@ class RunProfile:
                     loc = self.program.instructions[pc].location
                     if loc is not None:
                         line = loc.line
-                agg = out.setdefault(line, InstrStats())
-                agg.count += stats.count
-                agg.busy_time += stats.busy_time
-                agg.wait_time += stats.wait_time
+                fold(out.setdefault(line, InstrStats()), stats)
         return out
 
     def hotspots(self, limit: int = 10) -> list[tuple[int, InstrStats]]:
@@ -148,10 +141,7 @@ class RunProfile:
         merged: dict[int, InstrStats] = {}
         for w in self.workers:
             for pc, stats in w.instr.items():
-                agg = merged.setdefault(pc, InstrStats())
-                agg.count += stats.count
-                agg.busy_time += stats.busy_time
-                agg.wait_time += stats.wait_time
+                fold(merged.setdefault(pc, InstrStats()), stats)
         ranked = sorted(
             merged.items(), key=lambda kv: kv[1].busy_time + kv[1].wait_time,
             reverse=True,
@@ -188,9 +178,16 @@ class RunProfile:
                 f"elapsed={stats.elapsed:.6f}s wait={stats.wait_time:.6f}s "
                 f"chunk_wait={stats.chunk_wait:.6f}s"
             )
+        lines += self.sections().values()
+        return "\n".join(lines)
+
+    def sections(self) -> dict[str, str]:
+        """The run-level stat lines of :meth:`report`, by the key a
+        run's tracer carries each one under as an annotation."""
+        out: dict[str, str] = {}
         if self.plan_cache is not None:
             p = self.plan_cache
-            lines.append(
+            out["plan_cache"] = (
                 f"kernel plans: {p.hits} hits / {p.misses} misses "
                 f"(hit rate {100.0 * p.hit_rate:.1f} %, "
                 f"{p.gemm_plans} gemm / {p.outer_plans} outer / "
@@ -198,7 +195,7 @@ class RunProfile:
             )
         if self.cow is not None:
             c = self.cow
-            lines.append(
+            out["zero_copy"] = (
                 f"zero-copy transport: {c.sends_shared} payloads shared, "
                 f"{c.bytes_not_copied} bytes not copied, "
                 f"{c.cow_copies} copy-on-write copies "
@@ -208,21 +205,21 @@ class RunProfile:
         if t is not None:
             a = t["arena"]
             b = t["batches"]
-            lines.append(
+            out["mp_transport"] = (
                 f"mp transport arena: {a.hits} slot fills + "
                 f"{a.handoffs} zero-copy handoffs / {a.misses} one-shot "
                 f"misses, {a.bytes_zero_copy} bytes mapped without a "
                 f"receive copy, {a.slabs_created} slabs "
                 f"({a.slab_bytes} B), {a.refs_leaked} leases leaked"
             )
-            lines.append(
+            out["mp_control_plane"] = (
                 f"mp control plane: {b.messages} messages in "
                 f"{b.batches} frames "
                 f"({t['batch_msgs_per_write']:.1f} msgs/write, "
                 f"{b.frame_bytes} framed bytes)"
             )
             e = t["engines"]
-            lines.append(
+            out["mp_engines"] = (
                 "mp worker engines: blocked "
                 + " / ".join(f"{x.blocked_s:.3f}" for x in e)
                 + f" s in {sum(x.blocked_waits for x in e)} waits, "
@@ -231,7 +228,7 @@ class RunProfile:
                 f"{sum(x.events_fired for x in e)} events fired"
             )
             g = t["ends"]
-            lines.append(
+            out["mp_gather"] = (
                 f"mp gather: {g['mp_gather_bytes']} array bytes mapped in "
                 f"{1e3 * g['mp_gather_s']:.1f} ms, "
                 f"{g['mp_result_pickle_bytes']} bytes pickled through the "
@@ -249,10 +246,10 @@ class RunProfile:
                     f"({100.0 * s.locality_rate:.1f} %), "
                     f"{s.steals} steals ({s.stolen_iterations} iterations)"
                 )
-            lines.append(line)
+            out["scheduling"] = line
         m = self.memory
         if m is not None and (m.cascades or m.spills or m.pressure_evictions):
-            lines.append(
+            out["memory_pressure"] = (
                 f"memory pressure: {m.cascades} cascades, "
                 f"{m.pressure_evictions} pressure evictions, "
                 f"{m.spills} spills ({m.spill_bytes} B out), "
@@ -261,4 +258,12 @@ class RunProfile:
                 f"{m.peak_spill_bytes} B on scratch "
                 f"(budget {self.memory_budget:.0f} B)"
             )
-        return "\n".join(lines)
+        bio = self.blockio
+        if bio is not None and (bio.issued or bio.disk_loads):
+            out["blockio"] = (
+                f"block transfers: {bio.issued} fetches issued "
+                f"({bio.coalesced} coalesced, peak {bio.in_flight_peak} in "
+                f"flight), {bio.puts_posted + bio.prepares_posted} writes "
+                f"posted, {bio.hint_drops} hints dropped"
+            )
+        return out

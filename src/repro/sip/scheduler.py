@@ -88,6 +88,7 @@ class SchedStats:
 
     policy: str = "guided"
     chunks: int = 0
+    replies: int = 0  # chunk replies sent, the empty end-of-pardo ones included
     iterations: int = 0
     # locality policy only: iterations served to their preferred worker
     # vs elsewhere, and steal events when a worker's own queue drained

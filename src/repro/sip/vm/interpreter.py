@@ -156,14 +156,11 @@ class WorkerProcess(ResilientMessaging):
         )
 
         # every block movement for this rank goes through the engine;
-        # the ReplicaMap learns of wire fetches through on_issue, and
-        # the memory manager reports fault-in/spill traffic back
+        # the ReplicaMap learns of wire fetches through on_issue
         self.engine = BlockTransferEngine(self)
         self.engine.on_issue = (
             lambda bid: rt.replicas.note(bid, worker_index)
         )
-        self.memman.blockio = self.engine
-        self.blockio = self.engine  # uniform stats handle across rank kinds
         self.prefetcher = LookaheadPrefetcher(self)
 
         self._fast = {

@@ -22,14 +22,13 @@ import pytest
 
 from repro.programs import run_ccsd, run_paper_contraction
 from repro.sip import SIPConfig
+from repro.sip.stats import TABLE
 
 GOLDEN = Path(__file__).resolve().parent.parent / "data" / "host_only_counters.json"
 
-#: host wall-clock measurements: the only numeric stats allowed to move.
-#: The mp rank loop's ``mp_engine_*`` figures are host timing too (zero
-#: on the simulator, different on every mp run) and are not pinned.
-HOST_KEYS = frozenset({"wallclock_seconds"})
-HOST_PREFIX = "mp_engine_"
+#: host timing -- the stats table's "varies from run to run" keys: the
+#: only numeric stats allowed to move (zero or near it on the simulator)
+HOST_KEYS = frozenset(stat.key for stat in TABLE if stat.varies)
 
 WORKERS = (1, 2, 4)
 
@@ -71,9 +70,7 @@ def counters(result) -> dict:
     out = {
         key: value
         for key, value in result.stats.items()
-        if isinstance(value, (int, float))
-        and key not in HOST_KEYS
-        and not key.startswith(HOST_PREFIX)
+        if isinstance(value, (int, float)) and key not in HOST_KEYS
     }
     out["elapsed"] = result.elapsed
     return out

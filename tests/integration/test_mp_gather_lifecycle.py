@@ -157,7 +157,7 @@ def test_gather_segments_are_neither_slabs_nor_leaks():
     # in the mappings the result's arrays own
     assert run_segments() == []
     assert footprint()[0] > before[0]
-    blocks = out.result._workers[0].owned
+    blocks = next(r for r in out.result.reports if r.role == "worker").owned
     assert all(b.data.flags.writeable and b._shared is None for b in blocks.values())
     del out, blocks
     assert footprint() == before

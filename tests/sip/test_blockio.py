@@ -17,6 +17,7 @@ from repro.sip.blockio import (
     BlockIOStats,
     BlockTransferEngine,
 )
+from repro.sip.fold import fold
 from repro.sip.runner import run_source
 
 
@@ -54,10 +55,10 @@ def test_headroom_reserve_is_configurable():
 # ---------------------------------------------------------------------------
 
 
-def test_stats_add_sums_counters_and_maxes_peaks():
+def test_stats_fold_sums_counters_and_maxes_peaks():
     a = BlockIOStats(issued_gets=2, coalesced=1, waiter_peak=3, in_flight_peak=5)
     b = BlockIOStats(issued_gets=4, issued_requests=1, waiter_peak=2, in_flight_peak=7)
-    a.add(b)
+    fold(a, b)
     assert a.issued_gets == 6
     assert a.issued_requests == 1
     assert a.issued == 7
