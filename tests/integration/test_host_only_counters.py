@@ -6,7 +6,9 @@ order, so the simulated time-to-solution and every counter in
 ``RunResult.stats`` repeat exactly.  ``tests/data/host_only_counters.json``
 pins them for CCSD at toy size, the paper's Section IV-D contraction and
 a spill-enabled CCSD run at half its unconstrained resident peak, each
-at 1, 2 and 4 workers under ``-O2``.
+at 1, 2 and 4 workers under ``-O2``, plus CCSD under ``-O0``, whose
+unoptimised loops give the lookahead prefetcher the most operands to
+probe.
 
 A PR that *means* to change simulated behaviour regenerates the file
 and says so::
@@ -33,9 +35,9 @@ HOST_KEYS = frozenset(stat.key for stat in TABLE if stat.varies)
 WORKERS = (1, 2, 4)
 
 
-def _config(workers: int, **kw) -> SIPConfig:
+def _config(workers: int, opt_level: int = 2, **kw) -> SIPConfig:
     return SIPConfig(
-        workers=workers, io_servers=1, segment_size=2, opt_level=2, **kw
+        workers=workers, io_servers=1, segment_size=2, opt_level=opt_level, **kw
     )
 
 
@@ -62,7 +64,16 @@ def _ccsd_spill(workers: int):
     return out
 
 
-CASES = {"ccsd": _ccsd, "contraction": _contraction, "ccsd_spill": _ccsd_spill}
+def _ccsd_o0(workers: int):
+    return _ccsd(workers, opt_level=0)
+
+
+CASES = {
+    "ccsd": _ccsd,
+    "ccsd_o0": _ccsd_o0,
+    "contraction": _contraction,
+    "ccsd_spill": _ccsd_spill,
+}
 
 
 def counters(result) -> dict:
