@@ -8,7 +8,8 @@ procedures are compiled after the main body with call sites patched at
 the end.
 
 Every loop START instruction additionally carries the program counters
-of the GET/REQUEST instructions inside its body; the SIP's lookahead
+of the GET/REQUEST instructions inside its body that the loop can
+resolve (:func:`~.passes.rewrite.loop_get_pcs`); the SIP's lookahead
 prefetcher uses these to issue block requests for upcoming iterations
 (paper, Section V-A: "The SIP looks ahead and requests several blocks
 that it expects will be needed soon").
@@ -16,7 +17,7 @@ that it expects will be needed soon").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import ast_nodes as ast
@@ -42,6 +43,7 @@ from .bytecode import (
 )
 from .errors import SemanticError, SourceLocation
 from .parser import parse
+from .passes.rewrite import get_pcs_slot, loop_get_pcs
 from .symbols import (
     ArraySymbol,
     IndexSymbol,
@@ -83,14 +85,6 @@ class _PendingInstr:
     location: Optional[SourceLocation]
 
 
-@dataclass
-class _LoopFrame:
-    """Collects GET/REQUEST pcs inside a loop for the prefetcher."""
-
-    start_pc: int
-    get_pcs: list[int] = field(default_factory=list)
-
-
 class _Compiler:
     def __init__(self, analyzed: AnalyzedProgram) -> None:
         self.analyzed = analyzed
@@ -98,7 +92,6 @@ class _Compiler:
         self.symbols = analyzed.symbols
         self.source = self.symbols.source
         self.code: list[_PendingInstr] = []
-        self.loop_stack: list[_LoopFrame] = []
         self.call_sites: list[tuple[int, str]] = []
         self.pardo_counter = 0
 
@@ -176,6 +169,8 @@ class _Compiler:
                     self.source,
                 )
             self.code[pc].args = [entry, name]
+        for start, get_pcs in loop_get_pcs(self.code).items():
+            self.code[start].args[get_pcs_slot(self.code[start])] = get_pcs
         return CompiledProgram(
             name=self.program.name,
             instructions=[
@@ -205,10 +200,6 @@ class _Compiler:
     def here(self) -> int:
         return len(self.code)
 
-    def note_get(self, pc: int) -> None:
-        for frame in self.loop_stack:
-            frame.get_pcs.append(pc)
-
     # -- statement emission ----------------------------------------------------
     def emit_body(self, body: list[ast.Stmt]) -> None:
         for stmt in body:
@@ -228,35 +219,23 @@ class _Compiler:
             [pardo_id, index_ids, conditions, None, ()],
             stmt.location,
         )
-        frame = _LoopFrame(start_pc=start)
-        self.loop_stack.append(frame)
         self.emit_body(stmt.body)
-        self.loop_stack.pop()
         self.emit(Op.PARDO_END, [start], stmt.location)
         self.code[start].args[3] = self.here()  # exit pc
-        self.code[start].args[4] = tuple(frame.get_pcs)
 
     def emit_do(self, stmt: ast.Do) -> None:
         index_id = self.index_ids[stmt.index.lower()]
         start = self.emit(Op.DO_START, [index_id, None, ()], stmt.location)
-        frame = _LoopFrame(start_pc=start)
-        self.loop_stack.append(frame)
         self.emit_body(stmt.body)
-        self.loop_stack.pop()
         self.emit(Op.DO_END, [index_id, start + 1], stmt.location)
         self.code[start].args[1] = self.here()
-        self.code[start].args[2] = tuple(frame.get_pcs)
 
     def emit_doin(self, stmt: ast.DoIn) -> None:
         sub_id = self.index_ids[stmt.subindex.lower()]
         start = self.emit(Op.DOIN_START, [sub_id, None, ()], stmt.location)
-        frame = _LoopFrame(start_pc=start)
-        self.loop_stack.append(frame)
         self.emit_body(stmt.body)
-        self.loop_stack.pop()
         self.emit(Op.DOIN_END, [sub_id, start + 1], stmt.location)
         self.code[start].args[1] = self.here()
-        self.code[start].args[2] = tuple(frame.get_pcs)
 
     def emit_if(self, stmt: ast.If) -> None:
         cond = self.compile_condition(stmt.condition)
@@ -275,12 +254,10 @@ class _Compiler:
         self.call_sites.append((pc, stmt.name))
 
     def emit_get(self, stmt: ast.Get) -> None:
-        pc = self.emit(Op.GET, [self.block_operand(stmt.ref)], stmt.location)
-        self.note_get(pc)
+        self.emit(Op.GET, [self.block_operand(stmt.ref)], stmt.location)
 
     def emit_request(self, stmt: ast.Request) -> None:
-        pc = self.emit(Op.REQUEST, [self.block_operand(stmt.ref)], stmt.location)
-        self.note_get(pc)
+        self.emit(Op.REQUEST, [self.block_operand(stmt.ref)], stmt.location)
 
     def emit_put(self, stmt: ast.Put) -> None:
         self.emit(

@@ -11,8 +11,8 @@ produces a fresh program with
   lists, ``DO_END``/``DOIN_END`` body starts, ``PARDO_START`` exit pcs,
   ``PARDO_END`` back links) *recomputed structurally* rather than
   remapped, exactly as the compiler would have emitted them, and
-* per-loop ``get_pcs`` prefetch lists rebuilt by the same lexical walk
-  the compiler's ``note_get`` performs (``PREFETCH`` counts as a get).
+* per-loop ``get_pcs`` prefetch lists rebuilt by :func:`loop_get_pcs`,
+  the walk the compiler itself emits them with.
 
 Jumping to a deleted pc lands on the next surviving instruction;
 instructions inserted *before* a pc execute whenever control reaches
@@ -36,7 +36,10 @@ from ..bytecode import (
     Op,
 )
 
-__all__ = ["Rewriter", "verify_program", "remove_arrays", "jump_targets"]
+__all__ = [
+    "Rewriter", "verify_program", "remove_arrays", "jump_targets", "loop_get_pcs",
+    "get_pcs_slot",
+]
 
 #: loop families: (start opcode, end opcode)
 _LOOP_PAIRS = {
@@ -46,8 +49,44 @@ _LOOP_PAIRS = {
 }
 _LOOP_ENDS = {v: k for k, v in _LOOP_PAIRS.items()}
 
-#: opcodes the compiler's ``note_get`` records into enclosing loops
+#: opcodes :func:`loop_get_pcs` records into enclosing loops
 _GETLIKE = (Op.GET, Op.REQUEST, Op.PREFETCH)
+
+
+def _loop_binds(instr) -> tuple[int, ...]:
+    """The index ids a loop-start instruction binds."""
+    return instr.args[1] if instr.op == Op.PARDO_START else (instr.args[0],)
+
+
+def get_pcs_slot(instr) -> int:
+    """Where a loop-start instruction keeps its ``get_pcs`` list."""
+    return 4 if instr.op == Op.PARDO_START else 2
+
+
+def loop_get_pcs(instrs) -> dict[int, tuple[int, ...]]:
+    """Each loop's prefetch list: loop start pc -> get-like pcs.
+
+    A get joins every lexically enclosing loop up to the innermost loop
+    that binds one of its operand's indices: a loop nested inside a
+    loop is never active when that loop prefetches, so an operand
+    using its index cannot resolve there.  ``PREFETCH`` counts as a get.
+    """
+    gets: dict[int, list[int]] = {}
+    stack: list[tuple[int, tuple[int, ...]]] = []  # (start pc, bound ids)
+    for pc, instr in enumerate(instrs):
+        op = instr.op
+        if op in _LOOP_PAIRS:
+            stack.append((pc, _loop_binds(instr)))
+            gets[pc] = []
+        elif op in _LOOP_ENDS and stack:  # verify_program reports a stray end
+            stack.pop()
+        elif op in _GETLIKE:
+            uses = instr.args[0].index_ids
+            for start_pc, binds in reversed(stack):
+                gets[start_pc].append(pc)
+                if any(i in uses for i in binds):
+                    break
+    return {start_pc: tuple(pcs) for start_pc, pcs in gets.items()}
 
 
 def jump_targets(prog: CompiledProgram) -> set[int]:
@@ -175,24 +214,11 @@ def _relink_loops(instrs: list[Instr]) -> None:
 
 
 def _rebuild_get_pcs(instrs: list[Instr]) -> None:
-    """Recompute each loop's ``get_pcs`` list (compiler's ``note_get``)."""
-    gets: dict[int, list[int]] = {}  # start pc -> get pcs
-    stack: list[int] = []
-    for pc, instr in enumerate(instrs):
-        op = instr.op
-        if op in _LOOP_PAIRS:
-            stack.append(pc)
-            gets[pc] = []
-        elif op in _LOOP_ENDS:
-            stack.pop()
-        elif op in _GETLIKE:
-            for start_pc in stack:
-                gets[start_pc].append(pc)
-    for start_pc, pcs in gets.items():
+    """Recompute each loop's ``get_pcs`` list after pcs moved."""
+    for start_pc, pcs in loop_get_pcs(instrs).items():
         instr = instrs[start_pc]
         args = list(instr.args)
-        slot = 4 if instr.op == Op.PARDO_START else 2
-        args[slot] = tuple(pcs)
+        args[get_pcs_slot(instr)] = pcs
         instrs[start_pc] = dc_replace(instr, args=tuple(args))
 
 
@@ -259,8 +285,11 @@ def verify_program(prog: CompiledProgram) -> VerifyResult:
     """Machine-checkable legality report for one rewritten program.
 
     Checks that every branch target is in range, loop pairs nest and
-    back-link correctly, operand ids index into the descriptor tables
-    and each loop's ``get_pcs`` matches a fresh lexical recount.
+    back-link correctly, operand ids index into the descriptor tables,
+    each loop's ``get_pcs`` matches a fresh :func:`loop_get_pcs`, and no
+    ``get_pcs`` entry uses an index bound by a loop nested inside its
+    loop: every index it names is bound by that loop, an enclosing one
+    or (in a procedure body) the caller.
     """
     out = VerifyResult()
     n = len(prog.instructions)
@@ -276,6 +305,19 @@ def verify_program(prog: CompiledProgram) -> VerifyResult:
         for ix in operand.index_ids:
             if not 0 <= ix < n_indices:
                 out.problems.append(f"pc {pc}: index id {ix} out of range")
+
+    def check_prefetchable(pc: int, uses: tuple[int, ...]) -> None:
+        # a loop may list this get only if no loop nested inside it
+        # binds one of the operand's indices
+        nested: set[int] = set()
+        for _, start_pc in reversed(stack):
+            start = prog.instructions[start_pc]
+            if nested.intersection(uses) and pc in start.args[get_pcs_slot(start)]:
+                out.problems.append(
+                    f"pc {start_pc}: get_pcs lists pc {pc}, whose operand "
+                    "uses an index a nested loop binds"
+                )
+            nested.update(_loop_binds(start))
 
     stack: list[tuple[str, int]] = []
     for pc, instr in enumerate(prog.instructions):
@@ -317,6 +359,8 @@ def verify_program(prog: CompiledProgram) -> VerifyResult:
         elif op in (Op.GET, Op.REQUEST, Op.PREFETCH, Op.ALLOCATE,
                     Op.DEALLOCATE, Op.COMPUTE_INTEGRALS):
             check_operand(pc, instr.args[0])
+            if op in _GETLIKE and isinstance(instr.args[0], BlockOperand):
+                check_prefetchable(pc, instr.args[0].index_ids)
         elif op in (Op.PUT, Op.PREPARE):
             check_operand(pc, instr.args[0])
             check_operand(pc, instr.args[2])
@@ -338,23 +382,10 @@ def verify_program(prog: CompiledProgram) -> VerifyResult:
             f"unterminated loops at pcs {[pc for _, pc in stack]}"
         )
 
-    # get_pcs must equal a fresh lexical recount
-    recount: dict[int, list[int]] = {}
-    open_loops: list[int] = []
-    for pc, instr in enumerate(prog.instructions):
-        if instr.op in _LOOP_PAIRS:
-            open_loops.append(pc)
-            recount[pc] = []
-        elif instr.op in _LOOP_ENDS and open_loops:
-            open_loops.pop()
-        elif instr.op in _GETLIKE:
-            for start_pc in open_loops:
-                recount[start_pc].append(pc)
-    for start_pc, pcs in recount.items():
+    # get_pcs must equal a fresh recount
+    for start_pc, pcs in loop_get_pcs(prog.instructions).items():
         instr = prog.instructions[start_pc]
-        slot = 4 if instr.op == Op.PARDO_START else 2
-        if tuple(instr.args[slot]) != tuple(pcs):
-            out.problems.append(
-                f"pc {start_pc}: stale get_pcs {instr.args[slot]} != {tuple(pcs)}"
-            )
+        listed = tuple(instr.args[get_pcs_slot(instr)])
+        if listed != pcs:
+            out.problems.append(f"pc {start_pc}: stale get_pcs {listed} != {pcs}")
     return out

@@ -14,6 +14,10 @@ does that structural work **once at program load**:
   decoder, so a memo keyed by the current index values turns repeat
   resolutions into a single dict probe -- across *all* workers, since
   the decoded stream lives on the shared runtime;
+* a memo miss reads one segment table per (index used, dimension
+  index) pair, shared by every operand of the run, so each dimension's
+  coordinate, slice, extent and element range are computed once per
+  index value;
 * the worker builds flat per-pc handler tables from the decoded ops, so
   the inner loop does no per-step dict/``getattr`` dispatch.
 
@@ -25,9 +29,8 @@ raised (the error-path tests match them verbatim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ..sial.bytecode import ArrayDesc, BlockOperand, CompiledProgram
 from .blocks import BlockId, ResolvedIndexTable
@@ -41,8 +44,7 @@ __all__ = ["ResolvedOperand", "DecodedOperand", "DecodedInstr", "DecodedProgram"
 LOCAL_KINDS = ("static", "temp", "local")
 
 
-@dataclass(frozen=True)
-class ResolvedOperand:
+class ResolvedOperand(NamedTuple):
     """A block operand resolved against the current index values."""
 
     block_id: BlockId
@@ -55,11 +57,57 @@ class ResolvedOperand:
     owner_rank: Optional[int]  # world rank owning a distributed block, else None
 
 
+def _segment(ri_u, ri_d, sub_on_full: bool, desc: ArrayDesc, val) -> tuple:
+    """Resolve value ``val`` of index ``ri_u`` on dimension ``ri_d``:
+    (block coordinate, slice of the block, extent, element range)."""
+    if val is None:
+        raise SIPError(
+            f"index {ri_u.name!r} has no value here "
+            f"(array {desc.name!r})"
+        )
+    if sub_on_full:
+        # a subindex used on a full-segment dimension slices the
+        # block; any subindex of a same-kind, same-partition
+        # index works (the analyzer already checked the kind)
+        parent = ri_u.super_segment_of(val)
+        sub = ri_u.segment(val)
+        if not 1 <= parent <= ri_d.n_segments:
+            raise SIPError(
+                f"subindex {ri_u.name!r} segment {val} falls outside "
+                f"dimension {ri_d.name!r} of {desc.name!r}"
+            )
+        pseg = ri_d.segment(parent)
+        if sub.start < pseg.start or sub.stop > pseg.stop:
+            raise SIPError(
+                f"subindex {ri_u.name!r} and dimension "
+                f"{ri_d.name!r} of {desc.name!r} have "
+                "incompatible segmentations"
+            )
+        cut = slice(sub.start - pseg.start, sub.stop - pseg.start)
+        return parent, cut, sub.length, (sub.start, sub.stop)
+    nd = ri_d.n_segments
+    if not 1 <= val <= nd:
+        raise SIPError(
+            f"segment {val} of index {ri_u.name!r} is outside the "
+            f"declared range of dimension {ri_d.name!r} of "
+            f"array {desc.name!r} (1..{nd})"
+        )
+    seg = ri_d.segment(val)
+    used_seg = ri_u.segment(val) if not ri_u.is_simple else seg
+    if used_seg.length != seg.length:
+        raise SIPError(
+            f"index {ri_u.name!r} and dimension {ri_d.name!r} "
+            f"of {desc.name!r} have incompatible segmentations"
+        )
+    return val, slice(0, seg.length), seg.length, (seg.start, seg.stop)
+
+
 class DecodedOperand:
     """A block operand with its descriptor lookups done at load time."""
 
     __slots__ = (
-        "array_id", "index_ids", "kind", "desc", "table", "dims", "_memo", "_key", "_owner_of",
+        "array_id", "index_ids", "kind", "desc", "dims", "_tables", "_sliced",
+        "_is_local", "_memo", "_key", "_owner_of",
     )  # fmt: skip
 
     def __init__(
@@ -68,21 +116,30 @@ class DecodedOperand:
         desc: ArrayDesc,
         table: ResolvedIndexTable,
         owner_of: Optional[Callable[[BlockId], int]] = None,
+        segments: Optional[dict[tuple[int, int], dict]] = None,
     ) -> None:
         self.array_id = op.array_id
         self.index_ids = op.index_ids
         self.kind = desc.kind
         self.desc = desc
-        self.table = table
-        # per dimension: (uid, resolved index used, dimension's resolved
+        # per dimension: (resolved index used, dimension's resolved
         # index, True when a subindex slices a full-segment dimension)
         self.dims = tuple(
-            (uid, table[uid], table[did], table[uid].is_subindex and not table[did].is_subindex)
+            (table[uid], table[did], table[uid].is_subindex and not table[did].is_subindex)
             for did, uid in zip(desc.index_ids, op.index_ids)
         )
-        # key -> resolution (or, for a key with an unbound index, the
-        # text of the error resolving it raises)
-        self._memo: dict[object, object] = {}
+        # per dimension: index value -> _segment(...), shared by every operand
+        # that pairs the same index with the same dimension index
+        if segments is None:
+            segments = {}
+        self._tables = tuple(
+            segments.setdefault((uid, did), {})
+            for did, uid in zip(desc.index_ids, op.index_ids)
+        )
+        self._sliced = any(sub_on_full for _, _, sub_on_full in self.dims)
+        self._is_local = desc.kind in LOCAL_KINDS
+        # key -> resolution; errors are never memoised
+        self._memo: dict[object, ResolvedOperand] = {}
         # memo key straight from the binding table, in C: the tuple of
         # this operand's index values (the bare value for one index);
         # an unbound index surfaces as KeyError
@@ -103,87 +160,31 @@ class DecodedOperand:
         return r
 
     def _resolve_unbound(self, index_values: dict[int, int]) -> ResolvedOperand:
-        """Some index has no value: raise what the reference path raises.
-
-        The lookahead prefetcher probes operands of inner loops with
-        their indices still unbound on every outer iteration, so the
-        error text is memoised like a successful resolution is.
-        """
-        key = tuple(map(index_values.get, self.index_ids))
-        message = self._memo.get(key)
-        if message is None:
-            try:
-                return self._resolve(key)
-            except SIPError as err:
-                message = str(err)
-            self._memo[key] = message
-        raise SIPError(message) from None  # not "while handling KeyError"
+        """Some index has no value: raise what the reference path raises."""
+        try:
+            return self._resolve(tuple(map(index_values.get, self.index_ids)))
+        except SIPError as err:
+            raise err from None  # not "while handling KeyError"
 
     def _resolve(self, values: tuple) -> ResolvedOperand:
-        desc = self.desc
-        coords: list[int] = []
-        slices: list[slice] = []
-        shape: list[int] = []
-        eranges: list[tuple[int, int]] = []
-        any_slice = False
-        for (uid, ri_u, ri_d, sub_on_full), val in zip(self.dims, values):
-            if val is None:
-                raise SIPError(
-                    f"index {ri_u.name!r} has no value here "
-                    f"(array {desc.name!r})"
-                )
-            if sub_on_full:
-                # a subindex used on a full-segment dimension slices the
-                # block; any subindex of a same-kind, same-partition
-                # index works (the analyzer already checked the kind)
-                parent = ri_u.super_segment_of(val)
-                sub = ri_u.segment(val)
-                if not 1 <= parent <= ri_d.n_segments:
-                    raise SIPError(
-                        f"subindex {ri_u.name!r} segment {val} falls outside "
-                        f"dimension {ri_d.name!r} of {desc.name!r}"
-                    )
-                pseg = ri_d.segment(parent)
-                if sub.start < pseg.start or sub.stop > pseg.stop:
-                    raise SIPError(
-                        f"subindex {ri_u.name!r} and dimension "
-                        f"{ri_d.name!r} of {desc.name!r} have "
-                        "incompatible segmentations"
-                    )
-                coords.append(parent)
-                slices.append(slice(sub.start - pseg.start, sub.stop - pseg.start))
-                shape.append(sub.length)
-                eranges.append((sub.start, sub.stop))
-                any_slice = True
-            else:
-                nd = ri_d.n_segments
-                if not 1 <= val <= nd:
-                    raise SIPError(
-                        f"segment {val} of index {ri_u.name!r} is outside the "
-                        f"declared range of dimension {ri_d.name!r} of "
-                        f"array {desc.name!r} (1..{nd})"
-                    )
-                seg = ri_d.segment(val)
-                used_seg = ri_u.segment(val) if not ri_u.is_simple else seg
-                if used_seg.length != seg.length:
-                    raise SIPError(
-                        f"index {ri_u.name!r} and dimension {ri_d.name!r} "
-                        f"of {desc.name!r} have incompatible segmentations"
-                    )
-                coords.append(val)
-                slices.append(slice(0, seg.length))
-                shape.append(seg.length)
-                eranges.append((seg.start, seg.stop))
-        block_id = BlockId(self.array_id, tuple(coords))
+        segs = []
+        for seg_table, dim, val in zip(self._tables, self.dims, values):
+            seg = seg_table.get(val)
+            if seg is None:
+                seg = _segment(*dim, self.desc, val)
+                seg_table[val] = seg
+            segs.append(seg)
+        coords, slices, shape, eranges = tuple(zip(*segs)) or ((), (), (), ())
+        block_id = BlockId(self.array_id, coords)
         return ResolvedOperand(
-            block_id=block_id,
-            kind=desc.kind,
-            index_ids=self.index_ids,
-            shape=tuple(shape),
-            slices=tuple(slices) if any_slice else None,
-            element_ranges=tuple(eranges),
-            is_local=desc.kind in LOCAL_KINDS,
-            owner_rank=None if self._owner_of is None else self._owner_of(block_id),
+            block_id,
+            self.kind,
+            self.index_ids,
+            shape,
+            slices if self._sliced else None,
+            eranges,
+            self._is_local,
+            None if self._owner_of is None else self._owner_of(block_id),
         )
 
 
@@ -219,12 +220,13 @@ def decode_program(
     resolved operand carries the answer instead of every reader asking.
     """
     operands: dict[BlockOperand, DecodedOperand] = {}
+    segments: dict[tuple[int, int], dict] = {}
 
     def decode_operand(op: BlockOperand) -> DecodedOperand:
         d = operands.get(op)
         if d is None:
             d = operands[op] = DecodedOperand(
-                op, program.array_table[op.array_id], table, owner_of
+                op, program.array_table[op.array_id], table, owner_of, segments
             )
         return d
 

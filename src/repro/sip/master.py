@@ -262,11 +262,12 @@ class MasterProcess:
         get/request the body issues at pardo level is resolved; the
         owner of a distributed block earns :data:`AFFINITY_OWNER_WEIGHT`
         per byte and each recent cache holder earns
-        :data:`AFFINITY_REPLICA_WEIGHT` per byte.  Gets whose operands
-        also depend on inner-loop indices cannot be resolved here and
-        are skipped -- correctly so, since those blocks are touched from
-        every iteration.  Iterations with no placement signal
-        round-robin over the workers.
+        :data:`AFFINITY_REPLICA_WEIGHT` per byte.  The pardo lists no
+        get whose operand uses an inner-loop index (those blocks are
+        touched from every iteration); one that uses an index bound
+        outside the pardo cannot be resolved here and is skipped.
+        Iterations with no placement signal round-robin over the
+        workers.
         """
         workers = self.config.workers
         if workers <= 1 or not iterations:
@@ -286,7 +287,7 @@ class MasterProcess:
                 try:
                     r = op.resolve(values)
                 except SIPError:
-                    continue  # depends on an index bound inside the body
+                    continue  # depends on an index bound outside the pardo
                 bid = r.block_id
                 nb = self._block_nbytes(bid)
                 if bid.array_id in placements:

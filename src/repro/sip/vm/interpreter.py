@@ -333,11 +333,7 @@ class WorkerProcess(ResilientMessaging):
             if isinstance(payload, GetBlock):
                 block = self.owned.get(payload.block_id)
                 if block is None:
-                    raise SIPError(
-                        f"get of unwritten distributed block {payload.block_id} "
-                        f"(array "
-                        f"{self.rt.array_desc(payload.block_id.array_id).name!r})"
-                    )
+                    raise self._unwritten(payload.block_id)
                 self._fold_accums(payload.block_id)
                 self.memman.touch(payload.block_id)
                 self.tracker(payload.epoch).record_read(
@@ -443,15 +439,18 @@ class WorkerProcess(ResilientMessaging):
         self.memman.pin_instr(r.block_id)
         return block
 
+    def _unwritten(self, bid: BlockId) -> SIPError:
+        """The error for a get of an owned block nobody has put yet."""
+        name = self.rt.array_desc(bid.array_id).name
+        return SIPError(f"get of unwritten distributed block {bid} (array {name!r})")
+
     def acquire(self, r: ResolvedOperand) -> Generator:
         """Obtain a distributed/served block, waiting if in flight."""
         if r.kind == "distributed":
             if r.owner_rank == self.rank:
                 block = self.owned.get(r.block_id)
                 if block is None:
-                    raise SIPError(
-                        f"get of unwritten distributed block {r.block_id}"
-                    )
+                    raise self._unwritten(r.block_id)
                 self._fold_accums(r.block_id)
                 self.memman.touch(r.block_id)
                 self.memman.pin_instr(r.block_id)
@@ -537,12 +536,7 @@ class WorkerProcess(ResilientMessaging):
         data = None
         if block.data is not None:
             data = block.data[r.slices] if r.slices is not None else block.data
-        return KernelOperand(
-            shape=r.shape,
-            index_ids=r.index_ids,
-            data=data,
-            element_ranges=r.element_ranges,
-        )
+        return KernelOperand(r.shape, r.index_ids, data, r.element_ranges)
 
     # -- put application (shared with the service pump) --------------------------
     def apply_put(
@@ -613,15 +607,13 @@ class WorkerProcess(ResilientMessaging):
         return self.call_stack.pop()
 
     def op_do_start(self, instr, pc: int) -> int:
-        index_id, exit_pc, get_pcs = instr.args
+        index_id, exit_pc, _get_pcs = instr.args
         values = self.rt.table[index_id].values()
         if not values:
             return exit_pc
         self.do_states[pc] = _DoState(values=values)
         self.index_values[index_id] = values[0]
-        self.prefetcher.future(
-            get_pcs, index_id, values[1 : 1 + self.config.prefetch_depth]
-        )
+        self.prefetcher.future(pc, index_id, values, 1)
         return pc + 1
 
     def op_do_end(self, instr, pc: int) -> int:
@@ -631,18 +623,14 @@ class WorkerProcess(ResilientMessaging):
         state.pos += 1
         if state.pos < len(state.values):
             self.index_values[index_id] = state.values[state.pos]
-            nxt = state.values[
-                state.pos + 1 : state.pos + 1 + self.config.prefetch_depth
-            ]
-            get_pcs = self._instrs[start_pc].args[2]
-            self.prefetcher.future(get_pcs, index_id, nxt)
+            self.prefetcher.future(start_pc, index_id, state.values, state.pos + 1)
             return body_start
         del self.do_states[start_pc]
         self.index_values.pop(index_id, None)
         return pc + 1
 
     def op_doin_start(self, instr, pc: int) -> int:
-        sub_id, exit_pc, get_pcs = instr.args
+        sub_id, exit_pc, _get_pcs = instr.args
         sub = self.rt.table[sub_id]
         super_val = self.index_values.get(sub.super_id)
         if super_val is None:
@@ -654,9 +642,7 @@ class WorkerProcess(ResilientMessaging):
             return exit_pc
         self.do_states[pc] = _DoState(values=values)
         self.index_values[sub_id] = values[0]
-        self.prefetcher.future(
-            get_pcs, sub_id, values[1 : 1 + self.config.prefetch_depth]
-        )
+        self.prefetcher.future(pc, sub_id, values, 1)
         return pc + 1
 
     op_doin_end = op_do_end  # identical mechanics
@@ -670,7 +656,7 @@ class WorkerProcess(ResilientMessaging):
         self._sanitize("distributed", self.epoch, bid, "read", instr, pc)
         if r.owner_rank == self.rank:
             if bid not in self.owned:
-                raise SIPError(f"get of unwritten distributed block {bid}")
+                raise self._unwritten(bid)
             self.tracker(self.epoch).record_read(self.worker_index, bid)
             return pc + 1
         # a dropped hint is fine: the instruction that *uses* the block
@@ -750,7 +736,7 @@ class WorkerProcess(ResilientMessaging):
     # slow opcode handlers (generators)
     # ======================================================================
     def op_pardo_start(self, instr, pc: int) -> Generator:
-        pardo_id, index_ids, conditions, exit_pc, get_pcs = instr.args
+        pardo_id, index_ids, conditions, exit_pc, _get_pcs = instr.args
         stats = self.profile.pardo_stats(pardo_id)
         state = self.pardo_states.get(pc)
         if state is None:
@@ -771,10 +757,7 @@ class WorkerProcess(ResilientMessaging):
                         "iter", pardo_id, state.activation, combo
                     )
                 stats.iterations += 1
-                depth = self.config.prefetch_depth
-                self.prefetcher.pardo(
-                    get_pcs, index_ids, state.chunk[state.pos : state.pos + depth]
-                )
+                self.prefetcher.pardo(pc, index_ids, state.chunk, state.pos)
                 return pc + 1
             # chunk exhausted: ask the master for more
             reply_tag = self.next_tag()

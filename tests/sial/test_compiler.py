@@ -75,20 +75,24 @@ def test_pardo_ids_sequential():
 
 
 def test_get_pcs_recorded_for_prefetch():
+    # a loop lists a get only if no loop nested inside it binds one of
+    # the operand's indices: D(M, N) needs N, so only "do N" can
+    # prefetch it, while the inner-loop-invariant V(M) is on both lists
     body = """
 pardo M
   do N
     get D(M, N)
+    get V(M)
     T(M, N) = D(M, N)
   enddo N
 endpardo
 """
-    prog = compile_body(body)
+    prog = compile_body(body, decls=DECLS + "distributed V(M)\n")
     do_start = [i for i in prog.instructions if i.op == Op.DO_START][0]
-    get_pc = [pc for pc, i in enumerate(prog.instructions) if i.op == Op.GET][0]
-    assert do_start.args[2] == (get_pc,)
+    get_mn, get_m = [pc for pc, i in enumerate(prog.instructions) if i.op == Op.GET]
+    assert do_start.args[2] == (get_mn, get_m)
     pardo_start = [i for i in prog.instructions if i.op == Op.PARDO_START][0]
-    assert pardo_start.args[4] == (get_pc,)
+    assert pardo_start.args[4] == (get_m,)
 
 
 def test_if_else_branches():

@@ -173,7 +173,7 @@ def test_unbound_and_out_of_range_messages_are_the_documented_ones():
     )
     table = ResolvedIndexTable(program, {}, segment_size=4)
     operand = DecodedOperand(BlockOperand(0, (0, 1)), program.array_table[0], table)
-    for _ in range(2):  # second round comes from the memo
+    for _ in range(2):  # errors are never memoised: both rounds recompute
         with pytest.raises(SIPError, match=r"index 'N' has no value here \(array 'A'\)"):
             operand.resolve({0: 1})
         with pytest.raises(SIPError, match=r"segment 9 of index 'M' is outside"):
