@@ -116,7 +116,7 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--spill",
         action="store_true",
-        help="enable the unified memory hierarchy with spill-to-scratch",
+        help="give each worker scratch disk to spill resident blocks to",
     )
 
 

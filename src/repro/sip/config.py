@@ -115,17 +115,18 @@ class SIPConfig:
         worker's remote-block cache is bounded by what this budget
         leaves beside its resident blocks, not by a count of blocks.
     spill:
-        Unify each rank's pool, cache and adopted input bytes under one
-        budget and, under pressure, run the victim cascade (least
-        recently used first: a clean cached replica is dropped, a
-        resident block is spilled to the rank's scratch disk and
-        faulted back in on next touch) instead of raising
-        ``OutOfBlockMemory``.  Off by default: without it every
-        mechanism enforces its own budget exactly as before, and runs
-        are bitwise identical to historical behaviour.
+        Give each worker ``scratch_per_worker`` bytes of scratch disk.
+        Every rank charges its pool, cache, adopted input and arena
+        bytes to one budget, and under pressure the victim cascade
+        takes the least recently used of a clean cached replica
+        (dropped) and a resident block (spilled to scratch and faulted
+        back in on next touch).  Off by default: with no scratch the
+        cascade drops replicas only.  With spill on the dry run also
+        admits budgets down to the pinned-only floor.
     scratch_per_worker:
         Scratch-disk capacity available for spilled blocks on each
-        rank, bytes.  None (default) means unbounded scratch.
+        worker when ``spill`` is on, bytes.  None (default) means
+        unbounded scratch.
     dtype:
         Numpy dtype name of block elements (default ``"float64"``, the
         paper's double precision).  Threads through block allocation,

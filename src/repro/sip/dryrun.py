@@ -105,6 +105,11 @@ class DryRunReport:
                 "  INFEASIBLE: the pinned-only floor exceeds the budget; "
                 "even spilling everything evictable cannot help"
             )
+        elif self.required_workers < 0:
+            lines.append(
+                "  INFEASIBLE: the fixed per-worker bytes alone exceed the "
+                "budget, whatever the worker count"
+            )
         else:
             lines.append(
                 f"  INFEASIBLE: would need at least {self.required_workers} "

@@ -63,7 +63,6 @@ class IOServerProcess:
             cache_blocks=rt.config.server_cache_blocks,
             nbytes_of=self._block_nbytes,
             dtype=rt.dtype,
-            spill=rt.config.spill,
             clock=lambda: rt.sim.now,
             tracer=rt.config.tracer,
             rank=self.rank,

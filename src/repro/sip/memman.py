@@ -6,26 +6,25 @@ write-back cache in front of disk (Sections V-B, V-D).  This module
 unifies our previously disconnected mechanisms -- :class:`BlockPool`,
 :class:`BlockCache`, adopted input blocks -- behind one
 :class:`MemoryManager` that charges every live byte against a single
-budget and, when ``config.spill`` is enabled, degrades gracefully under
-pressure instead of raising.  Everything evictable on the rank -- the
-clean replicas in the cache and the resident blocks registered here --
-carries the stamp of its last use from one counter, and the victim
-cascade takes whichever is least recently used: a replica is dropped
-(its owner still has it), a resident block is spilled to the rank's
-scratch disk and transparently faulted back in on its next touch.
-Under pressure memory is always full, so any static preference (all
-replicas first, or all temps first) evicts what the running iteration
-just fetched while blocks nobody has used all run stay resident; only
-recency tells the two apart.  :class:`OutOfBlockMemory` survives only
-when pinned + in-flight blocks alone exceed the budget.
+budget and, under pressure, runs one victim cascade.  Everything
+evictable on the rank -- the clean replicas in the cache and the
+resident blocks registered here -- carries the stamp of its last use
+from one counter, and the cascade takes whichever is least recently
+used: a replica is dropped (its owner still has it), a resident block is
+spilled to the rank's scratch disk and transparently faulted back in on
+its next touch.  Under pressure memory is always full, so any static
+preference (all replicas first, or all temps first) evicts what the
+running iteration just fetched while blocks nobody has used all run stay
+resident; only recency tells the two apart.  :class:`OutOfBlockMemory`
+is raised only when what is left is pinned, in flight, or refused by a
+full scratch disk.
 
 Scratch traffic is charged simulated disk time (seek + bytes/bandwidth
 on the rank's machine model) and is subject to injected disk faults
 (device ``scratch<rank>``), retried with backoff like every other disk
-in the system.  With spill disabled (the default) nothing is ever
-spilled: the pool enforces its own budget, and a worker's cache -- which
-has no block limit -- drops its least recently used clean replicas until
-pool, cache, adopted and arena bytes fit the budget again.
+in the system.  With no scratch (``spill_capacity=0``, the default)
+nothing is ever spilled: the cascade drops clean replicas only, and no
+resident block's recency is tracked, since none can be a victim.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class MemStats:
     fault_bytes: int = 0
     spill_write_retries: int = 0
     spill_read_retries: int = 0
-    # unified resident peak (pool+cache+adopted-spilled)
+    # resident peak (pool + cache + adopted + arena - spilled)
     peak_bytes: int = field(default=0, metadata=MAX)
     peak_spill_bytes: int = field(default=0, metadata=MAX)  # scratch high-water mark
     oom_refusals: int = 0  # cascades that still ended in OutOfBlockMemory
@@ -70,16 +69,13 @@ class MemoryManager:
     tracks adopted blocks (initial inputs scattered outside the pool),
     so ``bytes_in_use`` covers pooled blocks, cached bytes, adopted
     bytes, and (on the mp backend) the rank's transport arena slabs,
-    minus whatever is currently spilled out to scratch.
+    minus whatever is currently spilled out to scratch.  Every pool
+    allocation, adoption and cache insert makes room for its bytes
+    through :meth:`ensure_headroom`.
 
-    Two modes:
-
-    * *legacy* (``spill=False``, default): the pool enforces its own
-      budget; a cache without a block limit (a worker's) drops clean
-      replicas for its bytes, and nothing is spilled.
-    * *unified* (``spill=True``): the pool budget is lifted and the
-      manager enforces the total via :meth:`ensure_headroom`'s victim
-      cascade.
+    ``spill_capacity`` is the rank's scratch disk in bytes: ``0`` (the
+    default) means no scratch, ``None`` unbounded scratch, and a
+    positive value bounded scratch.
     """
 
     def __init__(
@@ -91,8 +87,7 @@ class MemoryManager:
         cache_blocks: Optional[int] = None,
         nbytes_of: Optional[Callable[[BlockId], int]] = None,
         dtype=np.float64,
-        spill: bool = False,
-        spill_capacity: Optional[float] = None,
+        spill_capacity: Optional[float] = 0,
         machine=None,
         faults=None,
         fault_device: Optional[str] = None,
@@ -108,7 +103,6 @@ class MemoryManager:
         self.real = real
         self.name = name
         self.dtype = np.dtype(dtype)
-        self.unified = bool(spill)
         self.spill_capacity = spill_capacity
         self.machine = machine
         self.faults = faults
@@ -121,8 +115,7 @@ class MemoryManager:
         self.resilience = resilience
         self.stats = MemStats()
 
-        pool_budget = float("inf") if self.unified else budget_bytes
-        self.pool = BlockPool(pool_budget, real, name=name, dtype=self.dtype)
+        self.pool = BlockPool(real, name=name, dtype=self.dtype)
         self.cache = BlockCache(
             cache_blocks,
             name=f"{name}.cache",
@@ -191,23 +184,24 @@ class MemoryManager:
 
     # -- block lifecycle -------------------------------------------------
     def allocate(self, shape: tuple[int, ...]) -> Block:
-        """Allocate a pool block, making room under the unified budget."""
-        if self.unified:
-            self.ensure_headroom(block_nbytes(shape, self.dtype))
+        """Allocate a pool block, making room under the budget."""
+        self.ensure_headroom(block_nbytes(shape, self.dtype))
         block = self.pool.allocate(shape)
         self._note_peak()
         return block
 
     def register(self, bid: BlockId, block: Block, kind: str) -> None:
         """Mark a resident block as spillable and just used (its array
-        ``kind`` orders nothing: recency alone picks victims)."""
+        ``kind`` orders nothing: recency alone picks victims).  Without
+        scratch no resident block can be a victim, so nothing is kept."""
+        if self.spill_capacity == 0:
+            return
         self._spillable.pop(bid, None)  # a re-registration moves to the end
         self._spillable[bid] = (block, self._tick())
 
     def adopt(self, bid: BlockId, block: Block, kind: str) -> None:
         """Charge an input block scattered outside the pool."""
-        if self.unified:
-            self.ensure_headroom(block.nbytes)
+        self.ensure_headroom(block.nbytes)
         self._adopted.add(bid)
         self.adopted_bytes += block.nbytes
         self.register(bid, block, kind)
@@ -231,11 +225,8 @@ class MemoryManager:
     # -- pressure --------------------------------------------------------
     def cache_headroom(self, nbytes: int, allow_spill: bool = True) -> None:
         """Headroom check the cache runs before charging an insert (a
-        speculative one passes ``allow_spill=False``).  A cache without a
-        block limit is bounded by the budget in legacy mode too, by
-        dropping replicas only."""
-        if self.unified or self.cache.capacity is None:
-            self.ensure_headroom(nbytes, allow_spill and self.unified)
+        speculative one passes ``allow_spill=False``)."""
+        self.ensure_headroom(nbytes, allow_spill)
         used = self.bytes_in_use + nbytes
         if used > self.stats.peak_bytes:
             self.stats.peak_bytes = used
@@ -247,7 +238,8 @@ class MemoryManager:
         the cache's clean replicas (dropped) and the resident blocks
         (spilled to scratch; never for a speculative insert, which
         passes ``allow_spill=False``).  Raises :class:`OutOfBlockMemory`
-        only when what is left is pinned or in flight.
+        only when what is left is pinned, in flight, or refused by
+        scratch (all of it, with no scratch).
         """
         need = self.bytes_in_use + nbytes - self.budget_bytes
         if need <= 0:
@@ -270,7 +262,8 @@ class MemoryManager:
                     f"{self.name}: need {nbytes} more bytes but only "
                     f"{max(0, self.budget_bytes - self.bytes_in_use):.0f} of "
                     f"{self.budget_bytes:.0f} are free after the victim cascade; "
-                    "pinned and in-flight blocks alone exceed the budget -- "
+                    "pinned and in-flight blocks, and what scratch cannot "
+                    "take, alone exceed the budget -- "
                     "rerun with more workers or a smaller segment size"
                 )
             freed = self.spill(victim)
@@ -312,8 +305,9 @@ class MemoryManager:
 
     def touch(self, bid: BlockId) -> None:
         """Note a use of `bid`: a resident block becomes the youngest
-        in the recency order, a spilled one is faulted back in."""
-        if not self.unified:
+        in the recency order, a spilled one is faulted back in (without
+        scratch there is neither)."""
+        if self.spill_capacity == 0:
             return
         entry = self._spillable.pop(bid, None)
         if entry is not None:
@@ -337,7 +331,7 @@ class MemoryManager:
         self._note_peak()
 
     def pin_instr(self, bid: BlockId) -> None:
-        if self.unified:
+        if self.spill_capacity != 0:
             self.pinned.add(bid)
 
     def clear_instr_pins(self) -> None:

@@ -3,9 +3,10 @@
 The paper's SIP manages each worker's memory as stacks of preallocated
 blocks of the sizes the dry run predicted (Section V-B).  We reproduce
 that design: a :class:`BlockPool` keeps a free-stack per block shape,
-reuses buffers on allocate/free, enforces the worker's memory budget,
-and records the peak usage that the dry-run analysis is validated
-against.
+reuses buffers on allocate/free, and records the peak usage that the
+dry-run analysis is validated against.  The rank's budget is enforced
+one level up, by :class:`~repro.sip.memman.MemoryManager`, over the
+pool and everything else resident beside it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = ["BlockPool", "OutOfBlockMemory", "PoolStats"]
 
 
 class OutOfBlockMemory(SIPError):
-    """The worker's block memory budget would be exceeded."""
+    """The rank's block memory budget would be exceeded."""
 
 
 @dataclass
@@ -52,14 +53,7 @@ class BlockPool:
     feasibility behaves identically in both modes.
     """
 
-    def __init__(
-        self,
-        budget_bytes: float,
-        real: bool,
-        name: str = "pool",
-        dtype=np.float64,
-    ) -> None:
-        self.budget_bytes = budget_bytes
+    def __init__(self, real: bool, name: str = "pool", dtype=np.float64) -> None:
         self.real = real
         self.name = name
         self.dtype = np.dtype(dtype)
@@ -68,15 +62,7 @@ class BlockPool:
         self._live_by_shape: dict[tuple[int, ...], int] = {}
 
     def allocate(self, shape: tuple[int, ...]) -> Block:
-        nbytes = block_nbytes(shape, self.dtype)
-        if self.stats.bytes_in_use + nbytes > self.budget_bytes:
-            raise OutOfBlockMemory(
-                f"{self.name}: allocating {nbytes} bytes for shape {shape} "
-                f"would exceed the budget ({self.stats.bytes_in_use} of "
-                f"{self.budget_bytes:.0f} bytes in use); rerun with more "
-                "workers or a smaller segment size"
-            )
-        self.stats.bytes_in_use += nbytes
+        self.stats.bytes_in_use += block_nbytes(shape, self.dtype)
         self.stats.blocks_in_use += 1
         self.stats.peak_bytes = max(self.stats.peak_bytes, self.stats.bytes_in_use)
         self.stats.peak_blocks = max(self.stats.peak_blocks, self.stats.blocks_in_use)

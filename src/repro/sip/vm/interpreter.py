@@ -100,8 +100,7 @@ class WorkerProcess(ResilientMessaging):
             name=f"worker{worker_index}",
             nbytes_of=self._block_nbytes,
             dtype=rt.dtype,
-            spill=rt.config.spill,
-            spill_capacity=rt.config.scratch_per_worker,
+            spill_capacity=rt.config.scratch_per_worker if rt.config.spill else 0,
             machine=rt.config.machine,
             faults=rt.config.faults,
             fault_device=f"scratch{worker_index}",
@@ -525,11 +524,8 @@ class WorkerProcess(ResilientMessaging):
         block = self.memman.allocate(shape)
         if zero and block.data is not None:
             block.data[...] = 0.0
-        if self.memman.unified:
-            self.memman.register(
-                bid, block, self.rt.array_desc(bid.array_id).kind
-            )
-            self.memman.pin_instr(bid)
+        self.memman.register(bid, block, self.rt.array_desc(bid.array_id).kind)
+        self.memman.pin_instr(bid)
         return block
 
     def kernel_operand(self, r: ResolvedOperand, block: Block) -> KernelOperand:

@@ -36,6 +36,8 @@ from repro.programs import (
 from repro.sip import SIPConfig, SIPError, mptransport
 from repro.sip.runner import run_source
 
+from .test_stress import MATMUL
+
 WORKER_COUNTS = (1, 2, 4)
 
 DRIVERS = {
@@ -256,6 +258,35 @@ def test_mp_backend_spills_like_the_simulator(name):
         assert stats["arena_refs_leaked"] == 0
         assert mp.result.sanitizer_report.ok
         assert not multiprocessing.active_children()
+
+
+@pytest.mark.mp
+def test_mp_backend_without_scratch_drops_replicas_like_the_simulator():
+    """Real processes under memory pressure with spill off: the budget
+    is the least the dry run admits without spill, below the
+    unconstrained peak, so the one budget drops clean replicas (and
+    never spills) on both backends, and the product does not move."""
+    nb = 48
+    rng = np.random.default_rng(1)
+    inputs = {"A": rng.standard_normal((nb, nb)), "B": rng.standard_normal((nb, nb))}
+
+    def run(execution, **kw):
+        cfg = make_config(2, execution, segment_size=4, inputs=inputs, **kw)
+        return run_source(MATMUL, cfg, {"nb": nb})
+
+    free = run("sim")
+    budget = float(free.dry_run.per_worker_bytes)
+    assert free.stats["mem_peak_bytes"] > budget
+    sim = run("sim", memory_per_worker=budget)
+    mp = run("mp", memory_per_worker=budget)
+    assert np.array_equal(sim.array("C"), free.array("C"))
+    assert np.array_equal(mp.array("C"), sim.array("C"))
+    assert sim.stats["cache_evictions"] > 0
+    for stats in (sim.stats, mp.stats):
+        assert stats["mem_spills"] == 0
+        assert stats["mem_peak_bytes"] <= stats["mem_budget_bytes"]
+    assert mp.stats["mp_shm_leaked"] == 0
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.mp

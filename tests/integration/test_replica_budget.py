@@ -43,7 +43,7 @@ def test_default_budget_never_drops_a_replica(monkeypatch):
     assert max(fetched.values()) == 1
 
 
-def test_tight_legacy_budget_drops_replicas_and_keeps_the_result(monkeypatch):
+def test_tight_budget_without_scratch_drops_replicas_and_keeps_the_result(monkeypatch):
     rng = np.random.default_rng(1)
     nb = 32
     base = SIPConfig(

@@ -82,6 +82,12 @@ def test_hopeless_case_flagged():
     r = report_for(nb=64, workers=4, memory_per_worker=1000.0)
     assert not r.feasible
     assert r.required_workers == -1
+    text = r.report()
+    assert (
+        "INFEASIBLE: the fixed per-worker bytes alone exceed the budget, "
+        "whatever the worker count" in text
+    )
+    assert "at least -1" not in text
 
 
 def test_pinned_floor_reported():

@@ -1,7 +1,8 @@
-"""Unit tests for the unified per-rank MemoryManager.
+"""Unit tests for the per-rank MemoryManager.
 
 Covers the victim cascade (least recently used first, replica or
-resident block alike), the pinned-only OutOfBlockMemory floor,
+resident block alike), the same budget with no scratch (replicas
+dropped, nothing spilled), the pinned-only OutOfBlockMemory floor,
 spill/fault-in round trips, adopted input accounting, scratch capacity
 limits, simulated scratch time, and injected scratch disk faults.  The
 cascade's order under arbitrary operation sequences is held by the
@@ -27,7 +28,7 @@ def bid(i):
 
 
 def manager(budget_blocks=4, **kwargs):
-    kwargs.setdefault("spill", True)
+    kwargs.setdefault("spill_capacity", None)  # unbounded scratch
     return MemoryManager(
         budget_blocks * NBYTES,
         real=True,
@@ -45,17 +46,17 @@ def fill(mm, i, kind="temp"):
     return block
 
 
-def test_legacy_mode_pool_enforces_budget():
-    mm = manager(budget_blocks=2, spill=False)
+def test_zero_scratch_enforces_the_budget_on_pool_blocks():
+    mm = manager(budget_blocks=2, spill_capacity=0)
     fill(mm, 1)
     fill(mm, 2)
     with pytest.raises(OutOfBlockMemory):
         mm.allocate(SHAPE)
-    assert mm.stats.cascades == 0  # legacy mode never cascades
+    assert (mm.stats.spills, mm.stats.oom_refusals) == (0, 1)
 
 
-def test_legacy_mode_drops_replicas_for_bytes_but_never_spills():
-    mm = manager(budget_blocks=3, spill=False)
+def test_zero_scratch_drops_replicas_for_bytes_but_never_spills():
+    mm = manager(budget_blocks=3, spill_capacity=0)
     fill(mm, 1)
     mm.cache.insert_ready(bid(10), Block(SHAPE, np.zeros(SHAPE)))
     mm.cache.insert_ready(bid(11), Block(SHAPE, np.zeros(SHAPE)))
@@ -68,13 +69,13 @@ def test_legacy_mode_drops_replicas_for_bytes_but_never_spills():
     assert (mm.stats.pressure_evictions, mm.stats.spills) == (2, 0)
 
 
-def test_a_count_bounded_cache_is_not_budgeted_in_legacy_mode():
-    mm = manager(budget_blocks=1, spill=False, cache_blocks=2)
-    for i in (10, 11, 12):  # the I/O server's cache: its block limit alone
+def test_a_count_bounded_cache_is_charged_to_the_budget():
+    mm = manager(budget_blocks=1, spill_capacity=0, cache_blocks=2)
+    for i in (10, 11, 12):  # the I/O server's cache: room for 2 by count
         mm.cache.insert_ready(bid(i), Block(SHAPE, np.zeros(SHAPE)))
-    assert len(mm.cache) == 2
-    assert mm.bytes_in_use == 2 * NBYTES > mm.budget_bytes
-    assert mm.stats.pressure_evictions == 0
+    assert [key for key, _entry in mm.cache.items()] == [bid(12)]
+    assert mm.bytes_in_use == mm.budget_bytes  # bytes bound it, not the count
+    assert mm.stats.pressure_evictions == 2
 
 
 def test_spill_makes_room_and_fault_in_restores_data():

@@ -1,12 +1,18 @@
-"""Unit tests for the block memory pool."""
+"""Unit tests for the block memory pool, and the rank budget over it.
 
+The pool only accounts; its budget is enforced by the rank's
+:class:`MemoryManager`, here with no scratch (``spill_capacity=0``).
+"""
+
+import numpy as np
 import pytest
 
+from repro.sip.memman import MemoryManager
 from repro.sip.memory import BlockPool, OutOfBlockMemory
 
 
 def test_allocate_and_free_accounting():
-    pool = BlockPool(budget_bytes=10_000, real=True)
+    pool = BlockPool(real=True)
     b = pool.allocate((10, 10))  # 800 bytes
     assert pool.stats.bytes_in_use == 800
     assert pool.stats.blocks_in_use == 1
@@ -16,7 +22,7 @@ def test_allocate_and_free_accounting():
 
 
 def test_buffer_reuse_in_real_mode():
-    pool = BlockPool(budget_bytes=10_000, real=True)
+    pool = BlockPool(real=True)
     b1 = pool.allocate((5, 5))
     data1 = b1.data
     pool.free(b1)
@@ -27,7 +33,7 @@ def test_buffer_reuse_in_real_mode():
 
 
 def test_different_shapes_do_not_share_buffers():
-    pool = BlockPool(budget_bytes=10_000, real=True)
+    pool = BlockPool(real=True)
     b1 = pool.allocate((5, 5))
     pool.free(b1)
     b2 = pool.allocate((25,))
@@ -35,25 +41,26 @@ def test_different_shapes_do_not_share_buffers():
 
 
 def test_budget_enforced():
-    pool = BlockPool(budget_bytes=1000, real=True)
-    pool.allocate((10, 10))  # 800
+    mm = MemoryManager(1000, real=True)
+    mm.allocate((10, 10))  # 800
     with pytest.raises(OutOfBlockMemory, match="budget"):
-        pool.allocate((10, 10))
+        mm.allocate((10, 10))
+    assert mm.pool.stats.bytes_in_use == 800
 
 
 def test_model_mode_accounts_without_data():
-    pool = BlockPool(budget_bytes=1000, real=False)
-    b = pool.allocate((10, 10))
+    mm = MemoryManager(1000, real=False)
+    b = mm.allocate((10, 10))
     assert b.data is None
-    assert pool.stats.bytes_in_use == 800
+    assert mm.pool.stats.bytes_in_use == 800
     with pytest.raises(OutOfBlockMemory):
-        pool.allocate((10, 10))
-    pool.free(b)
-    assert pool.stats.bytes_in_use == 0
+        mm.allocate((10, 10))
+    mm.free(None, b)
+    assert mm.pool.stats.bytes_in_use == 0
 
 
 def test_peak_tracks_high_water_mark():
-    pool = BlockPool(budget_bytes=100_000, real=False)
+    pool = BlockPool(real=False)
     blocks = [pool.allocate((10,)) for _ in range(5)]  # 5 * 80
     for b in blocks[:3]:
         pool.free(b)
@@ -65,7 +72,7 @@ def test_peak_tracks_high_water_mark():
 def test_peak_blocks_is_global_not_per_shape():
     """peak_blocks counts total live blocks across all shapes at once;
     per-shape high-water marks live in peak_by_shape."""
-    pool = BlockPool(budget_bytes=100_000, real=False)
+    pool = BlockPool(real=False)
     a = pool.allocate((10,))
     b = pool.allocate((10,))
     c = pool.allocate((5, 5))
@@ -81,19 +88,17 @@ def test_peak_blocks_is_global_not_per_shape():
 
 
 def test_dtype_aware_block_sizes():
-    import numpy as np
-
-    pool = BlockPool(budget_bytes=1000, real=True, dtype=np.float32)
-    b = pool.allocate((10, 10))
+    mm = MemoryManager(1000, real=True, dtype=np.float32)
+    b = mm.allocate((10, 10))
     assert b.data.dtype == np.float32
-    assert pool.stats.bytes_in_use == 400  # 100 elements x 4 B
-    pool.allocate((10, 10))  # fits: two float32 blocks are 800 B
+    assert mm.pool.stats.bytes_in_use == 400  # 100 elements x 4 B
+    mm.allocate((10, 10))  # fits: two float32 blocks are 800 B
     with pytest.raises(OutOfBlockMemory):
-        pool.allocate((10, 10))
+        mm.allocate((10, 10))
 
 
 def test_freed_block_loses_data_reference():
-    pool = BlockPool(budget_bytes=10_000, real=True)
+    pool = BlockPool(real=True)
     b = pool.allocate((4,))
     pool.free(b)
     assert b.data is None

@@ -10,6 +10,10 @@ cascade must take.  The manager reports each victim as it goes (replica
 drops through the cache's ``on_evict`` hook, spills through the tracer's
 ``record_mem``), and the two sequences must be equal.
 
+The scratch capacity is sampled too: with none (``0``, the runtime's
+default) the cascade may only drop replicas, and no resident block is
+tracked at all.
+
 An ``OutOfBlockMemory`` inside a *fault-in* is fatal to a real run (the
 dry run's pinned-only floor exists to rule it out), so the machine does
 not touch a spilled block when the reference finds no room for it.
@@ -61,7 +65,6 @@ class MemoryHierarchy(RuleBasedStateMachine):
             real=True,
             name="machine",
             nbytes_of=lambda bid: NBYTES,
-            spill=True,
             spill_capacity=self.capacity,
             tracer=self,
             on_evict=lambda bid, entry: self.log.append(("drop", str(bid))),

@@ -10,7 +10,8 @@ from repro.machines import LAPTOP
 from repro.sip.backend import KernelOperand, RealBackend
 from repro.sip.blocks import Block, BlockId
 from repro.sip.cache import BlockCache
-from repro.sip.memory import BlockPool, OutOfBlockMemory
+from repro.sip.memman import MemoryManager
+from repro.sip.memory import OutOfBlockMemory
 from repro.sip.scheduler import GuidedScheduler, StaticScheduler
 
 backend = RealBackend(CostModel(LAPTOP))
@@ -137,14 +138,15 @@ def test_scalar_contract_commutative(seed):
 )
 @settings(max_examples=50, deadline=None)
 def test_pool_accounting_invariants(ops):
-    pool = BlockPool(budget_bytes=10_000, real=True)
+    mm = MemoryManager(10_000, real=True)  # no scratch: the budget is exact
+    pool = mm.pool
     live: list = []
     expected = 0
     for op, size in ops:
         if op == "alloc":
             nbytes = size * size * 8
             try:
-                block = pool.allocate((size, size))
+                block = mm.allocate((size, size))
             except OutOfBlockMemory:
                 assert expected + nbytes > 10_000
                 continue
@@ -153,7 +155,7 @@ def test_pool_accounting_invariants(ops):
         elif live:
             block = live.pop()
             expected -= block.nbytes
-            pool.free(block)
+            mm.free(None, block)
         assert pool.stats.bytes_in_use == expected
         assert pool.stats.bytes_in_use <= 10_000
         assert pool.stats.peak_bytes >= pool.stats.bytes_in_use

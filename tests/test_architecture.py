@@ -276,8 +276,12 @@ def test_victims_are_ordered_by_recency_and_nothing_else():
     """The pressure cascade has one order: the stamp of last use.  A
     per-kind spill priority, or a mutable "this insert may spill" flag
     on the manager, is the static preference that drained the block
-    cache under pressure; neither may come back under its old name."""
-    removed = {"SPILL_ORDER", "_KIND_TO_SPILL_CLASS", "_victims", "cache_spill_ok"}
+    cache under pressure; neither may come back under its old name.
+    Nor may a second accounting mode beside the one budget (no scratch
+    is ``spill_capacity=0``, not a mode flag)."""
+    removed = {
+        "SPILL_ORDER", "_KIND_TO_SPILL_CLASS", "_victims", "cache_spill_ok", "unified",
+    }
     offenders = [
         f"{rel}:{node.lineno} {name}"
         for rel, tree in repro_modules()
