@@ -6,7 +6,7 @@ block.  This module replaces that per-payload lifecycle with a pooled
 arena, the block-transfer layer real SIP implementations rely on:
 
 * Each rank lazily creates a small set of shared-memory **slabs**
-  (``SIPConfig.mp_arena_slab_bytes`` each, ``mp_arena_max_bytes``
+  (:data:`SLAB_BYTES` each, ``SIPConfig.mp_arena_max_bytes``
   total) and carves every slab into power-of-two size-classed
   **slots**.  A block send leases a slot from the free list and copies
   the payload in once; the pickle carries a slim :class:`ArenaRef`.
@@ -58,8 +58,12 @@ __all__ = [
     "SlabArena",
     "ArenaReceiver",
     "MIN_SLOT_BYTES",
+    "SLAB_BYTES",
 ]
 
+#: size of one slab segment, bytes; also the largest payload the arena
+#: serves (bigger blocks overflow to one-shot segments)
+SLAB_BYTES = 1 << 22
 #: smallest slot size class, bytes (power of two)
 MIN_SLOT_BYTES = 256
 #: alignment of the slot data region inside a slab
@@ -180,7 +184,7 @@ class SlabArena:
         rank: int,
         world_size: int,
         *,
-        slab_bytes: int = 1 << 22,
+        slab_bytes: Optional[int] = None,
         max_bytes: int = 1 << 26,
         epoch: int = 0,
         stats: Optional[ArenaStats] = None,
@@ -189,7 +193,7 @@ class SlabArena:
         self.run_id = run_id
         self.rank = rank
         self.world_size = world_size
-        self.slab_bytes = int(slab_bytes)
+        self.slab_bytes = slab_bytes or SLAB_BYTES
         self.max_bytes = int(max_bytes)
         self.epoch = epoch
         self.stats = stats if stats is not None else ArenaStats()

@@ -11,13 +11,13 @@ Entries move through three states:
 * *ready*    -- data present (and, on servers, possibly *dirty*);
 * evicted    -- removed by LRU pressure; a later use must refetch.
 
-Pending and pinned entries are never evicted.  A worker's cache has
-no block limit (``capacity_blocks=None``): its replicas are bounded by
-bytes, under the rank's memory budget, through the ledger.  An I/O
-server's write-back cache keeps a block limit.  The cache records the
-statistics the prefetch-tuning ablation needs: hits, misses, evictions
-of blocks that were fetched but never used (the BlueGene/P pathology
-from Section VI-A), and refetches.
+Pending, pinned and dirty entries are never evicted.  No cache has a
+block limit: a worker's replicas and an I/O server's write-back
+entries alike are bounded by bytes, under the rank's memory budget,
+through the ledger.  The cache records the statistics the
+prefetch-tuning ablation needs: hits, misses, evictions of blocks that
+were fetched but never used (the BlueGene/P pathology from Section
+VI-A), and refetches.
 
 Every insert and every touching lookup stamps the entry from the
 cache's ``tick`` counter.  The rank's :class:`MemoryManager` stamps its
@@ -71,15 +71,11 @@ class BlockCache:
 
     def __init__(
         self,
-        capacity_blocks: Optional[int] = None,
         name: str = "cache",
         on_evict: Optional[Callable[[BlockId, CacheEntry], None]] = None,
         nbytes_of: Optional[Callable[[BlockId], int]] = None,
         ledger=None,
     ) -> None:
-        if capacity_blocks is not None and capacity_blocks < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self.capacity = capacity_blocks
         self.name = name
         self.on_evict = on_evict
         # Optional byte accounting: `nbytes_of` sizes an entry by its
@@ -132,14 +128,13 @@ class BlockCache:
     def insert_pending(
         self, block_id: BlockId, arrival: Event, demand: bool = True
     ) -> CacheEntry:
-        """Register an in-flight fetch; evicts LRU if at a block limit.
+        """Register an in-flight fetch, making room for its bytes.
 
         A speculative insert (``demand=False``) may only drop replicas
         for its bytes: speculation never pays a disk seek.
         """
         if block_id in self._entries:
             raise SIPError(f"{self.name}: duplicate pending insert of {block_id}")
-        self._make_room()
         charged = self._charge(block_id, demand)
         entry = CacheEntry(
             arrival=arrival, fetch_count=1, charged=charged, stamp=self.tick()
@@ -177,7 +172,6 @@ class BlockCache:
             self._entries.move_to_end(block_id)
             entry.stamp = self.tick()
             return entry
-        self._make_room()
         charged = self._charge(block_id, demand=True)
         entry = CacheEntry(
             block=block, dirty=dirty, charged=charged, stamp=self.tick()
@@ -232,7 +226,7 @@ class BlockCache:
 
     def _lru_victim(self) -> Optional[tuple[BlockId, CacheEntry]]:
         """The least recently used evictable entry (scanned in place:
-        at capacity the victim is almost always among the first few)."""
+        under pressure the victim is almost always among the first few)."""
         for key, entry in self._entries.items():
             if self.evictable(entry):
                 return key, entry
@@ -261,19 +255,6 @@ class BlockCache:
             count += 1
             self._evict(*victim)
         return freed, count
-
-    def _make_room(self) -> None:
-        if self.capacity is None:
-            return  # bounded by bytes alone (the ledger's headroom check)
-        while len(self._entries) >= self.capacity:
-            victim = self._lru_victim()
-            if victim is None:
-                raise SIPError(
-                    f"{self.name}: cache full of pinned/pending/dirty blocks "
-                    f"({len(self._entries)} of {self.capacity}); increase the "
-                    "cache size or reduce prefetch depth"
-                )
-            self._evict(*victim)
 
     def items(self):
         return self._entries.items()

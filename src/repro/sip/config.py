@@ -12,7 +12,8 @@ beside the one module that reads it (guided chunk sizing in
 :mod:`~repro.sip.scheduler`, locality weights in
 :mod:`~repro.sip.master`, the block engine's reserve and in-flight
 cap in :mod:`~repro.sip.blockio`, outbox flush thresholds in
-:mod:`~repro.sip.mptransport`).  The resilient protocol's retry timing
+:mod:`~repro.sip.mptransport`, the shm slab size in
+:mod:`~repro.sip.arena`).  The resilient protocol's retry timing
 is read by every rank kind, so its constants live here.
 """
 
@@ -61,8 +62,6 @@ class SIPConfig:
     prefetch_depth:
         How many future loop iterations the lookahead prefetcher
         requests blocks for.  0 disables prefetching.
-    server_cache_blocks:
-        Capacity of each I/O server's block cache, in blocks.
     scheduling:
         Pardo dole-out policy: ``"guided"`` (shrinking chunks from one
         shared queue), ``"static"`` (one equal slice per worker), or
@@ -90,13 +89,10 @@ class SIPConfig:
         Watchdog, in seconds, for the multiprocess backend: a rank that
         makes no progress and receives no message for this long aborts
         the run, and the parent reports which rank stalled.
-    mp_arena_slab_bytes:
-        Size of one arena slab segment in bytes; also the largest
-        payload the arena serves (bigger blocks overflow to one-shot
-        segments).
     mp_arena_max_bytes:
         Cap on a rank's total arena footprint; when all size classes
         are saturated, further payloads overflow to one-shot segments.
+        At least one slab (:data:`repro.sip.arena.SLAB_BYTES`).
     opt_level:
         SIAL optimization level applied to the compiled program before
         execution (the ``-O`` flag): 0 runs the compiler's output
@@ -111,9 +107,11 @@ class SIPConfig:
     machine:
         Machine performance model used for all costs.
     memory_per_worker:
-        Override of the machine's per-rank memory budget, bytes.  A
-        worker's remote-block cache is bounded by what this budget
-        leaves beside its resident blocks, not by a count of blocks.
+        Override of the machine's per-rank memory budget, bytes.  It
+        bounds every worker *and* every I/O server rank.  A worker's
+        remote-block cache and an I/O server's write-back cache are
+        bounded by what this budget leaves beside the rank's resident
+        blocks, not by a count of blocks.
     spill:
         Give each worker ``scratch_per_worker`` bytes of scratch disk.
         Every rank charges its pool, cache, adopted input and arena
@@ -175,13 +173,11 @@ class SIPConfig:
     segment_sizes: dict[str, int] = field(default_factory=dict)
     subsegments_per_segment: int = 2
     prefetch_depth: int = 2
-    server_cache_blocks: int = 128
     scheduling: str = "guided"
     backend: str = "real"
     execution: str = "sim"
     mp_payload_shm_min: int = 1 << 14
     mp_timeout: float = 120.0
-    mp_arena_slab_bytes: int = 1 << 22
     mp_arena_max_bytes: int = 1 << 26
     opt_level: int = 2
     machine: Machine = LAPTOP
@@ -226,12 +222,10 @@ class SIPConfig:
                 raise ValueError("mp_payload_shm_min must be >= 0")
             if self.mp_timeout <= 0:
                 raise ValueError("mp_timeout must be positive")
-            if self.mp_arena_slab_bytes < 4096:
-                raise ValueError("mp_arena_slab_bytes must be >= 4096")
-            if self.mp_arena_max_bytes < self.mp_arena_slab_bytes:
-                raise ValueError(
-                    "mp_arena_max_bytes must be >= mp_arena_slab_bytes"
-                )
+            from .arena import SLAB_BYTES
+
+            if self.mp_arena_max_bytes < SLAB_BYTES:
+                raise ValueError(f"mp_arena_max_bytes must be >= {SLAB_BYTES}")
         if self.opt_level not in (0, 1, 2):
             raise ValueError("opt_level must be 0, 1 or 2")
         if self.prefetch_depth < 0:

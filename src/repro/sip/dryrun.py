@@ -22,7 +22,10 @@ block ever leaves RAM.  The report also states the *pinned-only
 floor* -- the blocks one instruction must hold resident at once plus
 in-flight transfers -- which is what a spill-enabled run actually
 needs; between floor and requirement, the MemoryManager's victim
-cascade trades scratch-disk traffic for the shortfall.
+cascade trades scratch-disk traffic for the shortfall.  Beside the
+same budget it states each I/O server's served working set (its
+largest share of the served arrays): below that, a server's
+write-back cache reads served blocks from disk again.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ class DryRunReport:
     required_workers: int
     pinned_floor_bytes: int = 0
     spill: bool = False
+    served_share_bytes: int = 0  # per I/O server
 
     @property
     def per_worker_bytes(self) -> int:
@@ -96,6 +100,12 @@ class DryRunReport:
             f"  spill headroom:          {self.spill_headroom_bytes:>14d} B "
             f"(spill {'enabled' if self.spill else 'disabled'})",
         ]
+        if self.served_share_bytes:
+            over = self.served_share_bytes > self.budget_bytes
+            lines.append(
+                f"  served per I/O server:   {self.served_share_bytes:>14d} B "
+                f"({'over budget: re-read from disk' if over else 'within budget'})"
+            )
         for name, nbytes in sorted(self.array_bytes.items()):
             lines.append(f"    array {name:<12s} {nbytes:>14d} B total")
         if self.feasible:
@@ -126,8 +136,9 @@ def dry_run(
     static_bytes = 0
     temp_bytes = 0
     local_bytes = 0
-    dist_totals: list[int] = []
-    dist_max_block = 0
+    # distributed and served arrays: totals and largest block
+    totals: dict[str, list[int]] = {"distributed": [], "served": []}
+    max_blocks = dict.fromkeys(totals, 0)
     array_bytes: dict[str, int] = {}
     max_block = 0
 
@@ -146,22 +157,23 @@ def dry_run(
             temp_bytes += largest_block
         elif desc.kind == "local":
             local_bytes += largest_block
-        elif desc.kind == "distributed":
-            dist_totals.append(total)
-            dist_max_block = max(dist_max_block, largest_block)
-        # served arrays live on the I/O servers' disks, not worker RAM
+        else:  # distributed, or served (on the I/O servers' disks)
+            totals[desc.kind].append(total)
+            max_blocks[desc.kind] = max(max_blocks[desc.kind], largest_block)
 
     cache_reserve = IN_FLIGHT_CAP * max_block
     pinned_floor = PINNED_FLOOR_BLOCKS * max_block
 
-    def dist_share(workers: int) -> int:
+    def share(kind: str, ranks: int) -> int:
         # owned share: ceil-split of each array plus one block of slack
         # for placement imbalance
-        return sum(ceil(t / workers) + dist_max_block for t in dist_totals)
+        return sum(ceil(t / ranks) + max_blocks[kind] for t in totals[kind])
+
+    dist_totals, dist_max_block = totals["distributed"], max_blocks["distributed"]
 
     per_worker = (
         static_bytes
-        + dist_share(config.workers)
+        + share("distributed", config.workers)
         + temp_bytes
         + local_bytes
         + cache_reserve
@@ -191,7 +203,7 @@ def dry_run(
         workers=config.workers,
         budget_bytes=budget,
         static_bytes=static_bytes,
-        distributed_max_bytes=dist_share(config.workers),
+        distributed_max_bytes=share("distributed", config.workers),
         temp_bytes=temp_bytes,
         local_bytes=local_bytes,
         cache_reserve_bytes=cache_reserve,
@@ -199,4 +211,5 @@ def dry_run(
         required_workers=required,
         pinned_floor_bytes=pinned_floor,
         spill=config.spill,
+        served_share_bytes=share("served", max(1, config.io_servers)),
     )

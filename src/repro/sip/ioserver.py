@@ -1,14 +1,16 @@
 """SIP I/O servers: the disk-backed (served) array ranks.
 
 Each I/O server owns a static share of every served array's blocks, a
-write-back LRU cache, and one simulated disk.  All of its operations
-are non-blocking (paper, Section V-B): a ``prepare`` is acknowledged as
-soon as the block lands in the cache and is *lazily* written to disk; a
-``request`` is answered from the cache when possible and otherwise
-spawns an asynchronous disk read, so a slow disk never stalls the
-message loop.  Blocks are materialized only when actually filled with
-data, which keeps symmetric arrays cheap to declare (paper, Section
-V-B).
+write-back LRU cache, and one simulated disk.  The cache holds what the
+rank's memory budget holds, not a count of blocks: a server whose share
+fits in the budget reads each block from disk at most once.  All of its
+operations are non-blocking (paper, Section V-B): a ``prepare`` is
+acknowledged as soon as the block lands in the cache and is *lazily*
+written to disk; a ``request`` is answered from the cache when possible
+and otherwise spawns an asynchronous disk read, so a slow disk never
+stalls the message loop.  Blocks are materialized only when actually
+filled with data, which keeps symmetric arrays cheap to declare (paper,
+Section V-B).
 
 Cache fills, write-back versioning, accumulate buffering and reply
 snapshots all go through the rank's
@@ -60,7 +62,6 @@ class IOServerProcess:
             rt.config.memory_budget,
             real=rt.real,
             name=f"ioserver{server_index}",
-            cache_blocks=rt.config.server_cache_blocks,
             nbytes_of=self._block_nbytes,
             dtype=rt.dtype,
             clock=lambda: rt.sim.now,
@@ -298,6 +299,11 @@ class IOServerProcess:
             "disk_read_retries",
             "disk-read-retry",
         )
+        # a second disk read of one block is a re-read (the cache's
+        # refetch counter, reported as ``disk_rereads``)
+        if bid in self.blockio.ever_fetched:
+            self.cache.mark_refetch(bid)
+        self.blockio.ever_fetched.add(bid)
         if isinstance(stored, np.ndarray):
             return Block(shape, stored.copy())
         return Block(shape, None)

@@ -16,8 +16,11 @@ its next touch.  Under pressure memory is always full, so any static
 preference (all replicas first, or all temps first) evicts what the
 running iteration just fetched while blocks nobody has used all run stay
 resident; only recency tells the two apart.  :class:`OutOfBlockMemory`
-is raised only when what is left is pinned, in flight, or refused by a
-full scratch disk.
+is raised only when what is left is pinned, in flight, dirty, or refused
+by a full scratch disk.  An I/O server's write-back cache has no block
+limit either: its clean entries are dropped by the same cascade, and a
+load that finds only dirty or in-flight entries waits for a write-back
+to finish (:meth:`BlockTransferEngine.ensure_cached`).
 
 Scratch traffic is charged simulated disk time (seek + bytes/bandwidth
 on the rank's machine model) and is subject to injected disk faults
@@ -84,7 +87,6 @@ class MemoryManager:
         real: bool,
         name: str = "rank",
         *,
-        cache_blocks: Optional[int] = None,
         nbytes_of: Optional[Callable[[BlockId], int]] = None,
         dtype=np.float64,
         spill_capacity: Optional[float] = 0,
@@ -117,7 +119,6 @@ class MemoryManager:
 
         self.pool = BlockPool(real, name=name, dtype=self.dtype)
         self.cache = BlockCache(
-            cache_blocks,
             name=f"{name}.cache",
             on_evict=on_evict,
             nbytes_of=nbytes_of,

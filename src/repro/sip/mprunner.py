@@ -154,7 +154,6 @@ def _child_main(
             shm_min=config.mp_payload_shm_min,
             timeout=config.mp_timeout,
             coordinator=config.master_rank,
-            arena_slab_bytes=config.mp_arena_slab_bytes,
             arena_max_bytes=config.mp_arena_max_bytes,
         )
         rt = SharedRuntime(program, config, symbolics, sim, world)

@@ -293,7 +293,6 @@ class MPWorld:
         shm_min: int = 1 << 14,
         timeout: float = 120.0,
         coordinator: int = 0,
-        arena_slab_bytes: int = 1 << 22,
         arena_max_bytes: int = 1 << 26,
         ledger=None,
     ) -> None:
@@ -328,7 +327,6 @@ class MPWorld:
             run_id,
             rank,
             size,
-            slab_bytes=arena_slab_bytes,
             max_bytes=arena_max_bytes,
             epoch=self.epoch,
             stats=self.arena_stats,

@@ -179,7 +179,9 @@ TABLE: tuple[Stat, ...] = (
     *_rows(MASTER, "sched", "sched_", "policy chunks iterations locality_hits "
            "locality_misses steals stolen_iterations"),
     *_rows(MASTER, "sched", chunks_served="replies"),
-    *_rows(SERVERS, "cache", "server_cache_", "hits misses"),
+    *_rows(SERVERS, "cache", "server_cache_", "hits misses evictions"),
+    # disk reads of a block this server already read once in the run
+    *_rows(SERVERS, "cache", "", disk_rereads="refetches"),
     *_rows(SERVERS, "disk", "disk_", "reads writes bytes_read bytes_written"),
     *_rows(PARENT, "config", "", "execution", mem_budget_bytes="memory_budget"),
     *_rows(PARENT, "run", "", "wallclock_seconds", varies=True),

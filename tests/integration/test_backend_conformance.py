@@ -33,7 +33,7 @@ from repro.programs import (
     run_paper_contraction,
     run_uhf_mp2,
 )
-from repro.sip import SIPConfig, SIPError, mptransport
+from repro.sip import SIPConfig, SIPError, arena, mptransport
 from repro.sip.runner import run_source
 
 from .test_stress import MATMUL
@@ -177,14 +177,15 @@ def test_mp_backend_is_bitwise_identical_to_simulator(name, workers):
 
 
 @pytest.mark.mp
-def test_arena_overflow_path_stays_bitwise_identical():
+def test_arena_overflow_path_stays_bitwise_identical(monkeypatch):
     """Starving the arena into its one-shot overflow path is a pure
-    transport detour: it must not move a single bit of the results."""
-    driver = DRIVERS["mp2_energy"]
-    sim = driver(make_config(2, "sim"))
-    mp = driver(
-        make_config(2, "mp", mp_arena_slab_bytes=4096, mp_arena_max_bytes=8192)
-    )
+    transport detour: it must not move a single bit of the results
+    (the ranks are forked, so they see the patched slab size)."""
+    driver = DRIVERS["lccd_iteration"]  # its 4-block payloads cross ranks
+    sim = driver(make_config(2, "sim", segment_size=4))
+    monkeypatch.setattr(arena, "SLAB_BYTES", 4096)
+    mp = driver(make_config(2, "mp", segment_size=4, mp_arena_max_bytes=8192))
+    assert mp.result.stats["arena_misses"] > 0  # payloads did overflow
     assert mp.error < 1e-10
     assert_bitwise_equal_results(sim, mp)
     assert mp.result.stats["mp_shm_leaked"] == 0
@@ -285,6 +286,58 @@ def test_mp_backend_without_scratch_drops_replicas_like_the_simulator():
     for stats in (sim.stats, mp.stats):
         assert stats["mem_spills"] == 0
         assert stats["mem_peak_bytes"] <= stats["mem_budget_bytes"]
+    assert mp.stats["mp_shm_leaked"] == 0
+    assert not multiprocessing.active_children()
+
+
+SERVED_TWICE = """
+sial served_twice
+symbolic nb
+aoindex M = 1, nb
+aoindex N = 1, nb
+served SV(M, N)
+distributed OUT(M, N)
+temp T(M, N)
+
+pardo M, N
+  request SV(M, N)
+  T(M, N) = SV(M, N)
+  put OUT(M, N) = T(M, N)
+endpardo M, N
+sip_barrier
+pardo M, N
+  request SV(M, N)
+  T(M, N) = SV(M, N)
+  put OUT(M, N) += T(M, N)
+endpardo M, N
+endsial served_twice
+"""
+
+
+@pytest.mark.mp
+def test_a_server_budget_below_its_served_share_rereads_alike_on_both_backends():
+    """Every rank at the dry run's no-spill requirement: the workers
+    fit, but one server's 256 served blocks do not, so the second pass
+    reads evicted blocks from disk again -- on real processes as on the
+    simulator, with the same bits."""
+    nb = 16
+    inputs = {"SV": np.random.default_rng(2).standard_normal((nb, nb))}
+
+    def run(execution, budget=None):
+        cfg = make_config(
+            2, execution, segment_size=1, inputs=inputs, memory_per_worker=budget
+        )
+        return run_source(SERVED_TWICE, cfg, {"nb": nb})
+
+    report = run("sim").dry_run
+    assert report.served_share_bytes > report.per_worker_bytes
+    sim = run("sim", float(report.per_worker_bytes))
+    mp = run("mp", float(report.per_worker_bytes))
+    assert np.array_equal(sim.array("OUT"), 2 * inputs["SV"])
+    assert np.array_equal(mp.array("OUT"), sim.array("OUT"))
+    for stats in (sim.stats, mp.stats):
+        assert stats["disk_rereads"] > 0
+        assert stats["mem_spills"] == 0
     assert mp.stats["mp_shm_leaked"] == 0
     assert not multiprocessing.active_children()
 

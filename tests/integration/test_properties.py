@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import dry_run
 from repro.sip import SIPConfig, run_source
+from repro.sip.dryrun import PINNED_FLOOR_BLOCKS
 
 MATMUL = """
 sial prop_matmul
@@ -124,14 +126,16 @@ endsial prop_served
     nb=st.integers(min_value=1, max_value=8),
     seg=st.integers(min_value=1, max_value=4),
     servers=st.integers(min_value=1, max_value=3),
-    cache=st.integers(min_value=2, max_value=8),
+    headroom=st.integers(min_value=0, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=20, deadline=None)
-def test_served_array_roundtrip_identity(nb, seg, servers, cache, seed):
+def test_served_array_roundtrip_identity(nb, seg, servers, headroom, seed):
     """prepare-then-request through any number of I/O servers and any
     cache pressure is the identity on data.
 
+    Every rank's budget is the dry run's pinned-only floor plus
+    ``headroom`` blocks, with spill on: servers hold 6 to 14 blocks.
     The OUT array is preloaded, copied through the served array, and
     read back; conflicting accesses are separated by barriers via the
     program structure (distinct pardos per epoch for OUT writes).
@@ -142,10 +146,13 @@ def test_served_array_roundtrip_identity(nb, seg, servers, cache, seed):
         workers=2,
         io_servers=servers,
         segment_size=seg,
-        server_cache_blocks=cache,
+        spill=True,
         inputs={"OUT": value},
         validate_barriers=False,  # OUT is rewritten with equal values
     )
+    report = dry_run(SERVED_ROUNDTRIP, cfg, {"nb": nb})
+    block = report.pinned_floor_bytes // PINNED_FLOOR_BLOCKS
+    cfg.memory_per_worker = float(report.pinned_floor_bytes + headroom * block)
     res = run_source(SERVED_ROUNDTRIP, cfg, symbolics={"nb": nb})
     assert np.allclose(res.array("OUT"), value)
     assert np.allclose(res.array("SV"), value)

@@ -1,4 +1,8 @@
-"""Unit tests for the LRU block cache."""
+"""Unit tests for the LRU block cache.
+
+A cache has no block limit of its own: a tight one is :func:`bounded`
+by a rank budget that holds a few of its (16-byte) entries.
+"""
 
 import pytest
 
@@ -6,6 +10,10 @@ from repro.simmpi import Simulator
 from repro.sip.blocks import Block, BlockId
 from repro.sip.cache import BlockCache
 from repro.sip.config import SIPError
+from repro.sip.memman import MemoryManager
+from repro.sip.memory import OutOfBlockMemory
+
+NBYTES = 16
 
 
 def bid(i):
@@ -16,15 +24,22 @@ def ready(cache, i, dirty=False):
     return cache.insert_ready(bid(i), Block((2,), None), dirty=dirty)
 
 
+def bounded(n_blocks):
+    """A cache under a rank budget with room for ``n_blocks`` entries."""
+    return MemoryManager(
+        n_blocks * NBYTES, real=False, nbytes_of=lambda block_id: NBYTES
+    ).cache
+
+
 def test_insert_and_lookup():
-    cache = BlockCache(4)
+    cache = BlockCache()
     ready(cache, 1)
     assert cache.lookup(bid(1)) is not None
     assert cache.lookup(bid(2)) is None
 
 
 def test_lru_eviction_order():
-    cache = BlockCache(3)
+    cache = bounded(3)
     for i in (1, 2, 3):
         ready(cache, i)
     cache.lookup(bid(1))  # touch 1 -> 2 is now LRU
@@ -35,7 +50,7 @@ def test_lru_eviction_order():
 
 
 def test_capacity_never_exceeded():
-    cache = BlockCache(3)
+    cache = bounded(3)
     for i in range(10):
         ready(cache, i)
     assert len(cache) <= 3
@@ -43,23 +58,23 @@ def test_capacity_never_exceeded():
 
 def test_pending_entries_not_evicted():
     sim = Simulator()
-    cache = BlockCache(2)
+    cache = bounded(2)
     cache.insert_pending(bid(1), sim.event())
     cache.insert_pending(bid(2), sim.event())
-    with pytest.raises(SIPError, match="cache full"):
+    with pytest.raises(OutOfBlockMemory):
         cache.insert_pending(bid(3), sim.event())
 
 
 def test_dirty_entries_not_evicted():
-    cache = BlockCache(2)
+    cache = bounded(2)
     ready(cache, 1, dirty=True)
     ready(cache, 2, dirty=True)
-    with pytest.raises(SIPError, match="cache full"):
+    with pytest.raises(OutOfBlockMemory):
         ready(cache, 3)
 
 
 def test_pinned_entries_not_evicted():
-    cache = BlockCache(2)
+    cache = bounded(2)
     ready(cache, 1)
     cache.pin(bid(1))
     ready(cache, 2)
@@ -71,7 +86,7 @@ def test_pinned_entries_not_evicted():
 
 def test_fulfil_completes_pending():
     sim = Simulator()
-    cache = BlockCache(4)
+    cache = BlockCache()
     ev = sim.event()
     entry = cache.insert_pending(bid(1), ev)
     assert entry.pending
@@ -83,7 +98,7 @@ def test_fulfil_completes_pending():
 
 def test_fulfil_after_eviction_is_noop():
     sim = Simulator()
-    cache = BlockCache(4)
+    cache = BlockCache()
     cache.insert_pending(bid(1), sim.event())
     cache.remove(bid(1))
     cache.fulfil(bid(1), Block((2,), None))  # must not raise
@@ -91,7 +106,7 @@ def test_fulfil_after_eviction_is_noop():
 
 
 def test_evicted_before_use_counted():
-    cache = BlockCache(2)
+    cache = bounded(2)
     ready(cache, 1)
     cache.record_use(bid(1), hit=True)  # used
     ready(cache, 2)  # never used
@@ -103,7 +118,7 @@ def test_evicted_before_use_counted():
 
 def test_clear_clean_spares_dirty_and_pending():
     sim = Simulator()
-    cache = BlockCache(5)
+    cache = BlockCache()
     ready(cache, 1)
     ready(cache, 2, dirty=True)
     cache.insert_pending(bid(3), sim.event())
@@ -115,14 +130,14 @@ def test_clear_clean_spares_dirty_and_pending():
 
 def test_duplicate_pending_insert_rejected():
     sim = Simulator()
-    cache = BlockCache(4)
+    cache = BlockCache()
     cache.insert_pending(bid(1), sim.event())
     with pytest.raises(SIPError, match="duplicate"):
         cache.insert_pending(bid(1), sim.event())
 
 
 def test_hit_miss_stats():
-    cache = BlockCache(4)
+    cache = BlockCache()
     ready(cache, 1)
     cache.record_use(bid(1), hit=True)
     cache.record_use(bid(2), hit=False)
@@ -133,17 +148,12 @@ def test_hit_miss_stats():
 
 
 def test_insert_ready_updates_existing():
-    cache = BlockCache(4)
+    cache = BlockCache()
     ready(cache, 1)
     b2 = Block((3,), None)
     cache.insert_ready(bid(1), b2)
     assert cache.lookup(bid(1)).block is b2
     assert len(cache) == 1
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        BlockCache(0)
 
 
 def test_insert_ready_fires_pending_arrival():
@@ -154,7 +164,7 @@ def test_insert_ready_fires_pending_arrival():
     fetch slept forever.
     """
     sim = Simulator()
-    cache = BlockCache(4)
+    cache = BlockCache()
     arrival = sim.event()
     cache.insert_pending(bid(1), arrival)
     woke = []
@@ -176,7 +186,7 @@ def test_insert_ready_over_fulfilled_entry_does_not_retrigger():
     """fulfil() fires the arrival elsewhere; a later insert_ready on the
     same entry must not try to trigger the already-fired event."""
     sim = Simulator()
-    cache = BlockCache(4)
+    cache = BlockCache()
     arrival = sim.event()
     cache.insert_pending(bid(1), arrival)
     arrival.succeed(Block((2,), None))
@@ -186,11 +196,11 @@ def test_insert_ready_over_fulfilled_entry_does_not_retrigger():
 
 
 def test_all_pinned_cache_cannot_make_room():
-    cache = BlockCache(2)
+    cache = bounded(2)
     for i in (1, 2):
         ready(cache, i)
         cache.pin(bid(i))
-    with pytest.raises(SIPError, match="cache full"):
+    with pytest.raises(OutOfBlockMemory):
         ready(cache, 3)
     # the failed insert must not have disturbed the pinned entries
     assert len(cache) == 2
@@ -205,7 +215,7 @@ def test_remove_pending_entry_with_outstanding_arrival():
     lands, fulfil() must be a no-op and the event must still fire.
     """
     sim = Simulator()
-    cache = BlockCache(4)
+    cache = BlockCache()
     arrival = sim.event()
     cache.insert_pending(bid(1), arrival)
     woke = []
@@ -225,7 +235,7 @@ def test_remove_pending_entry_with_outstanding_arrival():
 
 
 def test_unpin_after_remove_is_an_error():
-    cache = BlockCache(4)
+    cache = BlockCache()
     ready(cache, 1)
     cache.pin(bid(1))
     # removing a pinned entry is a protocol violation the cache cannot
@@ -236,7 +246,7 @@ def test_unpin_after_remove_is_an_error():
 
 
 def test_unpin_of_never_pinned_entry_is_an_error():
-    cache = BlockCache(4)
+    cache = BlockCache()
     ready(cache, 1)
     with pytest.raises(SIPError, match="unpinned"):
         cache.unpin(bid(1))
@@ -244,9 +254,7 @@ def test_unpin_of_never_pinned_entry_is_an_error():
 
 def test_evict_for_pressure_skips_dirty_pending_pinned():
     sim = Simulator()
-    cache = BlockCache(
-        8, nbytes_of=lambda block_id: 16
-    )
+    cache = BlockCache(nbytes_of=lambda block_id: NBYTES)
     ready(cache, 1)  # clean: evictable
     ready(cache, 2, dirty=True)
     cache.insert_pending(bid(3), sim.event())
@@ -263,9 +271,9 @@ def test_evict_for_pressure_skips_dirty_pending_pinned():
 def test_clear_clean_accounts_evictions():
     """Regression test: clear_clean used to delete entries directly,
     bypassing the eviction stats and the on_evict callback that
-    _make_room evictions go through."""
+    pressure evictions go through."""
     evicted = []
-    cache = BlockCache(5, on_evict=lambda key, entry: evicted.append(key))
+    cache = BlockCache(on_evict=lambda key, entry: evicted.append(key))
     ready(cache, 1)
     cache.record_use(bid(1), hit=True)
     ready(cache, 2)  # never used

@@ -59,6 +59,17 @@ def test_served_not_counted_in_worker_ram():
     assert ram == r.per_worker_bytes
 
 
+def test_served_share_is_reported_per_io_server():
+    """Each server's largest share of the served arrays (one block of
+    slack, as for distributed shares) is reported beside the budget."""
+    r = report_for(nb=16, seg=4, io_servers=2)
+    assert r.served_share_bytes == 16 * 16 * 8 // 2 + 4 * 4 * 8
+    assert "served per I/O server" in r.report()
+    assert "within budget" in r.report()
+    tight = report_for(nb=16, seg=4, io_servers=2, memory_per_worker=1000.0)
+    assert "over budget" in tight.report()
+
+
 def test_infeasible_reports_required_workers():
     r = report_for(nb=64, seg=8, workers=1, memory_per_worker=80_000.0)
     assert not r.feasible

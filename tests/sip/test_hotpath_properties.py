@@ -58,7 +58,7 @@ def test_blockid_survives_pickle_and_mp_frames(bid):
 
 @given(st.lists(block_ids, min_size=1, max_size=12, unique=True))
 def test_blockid_keys_cache_and_replica_map(bids):
-    cache = BlockCache(capacity_blocks=len(bids))
+    cache = BlockCache()
     replicas = ReplicaMap(history=2)
     for n, bid in enumerate(bids):
         cache.insert_ready(bid, Block((n + 1,)))

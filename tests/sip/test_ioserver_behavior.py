@@ -1,9 +1,14 @@
 """Focused tests of I/O-server semantics (write-back, ordering,
-back-pressure) through small SIAL programs with tight server caches."""
+back-pressure) through small SIAL programs with tight server caches.
+
+A server's cache is bounded by the rank budget it shares with the
+workers, so a tight cache is :func:`squeezed`: the least budget the dry
+run admits without spill, under a served array larger than that."""
 
 import numpy as np
 import pytest
 
+from repro.api import dry_run
 from repro.sial.compiler import compile_source
 from repro.simmpi import Simulator, World
 from repro.sip import SIPConfig, run_source
@@ -14,6 +19,15 @@ from repro.sip.runtime import SharedRuntime
 
 def wrap(decls, body):
     return f"sial t\n{decls}\n{body}\nendsial t\n"
+
+
+def squeezed(src, config, symbolics):
+    """``config`` at the dry run's no-spill requirement: the workers
+    fit, and a served array larger than it does not fit a server."""
+    config.memory_per_worker = float(
+        dry_run(src, config, symbolics).per_worker_bytes
+    )
+    return config
 
 
 DECLS = """
@@ -81,14 +95,21 @@ pardo M, N
   T(M, N) = 1.0
   prepare SV(M, N) += T(M, N)
 endpardo M, N
+server_barrier
+pardo M, N
+  request SV(M, N)
+  T(M, N) = SV(M, N)
+  put OUT(M, N) = T(M, N)
+endpardo M, N
 """
-    res = run_source(
-        wrap(DECLS, body),
-        # cache of 2 forces the base blocks to round-trip through disk
-        SIPConfig(workers=2, io_servers=1, segment_size=2, server_cache_blocks=2),
-        {"nb": 6},
-    )
+    src, symbolics = wrap(DECLS, body), {"nb": 16}
+    # 256 served blocks through a squeezed server: the requests fold the
+    # buffered '+=' onto base blocks pulled back from disk
+    cfg = squeezed(src, SIPConfig(workers=2, io_servers=1, segment_size=1), symbolics)
+    res = run_source(src, cfg, symbolics)
     assert np.all(res.array("SV") == 12.0)
+    assert np.all(res.array("OUT") == 12.0)
+    assert res.stats["disk_reads"] > 0
 
 
 def test_tight_cache_backpressure_still_completes():
@@ -106,18 +127,13 @@ pardo M, N
   put OUT(M, N) = T(M, N)
 endpardo M, N
 """
-    res = run_source(
-        wrap(DECLS, body),
-        SIPConfig(
-            workers=4,
-            io_servers=1,
-            segment_size=1,  # 64 blocks through a 2-entry cache
-            server_cache_blocks=2,
-        ),
-        {"nb": 8},
-    )
+    src, symbolics = wrap(DECLS, body), {"nb": 16}
+    # 256 blocks through a server budget of about half of them
+    cfg = squeezed(src, SIPConfig(workers=4, io_servers=1, segment_size=1), symbolics)
+    res = run_source(src, cfg, symbolics)
     assert np.all(res.array("OUT") == 3.0)
     assert res.stats["disk_reads"] > 0
+    assert res.stats["blockio_backpressure_stalls"] > 0
 
 
 def test_multiple_servers_partition_blocks():
@@ -154,8 +170,7 @@ endpardo M, N
 """
     res = run_source(
         wrap(DECLS, body),
-        SIPConfig(workers=2, io_servers=1, segment_size=2,
-                  server_cache_blocks=64),
+        SIPConfig(workers=2, io_servers=1, segment_size=2),
         {"nb": 6},
     )
     assert res.stats["disk_reads"] == 0

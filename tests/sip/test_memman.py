@@ -69,15 +69,6 @@ def test_zero_scratch_drops_replicas_for_bytes_but_never_spills():
     assert (mm.stats.pressure_evictions, mm.stats.spills) == (2, 0)
 
 
-def test_a_count_bounded_cache_is_charged_to_the_budget():
-    mm = manager(budget_blocks=1, spill_capacity=0, cache_blocks=2)
-    for i in (10, 11, 12):  # the I/O server's cache: room for 2 by count
-        mm.cache.insert_ready(bid(i), Block(SHAPE, np.zeros(SHAPE)))
-    assert [key for key, _entry in mm.cache.items()] == [bid(12)]
-    assert mm.bytes_in_use == mm.budget_bytes  # bytes bound it, not the count
-    assert mm.stats.pressure_evictions == 2
-
-
 def test_spill_makes_room_and_fault_in_restores_data():
     mm = manager(budget_blocks=2)
     b1 = fill(mm, 1)

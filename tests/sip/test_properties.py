@@ -9,7 +9,6 @@ from repro.costmodel import CostModel
 from repro.machines import LAPTOP
 from repro.sip.backend import KernelOperand, RealBackend
 from repro.sip.blocks import Block, BlockId
-from repro.sip.cache import BlockCache
 from repro.sip.memman import MemoryManager
 from repro.sip.memory import OutOfBlockMemory
 from repro.sip.scheduler import GuidedScheduler, StaticScheduler
@@ -171,7 +170,8 @@ def test_pool_accounting_invariants(ops):
 )
 @settings(max_examples=50, deadline=None)
 def test_cache_never_exceeds_capacity_and_serves_recent(capacity, keys):
-    cache = BlockCache(capacity)
+    # a cache's capacity is the bytes its rank budget holds (8 B entries)
+    cache = MemoryManager(capacity * 8, real=False, nbytes_of=lambda bid: 8).cache
     for k in keys:
         cache.insert_ready(BlockId(0, (k,)), Block((1,), None))
         assert len(cache) <= capacity

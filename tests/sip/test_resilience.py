@@ -4,6 +4,7 @@ faulty substrate (message drops/delays, disk errors, rank crashes)."""
 import numpy as np
 import pytest
 
+from repro.api import dry_run
 from repro.sial.compiler import compile_source
 from repro.sip import FaultPlan, SIPConfig, SIPError, run_program, run_source
 
@@ -112,9 +113,13 @@ def test_writeback_retries_on_disk_write_error():
 
 def test_read_retries_on_disk_read_error():
     plan = FaultPlan(seed=0, disk_read_error_rate=1.0, max_disk_errors=2)
-    # a tiny server cache forces requests to round-trip through disk
+    # 256 served blocks over a server budget at the dry run's no-spill
+    # requirement force requests to round-trip through disk
+    src, symbolics = wrap(SERVED_DECLS, SERVED_BODY), {"nb": 16}
+    need = dry_run(src, SIPConfig(workers=2, segment_size=1), symbolics)
     base, faulty = run_pair(
-        wrap(SERVED_DECLS, SERVED_BODY), {"nb": 6}, plan, server_cache_blocks=2
+        src, symbolics, plan, segment_size=1,
+        memory_per_worker=float(need.per_worker_bytes),
     )
     report = faulty.fault_report
     assert report.injected.disk_read_errors == 2

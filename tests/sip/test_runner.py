@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import dry_run
 from repro.sip import (
     BarrierViolation,
     InfeasibleComputation,
@@ -260,7 +261,8 @@ endpardo M
 
 
 def test_served_eviction_to_disk_and_reload():
-    # tiny server cache forces eviction to disk between phases
+    # a server budget below its 256 served blocks forces eviction to
+    # disk between phases; the workers still fit without spill
     decls = """
 symbolic nb
 aoindex M = 1, nb
@@ -281,11 +283,12 @@ pardo M, N
   put D(M, N) = T(M, N)
 endpardo M, N
 """
-    res = run_source(
-        wrap(decls, body),
-        cfg(workers=2, io_servers=1, server_cache_blocks=2, segment_size=2),
-        symbolics={"nb": 8},
+    src, symbolics = wrap(decls, body), {"nb": 16}
+    config = cfg(workers=2, io_servers=1, segment_size=1)
+    config.memory_per_worker = float(
+        dry_run(src, config, symbolics).per_worker_bytes
     )
+    res = run_source(src, config, symbolics=symbolics)
     assert np.all(res.array("D") == 7.0)
     assert res.stats["disk_reads"] > 0  # some blocks had to come from disk
 

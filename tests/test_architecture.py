@@ -278,15 +278,22 @@ def test_victims_are_ordered_by_recency_and_nothing_else():
     on the manager, is the static preference that drained the block
     cache under pressure; neither may come back under its old name.
     Nor may a second accounting mode beside the one budget (no scratch
-    is ``spill_capacity=0``, not a mode flag)."""
+    is ``spill_capacity=0``, not a mode flag), or a second bound on a
+    cache beside its bytes (no block count, on a worker or a server)."""
     removed = {
         "SPILL_ORDER", "_KIND_TO_SPILL_CLASS", "_victims", "cache_spill_ok", "unified",
+        "capacity_blocks", "cache_blocks", "_make_room",
     }
     offenders = [
         f"{rel}:{node.lineno} {name}"
         for rel, tree in repro_modules()
         for node in ast.walk(tree)
-        for name in [getattr(node, "id", None) or getattr(node, "attr", None)]
+        for name in [
+            getattr(node, "id", None)
+            or getattr(node, "attr", None)
+            or getattr(node, "arg", None)
+            or getattr(node, "name", None)
+        ]
         if name in removed
     ]
     assert not offenders, "\n  ".join(offenders)
@@ -297,20 +304,23 @@ def test_sipconfig_does_not_grow():
 
     from repro.sip import SIPConfig
 
-    assert len(dataclasses.fields(SIPConfig)) <= 29
+    assert len(dataclasses.fields(SIPConfig)) <= 27
 
 
 #: SIPConfig fields that were ablation switches onto pre-optimisation
 #: code, or that no caller ever set: each is now a constant beside the
 #: module reading it, or gone with the twin path it selected (a worker's
-#: cache is bounded by ``memory_per_worker``, not ``cache_blocks``; host
-#: time per kernel is sipbench's trace, not ``kernel_wallclock``)
+#: cache and a server's are bounded by ``memory_per_worker``, not
+#: ``cache_blocks`` or ``server_cache_blocks``; host time per kernel is
+#: sipbench's trace, not ``kernel_wallclock``; the shm slab size is
+#: ``arena.SLAB_BYTES``, not ``mp_arena_slab_bytes``)
 REMOVED_CONFIG_FIELDS = {
     "fastpath", "mp_arena", "mp_batch_max_msgs", "mp_batch_max_bytes",
     "affinity_owner_weight", "affinity_replica_weight",
     "affinity_replica_history", "blockio_reserve", "blockio_max_in_flight",
     "chunk_factor", "min_chunk", "retry_timeout", "retry_limit", "retry_backoff",
-    "cache_blocks", "kernel_wallclock", "trace",
+    "cache_blocks", "kernel_wallclock", "trace", "server_cache_blocks",
+    "mp_arena_slab_bytes",
 }  # fmt: skip
 
 
