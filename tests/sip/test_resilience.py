@@ -4,9 +4,10 @@ faulty substrate (message drops/delays, disk errors, rank crashes)."""
 import numpy as np
 import pytest
 
-from repro.api import dry_run
 from repro.sial.compiler import compile_source
 from repro.sip import FaultPlan, SIPConfig, SIPError, run_program, run_source
+
+from .test_ioserver_behavior import squeezed
 
 
 def wrap(decls, body):
@@ -116,10 +117,10 @@ def test_read_retries_on_disk_read_error():
     # 256 served blocks over a server budget at the dry run's no-spill
     # requirement force requests to round-trip through disk
     src, symbolics = wrap(SERVED_DECLS, SERVED_BODY), {"nb": 16}
-    need = dry_run(src, SIPConfig(workers=2, segment_size=1), symbolics)
+    cfg = squeezed(src, SIPConfig(workers=2, segment_size=1), symbolics)
     base, faulty = run_pair(
         src, symbolics, plan, segment_size=1,
-        memory_per_worker=float(need.per_worker_bytes),
+        memory_per_worker=cfg.memory_per_worker,
     )
     report = faulty.fault_report
     assert report.injected.disk_read_errors == 2

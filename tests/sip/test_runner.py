@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.api import dry_run
 from repro.sip import (
     BarrierViolation,
     InfeasibleComputation,
@@ -11,6 +10,8 @@ from repro.sip import (
     SIPError,
     run_source,
 )
+
+from .test_ioserver_behavior import squeezed
 
 
 def cfg(**kw):
@@ -284,10 +285,7 @@ pardo M, N
 endpardo M, N
 """
     src, symbolics = wrap(decls, body), {"nb": 16}
-    config = cfg(workers=2, io_servers=1, segment_size=1)
-    config.memory_per_worker = float(
-        dry_run(src, config, symbolics).per_worker_bytes
-    )
+    config = squeezed(src, cfg(workers=2, io_servers=1, segment_size=1), symbolics)
     res = run_source(src, config, symbolics=symbolics)
     assert np.all(res.array("D") == 7.0)
     assert res.stats["disk_reads"] > 0  # some blocks had to come from disk
