@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sanitize",
         action="store_true",
-        help="record block accesses and report runtime conflicts",
+        help="report runtime access conflicts instead of raising on them",
     )
     p.add_argument(
         "--backend",
@@ -303,7 +303,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "run":
         if args.sanitize:
-            config.sanitize = True
+            config.race_check = "report"
         result = run_program(compiled, config, symbolics)
         if config.execution == "mp":
             print(

@@ -4,8 +4,9 @@ An instruction is dead when it only writes blocks of a ``temp`` array
 that no other instruction ever reads, and its sources are free of
 communication side effects (numbers, or blocks of worker-local
 ``temp``/``local``/``static`` arrays).  Distributed/served reads are
-never deleted -- a ``GET`` both communicates and feeds the sanitizer,
-so removing one could change traffic accounting or a verdict.
+never deleted -- a ``GET`` both communicates and is an access the race
+checker records, so removing one could change traffic accounting or a
+verdict.
 
 Legality argument: a write to a never-read temp block is observable
 only through (a) the block's contents, which nothing reads, (b) memory

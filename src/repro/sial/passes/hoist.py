@@ -5,9 +5,9 @@ on the enclosing ``do``/``do..in`` loop's index (nor on any index bound
 inside that loop) from the loop body to just before the loop, so one
 fetch replaces N re-executions.  Legality: gets are idempotent reads --
 the cache absorbs repeats, an evicted block is transparently refetched
-by the consuming instruction, and the runtime sanitizer's per-iteration
-set semantics keep verdicts unchanged as long as one access per
-iteration identity survives (the hoisted copy runs in the same pardo
+by the consuming instruction, and the runtime race checker's
+per-iteration set semantics keep verdicts unchanged as long as one
+access per iteration identity survives (the hoisted copy runs in the same pardo
 iteration and the same barrier phase, since the pass refuses to cross
 barriers, calls, branches, or any write that could touch the same
 array).  The pass assumes loops run at least one iteration -- true for
@@ -20,8 +20,10 @@ the top of a pardo body for gets the body is guaranteed to issue later
 in the same iteration (straight-line, after the leading get run), so
 their communication overlaps the preceding compute.  The inserted pcs
 join the loop's ``get_pcs`` and therefore the locality scheduler's
-affinity lists automatically.  A hint never records sanitizer or
-tracker state and never faults, so it is legality-free by construction;
+affinity lists automatically.  A hint never faults, and its fetch
+names the pc of the get it runs ahead of in the same iteration, so the
+race checker sees the access the program makes: it is legality-free by
+construction;
 the pass still refuses bodies with branches or calls (a hint must not
 fetch a block the original program might never touch) and arrays the
 body also writes (a hint must not cache a value a put then supersedes).
@@ -207,8 +209,8 @@ def eliminate_redundant_fetches(
     to be in this same body).  Deleting it is result-identical -- if
     memory pressure evicted the block meanwhile, the consuming
     instruction's acquire refetches it transparently -- and drops one
-    dispatch per execution.  Sanitizer verdicts are unchanged: per-
-    iteration access sets already collapse duplicate reads of a block.
+    dispatch per execution.  Race verdicts are unchanged: per-iteration
+    access sets already collapse duplicate reads of a block.
 
     Runs after hoisting, which lifts loop-invariant fetches to shallow
     positions where they dominate more sites.

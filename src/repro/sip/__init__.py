@@ -21,7 +21,7 @@ from .backend import KernelOperand, ModelBackend, RealBackend
 from .blocks import Block, BlockId, ResolvedIndexTable
 from .cache import BlockCache
 from .config import SIPConfig, SIPError
-from .distributed import BarrierViolation, ConflictTracker, Placement, ReplicaMap
+from .distributed import Placement, ReplicaMap
 from .dryrun import DryRunReport, InfeasibleComputation, dry_run
 from .memory import BlockPool, OutOfBlockMemory
 from .profiling import RunProfile, WorkerProfile
@@ -29,7 +29,7 @@ from .registry import GLOBAL_REGISTRY, SuperCall, SuperInstructionRegistry, regi
 from .runner import RunResult, run_program, run_source
 from .sanitizer import (
     AccessPoint,
-    Sanitizer,
+    BarrierViolation,
     SanitizerConflict,
     SanitizerReport,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "BlockCache",
     "BlockId",
     "BlockPool",
-    "ConflictTracker",
     "DiskFault",
     "DryRunReport",
     "FaultPlan",
@@ -74,7 +73,6 @@ __all__ = [
     "RunResult",
     "SIPConfig",
     "SIPError",
-    "Sanitizer",
     "SanitizerConflict",
     "SanitizerReport",
     "LocalityScheduler",

@@ -32,6 +32,7 @@ machinery.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
@@ -173,9 +174,14 @@ class BlockTransferEngine:
     ``port`` is the owning rank object (a ``WorkerProcess`` or
     ``IOServerProcess``); the engine reads its ``sim``, ``comm``,
     ``cache`` and ``rt`` attributes, plus -- on the worker
-    fetch/post paths only -- ``worker_index``, ``epoch``,
-    ``served_epoch``, ``next_tag()``, ``next_msg_seq()`` and
+    fetch/post paths only -- ``epoch``, ``served_epoch``, ``race_iter``,
+    ``races``, ``next_tag()``, ``next_msg_seq()`` and
     ``spawn_retry_monitor()``.
+
+    A worker fetch or write carries its pc and the iteration it is for
+    (``race_iter``, the running one, unless a prefetch names a later
+    one) to the owner's race recorder; reads of cached replicas go to
+    the rank's own (:mod:`repro.sip.sanitizer`).
     """
 
     def __init__(self, port, *, reserve: int = 2) -> None:
@@ -196,9 +202,10 @@ class BlockTransferEngine:
         # server-side write-back version ledger: a completed write-back
         # only owns the disk image if no fresher one was started since
         self._writeback_version: dict[BlockId, int] = {}
-        # broadcast event: "an entry just became evictable" -- server
-        # back-pressure when the cache is full of dirty/pending blocks
-        self._evictable_signal = None
+        # loads parked until an entry becomes evictable (server
+        # back-pressure when the cache is full of dirty/pending
+        # blocks), oldest first; each write-back or load wakes one
+        self._evictable_waiters: deque = deque()
         # hook invoked with the BlockId whenever a wire fetch is issued
         # (the locality scheduler's ReplicaMap subscribes here)
         self.on_issue: Optional[Callable[[BlockId], None]] = None
@@ -214,7 +221,10 @@ class BlockTransferEngine:
         return self.cache.pending_count < IN_FLIGHT_CAP - self.reserve
 
     # -- worker fetch paths ------------------------------------------------
-    def hint(self, bid: BlockId, kind: str, *, mark_refetch: bool = True) -> bool:
+    def hint(
+        self, bid: BlockId, kind: str, iteration: tuple, pc: int,
+        *, mark_refetch: bool = True,
+    ) -> bool:
         """Speculative fetch: issue early, never wait, never fault.
 
         Returns False when the hint had to be dropped (no
@@ -228,6 +238,8 @@ class BlockTransferEngine:
         if entry is not None:
             if entry.pending:
                 self.stats.coalesced += 1
+            if entry.seen is not iteration:
+                self.port.races.replica_read(entry, bid, iteration, pc)
             return True
         if not self.headroom():
             self.stats.hint_drops += 1
@@ -235,13 +247,13 @@ class BlockTransferEngine:
         if mark_refetch and bid in self.ever_fetched:
             self.cache.mark_refetch(bid)
         try:
-            self._issue(bid, kind, demand=False)
+            self._issue(bid, kind, pc, iteration, demand=False)
         except SIPError:
             self.stats.hint_drops += 1
             return False
         return True
 
-    def acquire(self, bid: BlockId, kind: str, wait) -> Generator:
+    def acquire(self, bid: BlockId, kind: str, wait, pc: int) -> Generator:
         """Demand read: return the ready block, waiting/refetching as needed.
 
         ``wait`` is the port's accounting wait (``event -> Generator``),
@@ -252,9 +264,12 @@ class BlockTransferEngine:
             # miss: never requested, or evicted before use -> refetch
             if bid in self.ever_fetched:
                 self.cache.mark_refetch(bid)
-            entry = yield from self._issue_with_backpressure(bid, kind, wait)
+            entry = yield from self._issue_with_backpressure(bid, kind, wait, pc)
             self.cache.record_use(bid, hit=False)
         else:
+            iteration = self.port.race_iter
+            if entry.seen is not iteration:
+                self.port.races.replica_read(entry, bid, iteration, pc)
             pending = entry.pending
             if pending:
                 self.stats.coalesced += 1
@@ -266,7 +281,7 @@ class BlockTransferEngine:
             if entry is None or entry.pending:
                 # evicted between arrival and resume: refetch synchronously
                 self.cache.mark_refetch(bid)
-                entry = yield from self._issue_with_backpressure(bid, kind, wait)
+                entry = yield from self._issue_with_backpressure(bid, kind, wait, pc)
                 self._note_waiter(bid)
                 yield from wait(entry.arrival)
                 entry = self.cache.lookup(bid)
@@ -287,12 +302,14 @@ class BlockTransferEngine:
             if inf.waiters > self.stats.waiter_peak:
                 self.stats.waiter_peak = inf.waiters
 
-    def _issue_with_backpressure(self, bid: BlockId, kind: str, wait) -> Generator:
+    def _issue_with_backpressure(
+        self, bid: BlockId, kind: str, wait, pc: int
+    ) -> Generator:
         """Issue a fetch, waiting for an in-flight arrival when the cache
         has no room for it (demand fetches outrank prefetches)."""
         while True:
             try:
-                return self._issue(bid, kind)
+                return self._issue(bid, kind, pc, self.port.race_iter)
             except SIPError:
                 pending = self.cache.any_pending_arrival()
                 if pending is None:
@@ -300,7 +317,9 @@ class BlockTransferEngine:
                 self.stats.backpressure_stalls += 1
                 yield from wait(pending)
 
-    def _issue(self, bid: BlockId, kind: str, demand: bool = True):
+    def _issue(
+        self, bid: BlockId, kind: str, pc: int, iteration: tuple, demand: bool = True
+    ):
         """Put one fetch on the wire and register it in the request table.
 
         Raises :class:`SIPError` when the cache cannot take another
@@ -317,6 +336,7 @@ class BlockTransferEngine:
             arrival = self.sim.event(name=("arrive-served {}", bid))
         reply_tag = port.next_tag()
         entry = self.cache.insert_pending(bid, arrival, demand)
+        entry.fetched_by = entry.seen = iteration
         self._inflight[bid] = _InFlight(kind=kind, arrival=arrival)
         if len(self._inflight) > self.stats.in_flight_peak:
             self.stats.in_flight_peak = len(self._inflight)
@@ -327,12 +347,12 @@ class BlockTransferEngine:
 
         req.event.add_callback(on_reply)
         if kind == "get":
-            payload = GetBlock(bid, reply_tag, port.worker_index, port.epoch)
+            payload = GetBlock(bid, reply_tag, port.epoch, iteration, pc)
             send_tag = SERVICE_TAG
             self.stats.issued_gets += 1
         else:
             payload = RequestBlock(
-                bid, reply_tag, port.worker_index, port.served_epoch
+                bid, reply_tag, port.served_epoch, iteration, pc
             )
             send_tag = SERVER_TAG
             self.stats.issued_requests += 1
@@ -358,12 +378,20 @@ class BlockTransferEngine:
         """Transport snapshot of a block (a copy-on-write share)."""
         return snapshot_for_transport(block, self.rt.cow)
 
+    def _replica_write(self, bid: BlockId, epoch: int, op: str, pc: int) -> None:
+        entry = self.cache.lookup(bid, touch=False)
+        if entry is not None:
+            port = self.port
+            port.races.replica_write(entry, epoch, bid, op, port.race_iter, pc)
+
     def post_put(
-        self, bid: BlockId, op: str, src_block: Block, accum_key: Optional[tuple]
+        self, bid: BlockId, op: str, src_block: Block, accum_key: Optional[tuple],
+        pc: int,
     ) -> None:
         """Fire a PutBlock at the owning worker; its ack joins the
         outstanding ledger drained at barriers and run end."""
         port = self.port
+        self._replica_write(bid, port.epoch, op, pc)
         owner = self.rt.owner_rank(bid)
         ack_tag = port.next_tag()
         req = self.comm.irecv(source=owner, tag=ack_tag)
@@ -372,11 +400,12 @@ class BlockTransferEngine:
             bid,
             op,
             self.snapshot(src_block),
-            port.worker_index,
             port.epoch,
             ack_tag,
             port.next_msg_seq(),
             accum_key,
+            port.race_iter if accum_key is None else None,
+            pc,
         )
 
         def send() -> None:
@@ -389,10 +418,12 @@ class BlockTransferEngine:
         self.stats.puts_posted += 1
 
     def post_prepare(
-        self, bid: BlockId, op: str, src_block: Block, accum_key: Optional[tuple]
+        self, bid: BlockId, op: str, src_block: Block, accum_key: Optional[tuple],
+        pc: int,
     ) -> None:
         """Fire a PrepareBlock at the serving I/O rank (ack ledgered)."""
         port = self.port
+        self._replica_write(bid, port.served_epoch, op, pc)
         server = self.rt.server_rank_for(bid)
         ack_tag = port.next_tag()
         req = self.comm.irecv(source=server, tag=ack_tag)
@@ -401,11 +432,12 @@ class BlockTransferEngine:
             bid,
             op,
             self.snapshot(src_block),
-            port.worker_index,
             port.served_epoch,
             ack_tag,
             port.next_msg_seq(),
             accum_key,
+            port.race_iter if accum_key is None else None,
+            pc,
         )
 
         def send() -> None:
@@ -436,6 +468,7 @@ class BlockTransferEngine:
         full of dirty/pending entries the engine waits for one to become
         evictable (write-back backpressure) before inserting.
         """
+        woken = False  # holds a wake-up it has not used for an insert
         while True:
             entry = self.cache.lookup(bid)
             if entry is None:
@@ -452,7 +485,9 @@ class BlockTransferEngine:
                         raise
                     self.stats.backpressure_stalls += 1
                     yield self._wait_evictable()
+                    woken = True
                     continue
+                woken = False
                 self._inflight[bid] = _InFlight(kind="load", arrival=arrival)
                 if len(self._inflight) > self.stats.in_flight_peak:
                     self.stats.in_flight_peak = len(self._inflight)
@@ -464,6 +499,10 @@ class BlockTransferEngine:
                 if entry is not None and entry.block is not None:
                     return entry
                 continue  # evicted mid-load: retry
+            if woken:
+                # another caller loaded the block: hand the room on
+                woken = False
+                self.signal_evictable()
             if entry.pending:
                 self.stats.coalesced += 1
                 self._note_waiter(bid)
@@ -472,14 +511,16 @@ class BlockTransferEngine:
             return entry
 
     def _wait_evictable(self):
-        """An event firing the next time a cache entry becomes evictable."""
-        if self._evictable_signal is None or self._evictable_signal.triggered:
-            self._evictable_signal = self.sim.event(name="cache-evictable")
-        return self._evictable_signal
+        """An event firing when an entry becomes evictable and every
+        load parked before this one has been woken."""
+        event = self.sim.event(name="cache-evictable")
+        self._evictable_waiters.append(event)
+        return event
 
     def signal_evictable(self) -> None:
-        if self._evictable_signal is not None and not self._evictable_signal.triggered:
-            self._evictable_signal.succeed(None)
+        """An entry became evictable: wake the oldest parked load."""
+        if self._evictable_waiters:
+            self._evictable_waiters.popleft().succeed(None)
 
     # -- server write-back ledger -----------------------------------------
     def begin_writeback(self, bid: BlockId) -> int:

@@ -60,6 +60,13 @@ class CacheEntry:
     fetch_count: int = 0
     charged: int = 0  # bytes charged against the memory ledger
     stamp: int = 0  # last use, on the rank's recency counter
+    # race checker (worker replicas): the fetching iteration, the last
+    # iteration checked, the latest other reader (iteration, pc) and the
+    # first write (epoch, (op, iteration, pc))
+    fetched_by: Optional[tuple] = None
+    seen: Optional[tuple] = None
+    read_by: Optional[tuple] = None
+    written: Optional[tuple] = None
 
     @property
     def pending(self) -> bool:

@@ -129,18 +129,18 @@ class SIPConfig:
         Numpy dtype name of block elements (default ``"float64"``, the
         paper's double precision).  Threads through block allocation,
         pool/cache byte accounting, and the dry run.
-    validate_barriers:
-        Detect conflicting distributed/served accesses that are not
-        separated by the appropriate barrier (paper, Section IV-C).
-    sanitize:
-        Record every distributed/served block access with its pardo
-        iteration, bytecode pc and source line, and report accesses
-        from different iterations that do not commute within a barrier
-        epoch (see :mod:`repro.sip.sanitizer`).  Pure bookkeeping: a
-        sanitized run is bit-identical to an unsanitized one.  The
-        ``REPRO_SANITIZE`` environment variable (any non-empty value)
-        turns this on by default, so a whole test suite can be run
-        sanitized without touching code.
+    race_check:
+        What the runtime race checker does with distributed/served
+        accesses from different pardo iterations that do not commute
+        within a barrier epoch (paper, Section IV-C; see
+        :mod:`repro.sip.sanitizer`): ``"raise"`` (default) raises
+        :class:`~repro.sip.sanitizer.BarrierViolation` after the run,
+        ``"report"`` completes the run and attaches the conflicts to
+        ``RunResult.sanitizer_report``, ``"off"`` records nothing.
+        Pure bookkeeping: results and timings are identical in every
+        mode.  The ``REPRO_SANITIZE`` environment variable (any
+        non-empty value) turns the default into ``"report"``, so a
+        whole test suite can be run sanitized without touching code.
     integral_source:
         Callable mapping per-axis global element ranges to an ndarray
         of two-electron integrals; used by ``compute_integrals``.
@@ -185,8 +185,7 @@ class SIPConfig:
     spill: bool = False
     scratch_per_worker: Optional[float] = None
     dtype: str = "float64"
-    validate_barriers: bool = True
-    sanitize: bool = False
+    race_check: str = "raise"
     integral_source: Optional[Callable[..., Any]] = None
     inputs: dict[str, Any] = field(default_factory=dict)
     external_store: dict[str, Any] = field(default_factory=dict)
@@ -196,8 +195,10 @@ class SIPConfig:
     resilient: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if not self.sanitize and os.environ.get("REPRO_SANITIZE"):
-            self.sanitize = True
+        if self.race_check == "raise" and os.environ.get("REPRO_SANITIZE"):
+            self.race_check = "report"
+        if self.race_check not in ("raise", "report", "off"):
+            raise ValueError(f"unknown race_check mode {self.race_check!r}")
         if self.workers < 1:
             raise ValueError("need at least one worker")
         if self.io_servers < 0:

@@ -1,4 +1,4 @@
-"""Distributed arrays: static block placement and barrier-misuse detection.
+"""Distributed arrays: static block placement and the replica map.
 
 Blocks of a distributed array are assigned to workers with a simple
 static strategy (paper, Section V-B): the linearized block coordinate
@@ -7,28 +7,18 @@ patterns show little locality, so this works well in practice and --
 exactly as the paper argues -- the placement could be swapped out here
 without touching any SIAL program.
 
-The runtime also detects most improper uses of barriers (paper,
-Section IV-C): within one barrier epoch, a put-'=' conflicts with any
-other access to the same block by a different worker, and a get
-conflicts with any write.  Atomic accumulate (put +=) operations do not
-conflict with each other.
+Improper uses of barriers (paper, Section IV-C) are detected by the
+owning rank's race recorder (:mod:`repro.sip.sanitizer`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, Optional
 
 from .blocks import BlockId, ResolvedIndexTable
-from .config import SIPError
 
-__all__ = ["Placement", "ReplicaMap", "BarrierViolation", "ConflictTracker"]
-
-
-class BarrierViolation(SIPError):
-    """Conflicting accesses to an array without an intervening barrier."""
+__all__ = ["Placement", "ReplicaMap"]
 
 
 class Placement:
@@ -113,94 +103,3 @@ class ReplicaMap:
 
     def __len__(self) -> int:
         return len(self._holders)
-
-
-@dataclass
-class _EpochRecord:
-    readers: set[int] = field(default_factory=set)
-    writers: set[int] = field(default_factory=set)
-    accumulators: set[int] = field(default_factory=set)
-
-
-class ConflictTracker:
-    """Owner-side epoch-scoped conflict detection for one array class.
-
-    One tracker guards all blocks a rank owns (distributed arrays on
-    workers, served arrays on I/O servers); the matching barrier resets
-    it.
-
-    A ``sink`` callable turns the tracker into a recorder: violations
-    are reported to it (the sanitizer collects them) instead of raised,
-    and the run continues.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        enabled: bool = True,
-        sink: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        self.name = name
-        self.enabled = enabled
-        self.sink = sink
-        self._records: dict[BlockId, _EpochRecord] = {}
-
-    def _violation(self, message: str) -> None:
-        if self.sink is not None:
-            self.sink(message)
-            return
-        raise BarrierViolation(message)
-
-    def record_read(self, worker: int, block_id: BlockId) -> None:
-        if not self.enabled:
-            return
-        rec = self._records.get(block_id)
-        if rec is None:
-            rec = self._records[block_id] = _EpochRecord()
-        elif rec.writers or rec.accumulators:
-            others_wrote = (rec.writers | rec.accumulators) - {worker}
-            if others_wrote:
-                self._violation(
-                    f"{self.name}: worker {worker} reads block {block_id} written "
-                    f"by worker(s) {sorted(others_wrote)} in the same epoch; "
-                    "separate conflicting accesses with the appropriate barrier"
-                )
-        rec.readers.add(worker)
-
-    def record_write(self, worker: int, block_id: BlockId, op: str) -> None:
-        if not self.enabled:
-            return
-        rec = self._records.get(block_id)
-        if rec is None:
-            rec = self._records[block_id] = _EpochRecord()
-        if rec.readers:
-            other_readers = rec.readers - {worker}
-            if other_readers:
-                self._violation(
-                    f"{self.name}: worker {worker} writes block {block_id} read "
-                    f"by worker(s) {sorted(other_readers)} in the same epoch; "
-                    "separate conflicting accesses with the appropriate barrier"
-                )
-        if op == "+=":
-            # accumulates commute with each other but not with plain writes
-            if rec.writers:
-                other_writers = rec.writers - {worker}
-                if other_writers:
-                    self._violation(
-                        f"{self.name}: accumulate to block {block_id} conflicts "
-                        f"with plain put by worker(s) {sorted(other_writers)}"
-                    )
-            rec.accumulators.add(worker)
-        else:
-            if rec.writers or rec.accumulators:
-                others = (rec.writers | rec.accumulators) - {worker}
-                if others:
-                    self._violation(
-                        f"{self.name}: worker {worker} overwrites block {block_id} "
-                        f"also written by worker(s) {sorted(others)} in the same "
-                        "epoch"
-                    )
-            rec.writers.add(worker)
-
-    def new_epoch(self) -> None:
-        self._records.clear()

@@ -31,7 +31,6 @@ from .blockio import BlockTransferEngine
 from .blocks import Block, BlockId, block_nbytes
 from .config import RETRY_BACKOFF, RETRY_LIMIT, RETRY_TIMEOUT, SIPError
 from .memman import MemoryManager
-from .distributed import ConflictTracker
 from .messages import (
     Ack,
     PrepareBlock,
@@ -40,6 +39,7 @@ from .messages import (
     Shutdown,
 )
 from .runtime import SharedRuntime
+from .sanitizer import RaceRecorder
 from .transport import CommEndpoint
 
 __all__ = ["IOServerProcess"]
@@ -78,7 +78,7 @@ class IOServerProcess:
         )
         # "on-disk" contents: ndarray in real mode, block shape in model mode
         self.disk_data: dict[BlockId, object] = {}
-        self.trackers: dict[int, ConflictTracker] = {}
+        self.races = RaceRecorder(rt.config.race_check)
         # all block movement (cache fills, write-back versions, the
         # canonical '+=' ledger, reply snapshots) goes through the engine
         self.blockio = BlockTransferEngine(self)
@@ -86,20 +86,6 @@ class IOServerProcess:
         # so a retried prepare is applied exactly once but still acked
         self._prepare_state: dict[tuple[int, int], str] = {}
         self.resilience = ResilienceStats()
-
-    def tracker(self, epoch: int) -> ConflictTracker:
-        t = self.trackers.get(epoch)
-        if t is None:
-            t = self.trackers[epoch] = ConflictTracker(
-                "served",
-                enabled=self.rt.config.validate_barriers,
-                sink=(
-                    self.rt.sanitizer.note_owner_violation
-                    if self.rt.sanitizer is not None
-                    else None
-                ),
-            )
-        return t
 
     # -- main pump -----------------------------------------------------------
     def run(self) -> Generator:
@@ -134,8 +120,10 @@ class IOServerProcess:
                 self.resilience.duplicates_ignored += 1
                 return
             self._prepare_state[(source, p.seq)] = "pending"
-        self.tracker(p.epoch).record_write(p.worker_index, p.block_id, p.op)
         bid = p.block_id
+        self.races.record(
+            "served", p.epoch, bid, p.op, p.iteration or p.accum_key[:-1], p.pc
+        )
         if p.op != "=":
             # canonical accumulation: every '+=' sender keys its prepare
             self.blockio.accums.buffer(bid, p.accum_key, p.block)
@@ -229,7 +217,7 @@ class IOServerProcess:
 
     # -- request -----------------------------------------------------------------
     def _handle_request(self, p: RequestBlock, source: int) -> None:
-        self.tracker(p.epoch).record_read(p.worker_index, p.block_id)
+        self.races.record("served", p.epoch, p.block_id, "read", p.iteration, p.pc)
         entry = self.cache.lookup(p.block_id)
         if entry is not None and not entry.pending:
             self.cache.record_use(p.block_id, hit=True)

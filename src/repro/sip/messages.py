@@ -58,12 +58,16 @@ HEADER_BYTES = 64
 
 @dataclass(frozen=True)
 class GetBlock:
-    """Worker -> owner worker: send me this distributed block."""
+    """Worker -> owner worker: send me this distributed block.  The
+    owner's race recorder keys the read by the pardo ``iteration`` it is
+    fetched for and the ``pc`` of the get it serves; neither is charged
+    as wire bytes."""
 
     block_id: BlockId
     reply_tag: int
-    worker_index: int
     epoch: int
+    iteration: Optional[tuple] = None
+    pc: int = -1
 
 
 @dataclass(frozen=True)
@@ -77,17 +81,20 @@ class PutBlock:
     ``(1, worker_index, n)`` outside one, so the fold order -- and the
     floating-point result -- is independent of arrival order and
     identical across execution backends.  Every '+=' carries one; an
-    '=' carries None and applies on arrival.
+    '=' carries None and applies on arrival.  ``iteration`` (an '='
+    only: a '+=' names it by its key's head) and ``pc`` are as in
+    :class:`GetBlock`.
     """
 
     block_id: BlockId
     op: str
     block: Block
-    worker_index: int
     epoch: int
     ack_tag: int
     seq: int = -1
     accum_key: Optional[tuple] = None
+    iteration: Optional[tuple] = None
+    pc: int = -1
 
 
 @dataclass(frozen=True)
@@ -154,12 +161,14 @@ class CollectiveResult:
 
 @dataclass(frozen=True)
 class RequestBlock:
-    """Worker -> I/O server: fetch a served block."""
+    """Worker -> I/O server: fetch a served block (fields as in
+    :class:`GetBlock`)."""
 
     block_id: BlockId
     reply_tag: int
-    worker_index: int
     epoch: int
+    iteration: Optional[tuple] = None
+    pc: int = -1
 
 
 @dataclass(frozen=True)
@@ -168,18 +177,19 @@ class PrepareBlock:
 
     ``seq`` is a sender-unique sequence number used by the resilient
     protocol to apply a retried prepare exactly once; -1 when
-    resilience is off.  ``accum_key`` is the same canonical '+='
-    ordering key as :class:`PutBlock`.
+    resilience is off.  ``accum_key``, ``iteration`` and ``pc`` are
+    as in :class:`PutBlock`.
     """
 
     block_id: BlockId
     op: str
     block: Block
-    worker_index: int
     epoch: int
     ack_tag: int
     seq: int = -1
     accum_key: Optional[tuple] = None
+    iteration: Optional[tuple] = None
+    pc: int = -1
 
 
 @dataclass(frozen=True)

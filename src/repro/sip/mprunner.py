@@ -7,7 +7,7 @@ one OS process per SIP rank.  Each child wires its single rank object
 :class:`~.master.MasterProcess`) onto an :class:`~.mptransport.MPWorld`
 over a pre-forked full mesh of duplex pipes, drives it with an
 :class:`~.mptransport.MPEngine`, and ships its results home: its rank
-report and sanitizer/trace state pickled over a dedicated result pipe,
+report (race log included) and trace state pickled over a dedicated result pipe,
 every array byte (owned blocks, served blocks, external store writes)
 through one shared-memory segment per rank that the parent maps
 instead of copying (:mod:`~.gather`).
@@ -197,8 +197,6 @@ def _child_main(
         if role == "worker":
             arrays["store_delta"] = _store_delta(rt.external_store, baseline)
         res: dict[str, Any] = {"report": report, "scatter_s": scatter_s}
-        if rt.sanitizer is not None:
-            res["sanitizer"] = (rt.sanitizer._records, rt.sanitizer.report_data)
         if config.tracer is not None:
             # the forked recorder holds exactly this rank's events
             res["tracer"] = config.tracer
@@ -305,14 +303,13 @@ def execute_mp(
     try:
         results = _supervise(procs, result_pipes, roles)
     except BaseException:
+        # SIGKILL, not SIGTERM: a stopped rank acts on no other signal,
+        # and the run is lost either way
         for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-        for p in procs.values():
-            p.join(timeout=_JOIN_GRACE)
             if p.is_alive():
                 p.kill()
-                p.join()
+        for p in procs.values():
+            p.join()
         _sweep_shm(run_id)
         raise
     for p in procs.values():
@@ -413,17 +410,14 @@ def _merge(
     wall_seconds: float,
 ):
     """Put the children's reports back together with their gathered
-    arrays, absorb sanitizer, trace and external-store state, and add
-    what only the parent saw."""
+    arrays, absorb trace and external-store state, and add what only
+    the parent saw."""
     reports = []
     for rank in sorted(results):
         res = results[rank]
         reports.append(
             dataclasses.replace(res["report"], **{k: res[k] for k in _GATHERED})
         )
-        san = res.get("sanitizer")
-        if san is not None and rt.sanitizer is not None:
-            rt.sanitizer.absorb(*san)
         child_tracer = res.get("tracer")
         if child_tracer is not None and config.tracer is not None:
             config.tracer.absorb(child_tracer)

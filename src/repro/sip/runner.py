@@ -28,7 +28,7 @@ from .ioserver import IOServerProcess
 from .master import MasterProcess
 from .profiling import RunProfile
 from .runtime import SharedRuntime
-from .sanitizer import SanitizerReport
+from .sanitizer import BarrierViolation, SanitizerReport, fold_races
 from .stats import RankReport, RunStats, build_stats, rank_report, run_profile
 from .vm import WorkerProcess
 
@@ -200,8 +200,11 @@ def _finalize(
     run: RunStats,
 ) -> RunResult:
     """Assemble a :class:`RunResult` from the ranks' reports (both
-    backends).  ``rt`` serves result assembly, the external store and
-    the sanitizer, never the counters."""
+    backends), or raise the run's :class:`BarrierViolation`.  ``rt``
+    serves result assembly and the external store, never the counters."""
+    races = fold_races(program, [r.races for r in reports if r.races is not None])
+    if config.race_check == "raise" and not races.ok:
+        raise BarrierViolation(races.render())
     stats = build_stats(reports, run, config, program)
     profile = run_profile(reports, run, stats, config, program)
     tracer = config.tracer
@@ -229,9 +232,7 @@ def _finalize(
         stats=stats,
         external_store=rt.external_store,
         fault_report=fault_report,
-        sanitizer_report=(
-            rt.sanitizer.report() if rt.sanitizer is not None else None
-        ),
+        sanitizer_report=races if config.race_check == "report" else None,
         reports=reports,
         _rt=rt,
     )

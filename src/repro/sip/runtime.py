@@ -30,7 +30,6 @@ from .decode import decode_program
 from .distributed import Placement, ReplicaMap
 from .plans import KernelPlanCache
 from .registry import GLOBAL_REGISTRY, SuperInstructionRegistry
-from .sanitizer import Sanitizer
 
 __all__ = ["SharedRuntime"]
 
@@ -88,10 +87,6 @@ class SharedRuntime:
             config.superinstructions
         )
         self.external_store: dict[str, Any] = config.external_store
-        # shared block-access recorder; None when sanitize mode is off
-        self.sanitizer: Optional[Sanitizer] = (
-            Sanitizer(program) if config.sanitize else None
-        )
 
         # the pre-decoded instruction stream (it changes nothing
         # observable; see repro.sip.decode)

@@ -1,27 +1,27 @@
-"""Runtime block-access sanitizer for the SIP.
+"""The runtime race checker: one recorder per rank, keyed by pardo iteration.
 
 The static race detector (:mod:`repro.sial.racecheck`) must pass any
-program whose conflicts depend on runtime values -- index arithmetic
-through subindices, data-dependent branches inside pardo, symbolic
-segment counts.  The sanitizer catches those at runtime: with
-``SIPConfig.sanitize`` enabled, every ``get``/``request``/``put``/
-``prepare`` a worker issues is recorded against the block it touches,
-keyed by the barrier epoch of its array class, together with the pardo
-iteration that issued it.  Two accesses to the same block in the same
-epoch conflict when they come from different iterations (or from
-different workers outside pardo) and they are not both reads or both
-``+=`` accumulates.
+program whose conflicts depend on runtime values; the runtime checker
+catches those (paper, Section IV-C).  Each access is recorded at the
+rank owning the block -- a worker for its distributed blocks, an I/O
+server for its served blocks -- with the pardo iteration it was issued
+for (``(0, pardo_id, activation, combo)``, or ``(1, worker_index)``
+outside pardo) and the pc of its instruction.  Two accesses to one block
+in one barrier epoch of its array class conflict when they come from
+different iterations and are not both reads or both ``+=``.  Keying by
+iteration, not worker, makes the verdict independent of the worker count.
 
-Recording happens at the *issuing* worker, where the interpreter knows
-the current pardo iteration and the bytecode instruction -- so every
-conflict reports the worker rank, instruction pc, and SIAL source line
-of both endpoints.  The owner-side :class:`~.distributed.ConflictTracker`
-keeps running too; in sanitize mode its violations are routed into the
-report instead of aborting the run.
+A read served from a worker's cached replica never reaches the owner,
+so the cache entry remembers the iteration that fetched it and the
+worker checks other iterations' reads of the replica against its own
+writes of the block (a write from another worker meets the fetching
+iteration's read at the owner).  A replica evicted and fetched again
+within one epoch starts with a clean slate.
 
-The sanitizer is pure bookkeeping: it consumes no simulated time and
-never changes scheduling, so a sanitized run produces bit-identical
-results and timings to an unsanitized one.
+Per access a recorder stores only the iteration key and the pc;
+:func:`fold_races` builds the report, with source lines, from every
+rank's :class:`RaceLog` after the run, on both backends.  Recording
+consumes no simulated time and never changes scheduling.
 """
 
 from __future__ import annotations
@@ -31,19 +31,31 @@ from typing import Optional
 
 from ..sial.bytecode import CompiledProgram
 from .blocks import BlockId
+from .config import SIPError
 
-__all__ = ["AccessPoint", "SanitizerConflict", "SanitizerReport", "Sanitizer"]
+__all__ = [
+    "AccessPoint",
+    "BarrierViolation",
+    "RaceLog",
+    "RaceRecorder",
+    "SanitizerConflict",
+    "SanitizerReport",
+    "fold_races",
+]
 
-#: keep at most this many distinct conflicts in the report (the total
-#: count keeps growing; a racy loop would otherwise flood memory)
+#: distinct conflicts kept per rank and per report (the total count
+#: keeps growing; a racy loop would otherwise flood memory)
 MAX_CONFLICTS = 200
+
+
+class BarrierViolation(SIPError):
+    """Conflicting accesses to an array without an intervening barrier."""
 
 
 @dataclass(frozen=True)
 class AccessPoint:
-    """One endpoint of a conflict: who touched the block, and where."""
+    """One endpoint of a conflict: which iteration touched the block, and where."""
 
-    worker: int
     pc: int
     mode: str  # "read" | "=" | "+="
     line: Optional[int]
@@ -57,11 +69,11 @@ class AccessPoint:
             if activation:
                 where += f" (activation {activation})"
         else:
-            where = "outside pardo"
+            where = f"worker {self.iteration[1]} outside pardo"
         at = f"pc={self.pc}"
         if self.line is not None:
             at += f", line {self.line}"
-        return f"{what} by worker {self.worker} in {where} ({at})"
+        return f"{what} in {where} ({at})"
 
 
 @dataclass(frozen=True)
@@ -85,17 +97,16 @@ class SanitizerConflict:
 
 @dataclass
 class SanitizerReport:
-    """Everything the sanitizer observed during one run."""
+    """Every conflict the ranks recorded during one run."""
 
     conflicts: list[SanitizerConflict] = field(default_factory=list)
-    owner_violations: list[str] = field(default_factory=list)
     total_conflicts: int = 0
     accesses_recorded: int = 0
     blocks_tracked: int = 0
 
     @property
     def ok(self) -> bool:
-        return self.total_conflicts == 0 and not self.owner_violations
+        return self.total_conflicts == 0
 
     def render(self) -> str:
         if self.ok:
@@ -113,145 +124,182 @@ class SanitizerReport:
         ]
         for c in self.conflicts:
             lines.append("  " + c.render())
-        for v in self.owner_violations:
-            lines.append(f"  owner-side: {v}")
         return "\n".join(lines)
 
 
 @dataclass
-class _BlockEpochRecord:
-    """First access per iteration identity, split by access mode."""
+class RaceLog:
+    """What one rank's recorder found: plain, picklable data.
 
-    readers: dict[tuple, AccessPoint] = field(default_factory=dict)
-    overwriters: dict[tuple, AccessPoint] = field(default_factory=dict)
-    accumulators: dict[tuple, AccessPoint] = field(default_factory=dict)
+    A conflict is ``(kind, epoch, block_id, first, second)`` with each
+    endpoint a ``(mode, iteration, pc)`` triple.
+    """
+
+    conflicts: list[tuple] = field(default_factory=list)
+    total: int = 0
+    accesses: int = 0
+    blocks: int = 0
 
 
-class Sanitizer:
-    """Shared access recorder for one SIP run (all ranks report here)."""
+def _dedup_key(kind: str, bid: BlockId, first: tuple, second: tuple) -> tuple:
+    """One distinct conflict per statement pair, whichever came first."""
+    a, b = first[2], second[2]
+    return (kind, bid.array_id, a, b) if a <= b else (kind, bid.array_id, b, a)
 
-    def __init__(self, program: CompiledProgram) -> None:
-        self.program = program
-        self._records: dict[tuple[str, int, BlockId], _BlockEpochRecord] = {}
-        self._seen_conflicts: set[tuple] = set()
-        self.report_data = SanitizerReport()
 
-    # -- recording ----------------------------------------------------------
-    def record(
-        self,
-        cls: str,
-        epoch: int,
-        block_id: BlockId,
-        mode: str,
-        worker: int,
-        pc: int,
-        line: Optional[int],
-        iteration: tuple,
-    ) -> None:
-        point = AccessPoint(
-            worker=worker, pc=pc, mode=mode, line=line, iteration=iteration
-        )
-        rec = self._records.get((cls, epoch, block_id))
-        if rec is None:
-            rec = self._records[(cls, epoch, block_id)] = _BlockEpochRecord()
-            self.report_data.blocks_tracked += 1
-        self.report_data.accesses_recorded += 1
+#: what an access of each mode conflicts with: (earlier mode, kind)
+_CONFLICTS = {
+    "read": (("=", "read-write"), ("+=", "read-write")),
+    "=": (("read", "read-write"), ("=", "write-write"), ("+=", "write-write")),
+    "+=": (("read", "read-write"), ("=", "write-write")),
+}
 
-        if mode == "read":
-            self._collide(rec.overwriters, point, block_id, epoch, "read-write")
-            self._collide(rec.accumulators, point, block_id, epoch, "read-write")
-            rec.readers.setdefault(iteration, point)
-        elif mode == "=":
-            self._collide(rec.readers, point, block_id, epoch, "read-write")
-            self._collide(rec.overwriters, point, block_id, epoch, "write-write")
-            self._collide(rec.accumulators, point, block_id, epoch, "write-write")
-            rec.overwriters.setdefault(iteration, point)
-        else:  # "+=" accumulates commute with each other only
-            self._collide(rec.readers, point, block_id, epoch, "read-write")
-            self._collide(rec.overwriters, point, block_id, epoch, "write-write")
-            rec.accumulators.setdefault(iteration, point)
 
-    def _collide(
-        self,
-        prior: dict[tuple, AccessPoint],
-        point: AccessPoint,
-        block_id: BlockId,
-        epoch: int,
-        kind: str,
-    ) -> None:
-        for iteration, first in prior.items():
-            if iteration == point.iteration:
-                continue
-            self.report_data.total_conflicts += 1
-            key = (kind, block_id.array_id, first.pc, point.pc)
-            if key in self._seen_conflicts:
-                continue
-            self._seen_conflicts.add(key)
-            if len(self.report_data.conflicts) < MAX_CONFLICTS:
-                name = self.program.array_table[block_id.array_id].name
-                self.report_data.conflicts.append(
-                    SanitizerConflict(
-                        kind=kind,
-                        array=name,
-                        coords=block_id.coords,
-                        epoch=epoch,
-                        first=first,
-                        second=point,
-                    )
-                )
+class RaceRecorder:
+    """Per-epoch access tables of the blocks one rank owns, by array class.
 
-    def absorb(
-        self,
-        records: dict[tuple[str, int, BlockId], _BlockEpochRecord],
-        report: SanitizerReport,
-    ) -> None:
-        """Merge one rank's recorder state (multiprocess gather).
+    A block's record maps each mode seen to ``{iteration: pc of its
+    first such access}``.  An iteration's later access of the same mode is not
+    checked again: any conflict it could meet, its first one met already
+    or meets when the other side arrives.
+    """
 
-        Conflicts the child rank already found internally are carried
-        over as-is (deduplicated against what earlier ranks reported);
-        cross-rank conflicts are discovered here by colliding each
-        incoming first-access point against the records other ranks
-        contributed for the same (class, epoch, block).
+    def __init__(self, mode: str = "raise") -> None:
+        self.enabled = mode != "off"
+        self.log = RaceLog()
+        # array class -> epoch -> block id -> record
+        self.tables: dict[str, dict[int, dict]] = {"distributed": {}, "served": {}}
+        self._kept: set[tuple] = set()
+
+    def _open(self, cls: str, epoch: int) -> Optional[dict]:
+        """The table of a class's epoch not seen yet; None for a late one.
+
+        An access of epoch ``e`` arrives only after its issuer passed
+        barrier ``e - 1``, which every worker reached after its puts
+        (or prepares) of earlier epochs were acknowledged -- and an ack
+        is sent after the write is recorded -- and after every fetch an
+        instruction waited on was answered.  So once epoch ``e`` opens,
+        epochs up to ``e - 1`` can only still receive fetch hints that no
+        instruction waited for; epoch ``e - 1`` stays open for those,
+        older epochs are freed and a hint for one is not recorded.
         """
-        self.report_data.accesses_recorded += report.accesses_recorded
-        self.report_data.total_conflicts += report.total_conflicts
-        for msg in report.owner_violations:
-            self.note_owner_violation(msg)
-        for c in report.conflicts:
-            key = (c.kind, self.program.array_id(c.array), c.first.pc, c.second.pc)
-            if key in self._seen_conflicts:
-                continue
-            self._seen_conflicts.add(key)
-            if len(self.report_data.conflicts) < MAX_CONFLICTS:
-                self.report_data.conflicts.append(c)
-        for rkey, rec in records.items():
-            mine = self._records.get(rkey)
-            if mine is None:
-                # first rank to touch this block/epoch: adopt wholesale
-                # (its internal conflicts were counted by the child)
-                self._records[rkey] = rec
-                self.report_data.blocks_tracked += 1
-                continue
-            _cls, epoch, bid = rkey
-            for point in rec.readers.values():
-                self._collide(mine.overwriters, point, bid, epoch, "read-write")
-                self._collide(mine.accumulators, point, bid, epoch, "read-write")
-                mine.readers.setdefault(point.iteration, point)
-            for point in rec.overwriters.values():
-                self._collide(mine.readers, point, bid, epoch, "read-write")
-                self._collide(mine.overwriters, point, bid, epoch, "write-write")
-                self._collide(mine.accumulators, point, bid, epoch, "write-write")
-                mine.overwriters.setdefault(point.iteration, point)
-            for point in rec.accumulators.values():
-                self._collide(mine.readers, point, bid, epoch, "read-write")
-                self._collide(mine.overwriters, point, bid, epoch, "write-write")
-                mine.accumulators.setdefault(point.iteration, point)
+        tables = self.tables[cls]
+        if tables and epoch < max(tables) - 1:
+            return None
+        for old in [e for e in tables if e < epoch - 1]:
+            del tables[old]
+        table = tables[epoch] = {}
+        return table
 
-    def note_owner_violation(self, message: str) -> None:
-        """Sink for :class:`~.distributed.ConflictTracker` violations."""
-        if message not in self.report_data.owner_violations:
-            self.report_data.owner_violations.append(message)
+    def record(
+        self, cls: str, epoch: int, bid: BlockId, mode: str, iteration: tuple, pc: int
+    ) -> None:
+        """One access; a ``+=`` names its iteration by its accum key's head."""
+        if not self.enabled:
+            return
+        self.log.accesses += 1
+        table = self.tables[cls].get(epoch)
+        if table is None and (table := self._open(cls, epoch)) is None:
+            return
+        rec = table.get(bid)
+        if rec is None:
+            table[bid] = {mode: {iteration: pc}}
+            self.log.blocks += 1
+            return
+        mine = rec.get(mode)
+        if mine is None:
+            mine = rec[mode] = {}
+        elif iteration in mine:
+            return
+        for earlier, kind in _CONFLICTS[mode]:
+            prior = rec.get(earlier)
+            if prior:
+                for other, other_pc in prior.items():
+                    if other != iteration:
+                        self.conflict(
+                            kind, epoch, bid, (earlier, other, other_pc),
+                            (mode, iteration, pc),
+                        )
+        mine[iteration] = pc
 
-    # -- results ------------------------------------------------------------
-    def report(self) -> SanitizerReport:
-        return self.report_data
+    def conflict(
+        self, kind: str, epoch: int, bid: BlockId, first: tuple, second: tuple
+    ) -> None:
+        log = self.log
+        log.total += 1
+        key = _dedup_key(kind, bid, first, second)
+        if key in self._kept or len(log.conflicts) >= MAX_CONFLICTS:
+            return
+        self._kept.add(key)
+        log.conflicts.append((kind, epoch, bid, first, second))
+
+    # -- the replica rule, at the worker holding the replica -------------
+    def replica_read(self, entry, bid: BlockId, iteration: tuple, pc: int) -> None:
+        """An iteration reads a cached replica (a hit or a coalesced
+        fetch).  Called when ``entry.seen`` is not that iteration; the
+        fetcher's reads reached the owner, and ``read_by`` keeps the
+        latest other reader, whose next read is not checked again."""
+        entry.seen = iteration
+        read_by = entry.read_by
+        if (
+            not self.enabled
+            or entry.fetched_by in (None, iteration)
+            or (read_by is not None and read_by[0] == iteration)
+        ):
+            return
+        written = entry.written
+        if written is not None and written[1][1] != iteration:
+            epoch, first = written
+            self.conflict("read-write", epoch, bid, first, ("read", iteration, pc))
+        entry.read_by = (iteration, pc)
+
+    def replica_write(
+        self, entry, epoch: int, bid: BlockId, op: str, iteration: tuple, pc: int
+    ) -> None:
+        """An iteration of this worker writes a block it holds a replica of."""
+        if not self.enabled or entry.fetched_by is None:
+            return
+        read_by = entry.read_by
+        if read_by is not None and read_by[0] != iteration:
+            first = ("read", *read_by)
+            self.conflict("read-write", epoch, bid, first, (op, iteration, pc))
+        if entry.written is None:
+            entry.written = (epoch, (op, iteration, pc))
+
+
+def _point(program: CompiledProgram, mode: str, iteration: tuple, pc: int) -> AccessPoint:
+    loc = program.instructions[pc].location
+    if iteration[0] == 0:
+        where = ("iter", *iteration[1:])
+    else:
+        where = ("seq", iteration[1])
+    return AccessPoint(
+        pc=pc, mode=mode, line=loc.line if loc is not None else None, iteration=where
+    )
+
+
+def fold_races(program: CompiledProgram, logs: list[RaceLog]) -> SanitizerReport:
+    """One report from every rank's log (rank order), distinct conflicts
+    kept once per statement pair."""
+    report = SanitizerReport()
+    seen: set[tuple] = set()
+    for log in logs:
+        report.total_conflicts += log.total
+        report.accesses_recorded += log.accesses
+        report.blocks_tracked += log.blocks
+        for kind, epoch, bid, first, second in log.conflicts:
+            key = _dedup_key(kind, bid, first, second)
+            if key in seen or len(report.conflicts) >= MAX_CONFLICTS:
+                continue
+            seen.add(key)
+            report.conflicts.append(
+                SanitizerConflict(
+                    kind=kind,
+                    array=program.array_table[bid.array_id].name,
+                    coords=bid.coords,
+                    epoch=epoch,
+                    first=_point(program, *first),
+                    second=_point(program, *second),
+                )
+            )
+    return report

@@ -29,6 +29,7 @@ from .memory import PoolStats
 from .mptransport import BatchStats, EngineStats, ShmStats
 from .plans import PlanCacheStats
 from .profiling import RunProfile, WorkerProfile
+from .sanitizer import RaceLog
 from .scheduler import SchedStats
 
 
@@ -43,6 +44,7 @@ class RankReport:
     owned: dict = field(default_factory=dict)  # a worker's distributed blocks
     local_blocks: dict = field(default_factory=dict)  # worker 0's static blocks
     served: dict = field(default_factory=dict)  # a server's served blocks
+    races: Optional[RaceLog] = None  # a worker's or server's race log
 
 
 @dataclass
@@ -80,7 +82,9 @@ def rank_report(proc: Any, rt: Any) -> RankReport:
     if isinstance(proc, IOServerProcess):
         stats.update(disk=proc.disk.stats, blockio=proc.blockio.stats)
         served = proc.current_blocks()
-        return RankReport("server", proc.server_index, stats, served=served)
+        return RankReport(
+            "server", proc.server_index, stats, served=served, races=proc.races.log
+        )
     stats.update(pool=proc.pool.stats, blockio=proc.engine.stats, profile=proc.profile)
     return RankReport(
         "worker",
@@ -89,6 +93,7 @@ def rank_report(proc: Any, rt: Any) -> RankReport:
         scalars=list(proc.scalars),
         owned=proc.owned,
         local_blocks=proc.local_blocks if proc.worker_index == 0 else {},
+        races=proc.races.log,
     )
 
 

@@ -14,7 +14,7 @@ mirrors the paper's Section V:
 * each worker also runs a *service pump* answering block requests and
   applying puts/accumulates for the distributed blocks it owns;
 * barrier misuse (conflicting accesses within one epoch) is detected at
-  the owning rank.
+  the owning rank, keyed by pardo iteration (:mod:`repro.sip.sanitizer`).
 
 Every block movement -- demand gets/requests, prefetch hints, puts,
 prepares, replies -- goes through the rank's
@@ -40,7 +40,6 @@ from ..blockio import BlockTransferEngine
 from ..blocks import Block, BlockId, block_nbytes
 from ..config import RETRY_LIMIT, SIPError
 from ..decode import ResolvedOperand
-from ..distributed import ConflictTracker
 from ..memman import MemoryManager
 from ..messages import (
     MASTER_TAG,
@@ -56,6 +55,7 @@ from ..messages import (
 )
 from ..profiling import WorkerProfile
 from ..runtime import SharedRuntime
+from ..sanitizer import RaceRecorder
 from ..scheduler import conditions_read_scalars
 from ..transport import CommEndpoint
 from .ledger import ScalarLedger
@@ -124,14 +124,15 @@ class WorkerProcess(ResilientMessaging):
         self.pardo_states: dict[int, _PardoState] = {}
         self.pardo_activations: dict[int, int] = {}
         self.current_pardo: Optional[int] = None  # pardo_id while inside
-        # sanitizer identity of the running pardo iteration, or None
-        # outside pardo; only maintained when the sanitizer is on
-        self.sanitizer = rt.sanitizer
-        self.current_iteration: Optional[tuple] = None
         # collective ledger: base + per-iteration deltas per scalar, so
         # the master reduces collectives in canonical iteration order
         self.scalar_ledger = ScalarLedger(len(rt.program.scalar_table))
         self._iter_key: Optional[tuple] = None  # identity of the running iteration
+        # the race checker's key of the running iteration: the same
+        # identity as the head of a '+=' accum key, a per-worker
+        # constant outside pardo
+        self._serial_iter = (1, worker_index)
+        self.race_iter: tuple = self._serial_iter
         self._cond_scalar_need: dict[int, bool] = {}  # per pardo pc
 
         # communication bookkeeping ------------------------------------------
@@ -140,7 +141,7 @@ class WorkerProcess(ResilientMessaging):
         self.served_epoch = 0
         self.collective_seq = 0
         self.checkpoint_seq = 0
-        self.trackers: dict[int, ConflictTracker] = {}
+        self.races = RaceRecorder(rt.config.race_check)
         self._wait_acc = 0.0
         self._shutdown = False
 
@@ -335,8 +336,9 @@ class WorkerProcess(ResilientMessaging):
                     raise self._unwritten(payload.block_id)
                 self._fold_accums(payload.block_id)
                 self.memman.touch(payload.block_id)
-                self.tracker(payload.epoch).record_read(
-                    payload.worker_index, payload.block_id
+                self.races.record(
+                    "distributed", payload.epoch, payload.block_id, "read",
+                    payload.iteration, payload.pc,
                 )
                 self.engine.reply_block(
                     msg.source, payload.reply_tag, payload.block_id, block
@@ -357,9 +359,10 @@ class WorkerProcess(ResilientMessaging):
                         payload.block_id,
                         payload.op,
                         payload.block,
-                        payload.worker_index,
                         payload.epoch,
-                        accum_key=payload.accum_key,
+                        payload.accum_key,
+                        payload.iteration,
+                        payload.pc,
                     )
                 self.comm.isend(Ack(payload.ack_tag), dest=msg.source, tag=payload.ack_tag)
             else:
@@ -378,38 +381,6 @@ class WorkerProcess(ResilientMessaging):
                 self.rt.block_shape(bid), self.rt.dtype
             )
         return n
-
-    def tracker(self, epoch: int) -> ConflictTracker:
-        t = self.trackers.get(epoch)
-        if t is None:
-            t = self.trackers[epoch] = ConflictTracker(
-                "distributed",
-                enabled=self.config.validate_barriers,
-                sink=(
-                    self.sanitizer.note_owner_violation
-                    if self.sanitizer is not None
-                    else None
-                ),
-            )
-        return t
-
-    def _sanitize(
-        self, cls: str, epoch: int, bid: BlockId, mode: str, instr, pc: int
-    ) -> None:
-        """Record one block access with the sanitizer (no simulated time)."""
-        if self.sanitizer is None:
-            return
-        loc = instr.location
-        self.sanitizer.record(
-            cls,
-            epoch,
-            bid,
-            mode,
-            worker=self.worker_index,
-            pc=pc,
-            line=loc.line if loc is not None else None,
-            iteration=self.current_iteration or ("seq", self.worker_index),
-        )
 
     def eval_rpn(self, rpn: tuple) -> float:
         # RPN programs with no scalar/index reads were pre-evaluated at
@@ -443,7 +414,7 @@ class WorkerProcess(ResilientMessaging):
         name = self.rt.array_desc(bid.array_id).name
         return SIPError(f"get of unwritten distributed block {bid} (array {name!r})")
 
-    def acquire(self, r: ResolvedOperand) -> Generator:
+    def acquire(self, r: ResolvedOperand, pc: int) -> Generator:
         """Obtain a distributed/served block, waiting if in flight."""
         if r.kind == "distributed":
             if r.owner_rank == self.rank:
@@ -453,14 +424,14 @@ class WorkerProcess(ResilientMessaging):
                 self._fold_accums(r.block_id)
                 self.memman.touch(r.block_id)
                 self.memman.pin_instr(r.block_id)
-                self.tracker(self.epoch).record_read(self.worker_index, r.block_id)
+                self.races.record(
+                    "distributed", self.epoch, r.block_id, "read", self.race_iter, pc
+                )
                 return block
-            return (
-                yield from self.engine.acquire(r.block_id, "get", self._wait)
-            )
+            return (yield from self.engine.acquire(r.block_id, "get", self._wait, pc))
         if r.kind == "served":
             return (
-                yield from self.engine.acquire(r.block_id, "request", self._wait)
+                yield from self.engine.acquire(r.block_id, "request", self._wait, pc)
             )
         raise SIPError(f"cannot read array kind {r.kind!r}")
 
@@ -540,14 +511,18 @@ class WorkerProcess(ResilientMessaging):
         bid: BlockId,
         op: str,
         incoming: Block,
-        writer_index: int,
         epoch: int,
-        accum_key: Optional[tuple] = None,
+        accum_key: Optional[tuple],
+        iteration: Optional[tuple],
+        pc: int,
     ) -> None:
         """Apply a put to an owned block: ``=`` overwrites at once, a
-        ``+=`` (which always carries ``accum_key``) is buffered and
-        folded at the first read, sorted by that key."""
-        self.tracker(epoch).record_write(writer_index, bid, op)
+        ``+=`` (which always carries ``accum_key``, headed by its
+        iteration) is buffered and folded at the first read, sorted by
+        that key."""
+        self.races.record(
+            "distributed", epoch, bid, op, iteration or accum_key[:-1], pc
+        )
         block = self.owned.get(bid)
         if block is None:
             block = self._alloc_block(bid, zero=True)
@@ -649,38 +624,38 @@ class WorkerProcess(ResilientMessaging):
     def op_get(self, instr, pc: int) -> int:
         r = self.resolve(instr.args[0])
         bid = r.block_id
-        self._sanitize("distributed", self.epoch, bid, "read", instr, pc)
         if r.owner_rank == self.rank:
             if bid not in self.owned:
                 raise self._unwritten(bid)
-            self.tracker(self.epoch).record_read(self.worker_index, bid)
+            self.races.record(
+                "distributed", self.epoch, bid, "read", self.race_iter, pc
+            )
             return pc + 1
         # a dropped hint is fine: the instruction that *uses* the block
         # fetches with backpressure
-        self.engine.hint(bid, "get")
+        self.engine.hint(bid, "get", self.race_iter, pc)
         return pc + 1
 
     def op_request(self, instr, pc: int) -> int:
         r = self.resolve(instr.args[0])
-        bid = r.block_id
-        self._sanitize("served", self.served_epoch, bid, "read", instr, pc)
-        self.engine.hint(bid, "request")
+        self.engine.hint(r.block_id, "request", self.race_iter, pc)
         return pc + 1
 
     def op_prefetch(self, instr, pc: int) -> int:
         """Optimizer-inserted fetch hint: issue early, never wait or fault.
 
-        Deliberately does NOT sanitize or record tracker state -- the
-        demand access the optimizer proved is guaranteed to follow in
-        the same iteration is what the sanitizer and conflict tracker
-        must observe, exactly as at ``-O0``.
+        The fetch carries the pc of the get or request it runs ahead of
+        (the optimizer proved it follows in the same iteration), so the
+        owner's race recorder sees the same access as at ``-O0``; an
+        owned block needs no fetch and records nothing until that get.
         """
         r = self.resolve(instr.args[0])
-        bid = r.block_id
         if r.owner_rank == self.rank:
             return pc + 1
         kind = "get" if r.kind == "distributed" else "request"
-        self.engine.hint(bid, kind)
+        self.engine.hint(
+            r.block_id, kind, self.race_iter, self.prefetcher.demand_pc[pc]
+        )
         return pc + 1
 
     def op_create(self, instr, pc: int) -> int:
@@ -748,10 +723,7 @@ class WorkerProcess(ResilientMessaging):
                 for i, v in zip(index_ids, combo):
                     self.index_values[i] = v
                 self._iter_key = (pardo_id, state.activation, combo)
-                if self.sanitizer is not None:
-                    self.current_iteration = (
-                        "iter", pardo_id, state.activation, combo
-                    )
+                self.race_iter = (0, pardo_id, state.activation, combo)
                 stats.iterations += 1
                 self.prefetcher.pardo(pc, index_ids, state.chunk, state.pos)
                 return pc + 1
@@ -793,8 +765,8 @@ class WorkerProcess(ResilientMessaging):
                     self.index_values.pop(i, None)
                 stats.elapsed += self.sim.now - state.entry_time
                 self.current_pardo = None
-                self.current_iteration = None
                 self._iter_key = None
+                self.race_iter = self._serial_iter
                 return exit_pc
             state.chunk = iterations
             state.pos = 0
@@ -811,7 +783,7 @@ class WorkerProcess(ResilientMessaging):
     def op_copy(self, instr, pc: int) -> Generator:
         dst_op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r, pc))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.copy(
@@ -824,7 +796,7 @@ class WorkerProcess(ResilientMessaging):
     def op_negate(self, instr, pc: int) -> Generator:
         dst_op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r, pc))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.negate(
@@ -838,7 +810,7 @@ class WorkerProcess(ResilientMessaging):
         dst_op, op, src_op, rpn = instr.args
         factor = self.eval_rpn(rpn)
         src_r = self.resolve(src_op)
-        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r, pc))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
@@ -864,7 +836,7 @@ class WorkerProcess(ResilientMessaging):
     def op_accum(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r, pc))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(dst_r, needs_existing=True)
         cost = self.backend.accumulate(
@@ -878,9 +850,9 @@ class WorkerProcess(ResilientMessaging):
     def op_addsub(self, instr, pc: int) -> Generator:
         dst_op, sign, a_op, b_op = instr.args
         a_r = self.resolve(a_op)
-        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r))
+        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r, pc))
         b_r = self.resolve(b_op)
-        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r))
+        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r, pc))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.addsub(
@@ -895,9 +867,9 @@ class WorkerProcess(ResilientMessaging):
     def op_contract(self, instr, pc: int) -> Generator:
         dst_op, op, a_op, b_op = instr.args
         a_r = self.resolve(a_op)
-        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r))
+        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r, pc))
         b_r = self.resolve(b_op)
-        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r))
+        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r, pc))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
@@ -916,9 +888,9 @@ class WorkerProcess(ResilientMessaging):
         dst_op, op, a_op, b_op, tmp_ids, factor_rpn = instr.args
         factor = None if factor_rpn is None else self.eval_rpn(factor_rpn)
         a_r = self.resolve(a_op)
-        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r))
+        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r, pc))
         b_r = self.resolve(b_op)
-        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r))
+        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r, pc))
         dst_r = self.resolve(dst_op)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
@@ -937,9 +909,9 @@ class WorkerProcess(ResilientMessaging):
     def op_scalar_contract(self, instr, pc: int) -> Generator:
         scalar_id, op, a_op, b_op = instr.args
         a_r = self.resolve(a_op)
-        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r))
+        a_block = self.local_block(a_r) if a_r.is_local else (yield from self.acquire(a_r, pc))
         b_r = self.resolve(b_op)
-        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r))
+        b_block = self.local_block(b_r) if b_r.is_local else (yield from self.acquire(b_r, pc))
         value, cost = self.backend.scalar_contract(
             self.kernel_operand(a_r, a_block),
             self.kernel_operand(b_r, b_block),
@@ -1007,7 +979,7 @@ class WorkerProcess(ResilientMessaging):
     def op_put(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r, pc))
         dst_r = self.resolve(dst_op)
         if dst_r.slices is not None:
             raise SIPError("put of a sub-block slice is not supported")
@@ -1018,7 +990,6 @@ class WorkerProcess(ResilientMessaging):
                 f"put shape mismatch: {src_block.shape} -> {dst_r.shape}"
             )
         bid = dst_r.block_id
-        self._sanitize("distributed", self.epoch, bid, op, instr, pc)
         accum_key = (
             None
             if op == "="
@@ -1033,33 +1004,32 @@ class WorkerProcess(ResilientMessaging):
                 else self.engine.snapshot(src_block)
             )
             self.apply_put(
-                bid, op, snapshot, self.worker_index, self.epoch,
-                accum_key=accum_key,
+                bid, op, snapshot, self.epoch, accum_key,
+                self.race_iter if accum_key is None else None, pc,
             )
             cost = self.rt.cost.elementwise_time(src_block.nbytes)
             yield Timeout(cost)
             return pc + 1
-        self.engine.post_put(bid, op, src_block, accum_key)
+        self.engine.post_put(bid, op, src_block, accum_key, pc)
         yield Timeout(self.rt.config.machine.send_overhead)
         return pc + 1
 
     def op_prepare(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
         src_r = self.resolve(src_op)
-        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r))
+        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r, pc))
         dst_r = self.resolve(dst_op)
         if dst_r.slices is not None:
             raise SIPError("prepare of a sub-block slice is not supported")
         if src_r.slices is not None:
             src_block = self._materialize_view(src_r, src_block)
         bid = dst_r.block_id
-        self._sanitize("served", self.served_epoch, bid, op, instr, pc)
         accum_key = (
             None
             if op == "="
             else self.engine.accums.next_key(self._iter_key, self.worker_index)
         )
-        self.engine.post_prepare(bid, op, src_block, accum_key)
+        self.engine.post_prepare(bid, op, src_block, accum_key, pc)
         yield Timeout(self.rt.config.machine.send_overhead)
         return pc + 1
 
@@ -1089,11 +1059,15 @@ class WorkerProcess(ResilientMessaging):
         self._wait_acc += self.sim.now - t0
 
     def _clear_cache_kind(self, kind: str) -> None:
-        drop = [
-            bid
-            for bid, entry in list(self.cache.items())
-            if self.rt.array_desc(bid.array_id).kind == kind and not entry.pending
-        ]
+        drop = []
+        for bid, entry in list(self.cache.items()):
+            if self.rt.array_desc(bid.array_id).kind != kind:
+                continue
+            if entry.pending:
+                # a fetch still in flight was recorded in the closed epoch
+                entry.fetched_by = entry.seen = entry.read_by = entry.written = None
+            else:
+                drop.append(bid)
         for bid in drop:
             self.cache.remove(bid)
             self.rt.replicas.discard(bid, self.worker_index)

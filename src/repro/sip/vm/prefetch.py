@@ -7,10 +7,13 @@ waiting, never faulting, and stopping as soon as the engine reports no
 headroom (the single backpressure predicate that used to be two
 copy-pasted ``capacity - 2`` guards).
 
-Each loop's get list is decoded once into (operand, fetch kind) pairs;
-the compiler lists only gets the loop can resolve
+Each loop's get list is decoded once into (operand, fetch kind, pc)
+triples; the compiler lists only gets the loop can resolve
 (:func:`repro.sial.passes.rewrite.loop_get_pcs`).  A block this rank
 owns, or one the cache already holds, needs no call to the engine.
+A hint names the iteration it fetches for and the pc of the get it
+serves (never a ``PREFETCH``), so a legal ``get X ... put X =`` inside
+one iteration stays legal for the race checker however early it ran.
 """
 
 from __future__ import annotations
@@ -22,6 +25,19 @@ from ..config import SIPError
 __all__ = ["LookaheadPrefetcher"]
 
 _LOOP_STARTS = (Op.DO_START, Op.DOIN_START, Op.PARDO_START)
+_FETCHES = (Op.GET, Op.REQUEST)
+
+
+def demand_pcs(instrs) -> dict[int, int]:
+    """``PREFETCH`` pc -> pc of the fetch it runs ahead of: the first
+    later get or request of its operand (the optimizer hints only a
+    fetch the pardo body issues later in the same iteration)."""
+    fetches = [(q, i.args[0]) for q, i in enumerate(instrs) if i.op in _FETCHES]
+    return {
+        pc: next((q for q, o in fetches if q > pc and o == i.args[0]), pc)
+        for pc, i in enumerate(instrs)
+        if i.op == Op.PREFETCH
+    }
 
 
 def _fetch_kind(instr) -> str:
@@ -38,8 +54,9 @@ class LookaheadPrefetcher:
         self.rank = vm.rank
         self.engine = vm.engine
         self.depth = vm.config.prefetch_depth
-        # loop start pc -> ((decoded operand, fetch kind), ...); no
-        # entry when the loop has nothing to prefetch
+        self.demand_pc = demand_pcs(vm.rt.program.instructions)
+        # loop start pc -> ((decoded operand, fetch kind, get pc), ...);
+        # no entry when the loop has nothing to prefetch
         self.plans: dict[int, tuple] = {}
         if self.depth:
             instrs = vm.rt.decoded.instructions
@@ -48,17 +65,21 @@ class LookaheadPrefetcher:
                     get_pcs = instr.args[get_pcs_slot(instr)]
                     if get_pcs:
                         self.plans[pc] = tuple(
-                            (instrs[g].args[0], _fetch_kind(instrs[g]))
+                            (
+                                instrs[g].args[0],
+                                _fetch_kind(instrs[g]),
+                                self.demand_pc.get(g, g),
+                            )
                             for g in get_pcs
                         )
 
-    def _hint_all(self, plan) -> bool:
+    def _hint_all(self, plan, iteration) -> bool:
         """Hint one hypothetical iteration's blocks; False = stop."""
         index_values = self.vm.index_values
         rank = self.rank
         engine = self.engine
         lookup = engine.cache.lookup
-        for operand, kind in plan:
+        for operand, kind, pc in plan:
             try:
                 r = operand.resolve(index_values)
             except SIPError:
@@ -70,7 +91,7 @@ class LookaheadPrefetcher:
                 if entry.pending:
                     engine.stats.coalesced += 1
                 continue
-            if not engine.hint(r.block_id, kind, mark_refetch=False):
+            if not engine.hint(r.block_id, kind, iteration, pc, mark_refetch=False):
                 return False
         return True
 
@@ -86,7 +107,8 @@ class LookaheadPrefetcher:
                 if not self.engine.headroom():
                     break  # leave room for demand fetches
                 index_values[index_id] = v
-                if not self._hint_all(plan):
+                # a do loop runs inside the running iteration
+                if not self._hint_all(plan, self.vm.race_iter):
                     return  # cache full of pending blocks
         finally:
             # the early returns above must not leak a future index value
@@ -101,6 +123,7 @@ class LookaheadPrefetcher:
         plan = self.plans.get(start_pc)
         if plan is None:
             return
+        head = self.vm.race_iter[:3]  # (0, pardo id, activation)
         index_values = self.vm.index_values
         saved = {i: index_values.get(i) for i in index_ids}
         for combo in chunk[start : start + self.depth]:
@@ -108,7 +131,7 @@ class LookaheadPrefetcher:
                 break  # leave room for demand fetches
             for i, v in zip(index_ids, combo):
                 index_values[i] = v
-            self._hint_all(plan)
+            self._hint_all(plan, (*head, combo))
         for i, v in saved.items():
             if v is None:
                 index_values.pop(i, None)

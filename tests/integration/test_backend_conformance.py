@@ -70,7 +70,7 @@ def make_config(workers: int, execution: str, **kw) -> SIPConfig:
         workers=workers,
         io_servers=1,
         segment_size=2,
-        sanitize=True,
+        race_check="report",
         execution=execution,
     )
     if execution == "mp":
@@ -375,7 +375,7 @@ def test_checkpoint_chaining_matches_simulator(workers):
 
     def factory(execution):
         def make():
-            return make_config(workers, execution, sanitize=False)
+            return make_config(workers, execution, race_check="raise")
 
         return make
 
@@ -410,7 +410,7 @@ endpardo
 endsial t
 """
     cfg = make_config(
-        2, "mp", sanitize=False, superinstructions={"explode": explode}
+        2, "mp", race_check="raise", superinstructions={"explode": explode}
     )
     with pytest.raises(SIPError) as err:
         run_source(source, cfg, {"nb": 4})
@@ -437,9 +437,41 @@ pardo M
 endpardo
 endsial t
 """
-    cfg = make_config(2, "mp", sanitize=False, superinstructions={"die": die})
+    cfg = make_config(2, "mp", race_check="raise", superinstructions={"die": die})
     with pytest.raises(SIPError, match="died|failed|gone|disconnected"):
         run_source(source, cfg, {"nb": 4})
+
+
+@pytest.mark.mp
+def test_a_stopped_rank_ends_the_run_in_one_error_within_the_timeout():
+    """A rank that stops (SIGSTOP) neither exits nor reports: the ranks
+    waiting on it time out, and the parent kills the stopped one at once
+    instead of waiting for it to act on a SIGTERM it cannot receive."""
+    import os
+    import signal
+    import time
+
+    def freeze(call):
+        if call.scalars[0] == 1:  # only the worker that runs M = 1
+            os.kill(os.getpid(), signal.SIGSTOP)
+
+    source = """sial t
+symbolic nb
+aoindex M = 1, nb
+temp T(M, M)
+pardo M
+  T(M, M) = 1.0
+  execute freeze T(M, M) M
+endpardo
+endsial t
+"""
+    cfg = make_config(
+        2, "mp", mp_timeout=2.0, superinstructions={"freeze": freeze}
+    )
+    started = time.perf_counter()
+    with pytest.raises(SIPError, match=r"(master|worker|server) \d+ \(rank \d+\)"):
+        run_source(source, cfg, {"nb": 4})
+    assert time.perf_counter() - started < cfg.mp_timeout + 5.0
 
 
 @pytest.mark.mp
@@ -494,8 +526,10 @@ def test_duplicate_block_requests_coalesce_on_both_backends(execution):
     every ``pardo L`` iteration demands it, so the transfer engine's
     request table must fold all the duplicate fetches onto the one
     in-flight GetBlock -- on the simulator and on real processes alike.
+    Static scheduling gives the worker that does not own D half the
+    iterations (under guided chunks on mp the owner could take them all).
     """
-    cfg = make_config(2, execution, segment_size=4)
+    cfg = make_config(2, execution, segment_size=4, scheduling="static")
     res = run_source(COALESCE_SRC, cfg, symbolics={"nb": 4, "nl": 12})
     assert res.stats["blockio_issued_gets"] == 1
     assert res.stats["blockio_replies"] == 1

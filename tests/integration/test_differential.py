@@ -51,7 +51,7 @@ DRIVERS = {
 
 def sanitized_config(workers):
     return SIPConfig(
-        workers=workers, io_servers=1, segment_size=2, sanitize=True
+        workers=workers, io_servers=1, segment_size=2, race_check="report"
     )
 
 

@@ -148,7 +148,7 @@ def test_served_array_roundtrip_identity(nb, seg, servers, headroom, seed):
         segment_size=seg,
         spill=True,
         inputs={"OUT": value},
-        validate_barriers=False,  # OUT is rewritten with equal values
+        race_check="off",  # OUT is rewritten with equal values
     )
     report = dry_run(SERVED_ROUNDTRIP, cfg, {"nb": nb})
     block = report.pinned_floor_bytes // PINNED_FLOOR_BLOCKS

@@ -27,8 +27,8 @@ def test_default_budget_never_drops_a_replica(monkeypatch):
     fetched = Counter()
     issue = BlockTransferEngine._issue
 
-    def spy(self, bid, kind, demand=True):
-        entry = issue(self, bid, kind, demand)
+    def spy(self, bid, kind, *args, **kw):
+        entry = issue(self, bid, kind, *args, **kw)
         port = self.port
         epoch = port.epoch if kind == "get" else port.served_epoch
         fetched[port.rank, kind, epoch, bid] += 1

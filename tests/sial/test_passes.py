@@ -39,7 +39,7 @@ def run_both(source: str, symbolics=NB, **cfg_kw):
     results = []
     for level in (0, 2):
         cfg = SIPConfig(
-            workers=2, segment_size=2, sanitize=True,
+            workers=2, segment_size=2, race_check="report",
             opt_level=level, **cfg_kw,
         )
         results.append(run_source(source, cfg, dict(symbolics)))

@@ -61,7 +61,7 @@ def make_config(workers: int, opt_level: int, execution: str = "sim") -> SIPConf
         workers=workers,
         io_servers=1,
         segment_size=2,
-        sanitize=True,
+        race_check="report",
         execution=execution,
         opt_level=opt_level,
     )

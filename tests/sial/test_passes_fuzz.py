@@ -144,7 +144,7 @@ def programs(draw):
 
 def execute(prog, level: int):
     cfg = SIPConfig(
-        workers=2, io_servers=1, segment_size=2, sanitize=True,
+        workers=2, io_servers=1, segment_size=2, race_check="report",
         opt_level=level,
     )
     return run_program(prog, cfg, {"nb": 4.0})

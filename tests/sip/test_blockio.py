@@ -162,7 +162,7 @@ endsial coalesce
 
 
 def run_coalesce(**kw):
-    defaults = dict(workers=2, io_servers=1, segment_size=4, sanitize=True)
+    defaults = dict(workers=2, io_servers=1, segment_size=4, race_check="report")
     defaults.update(kw)
     cfg = SIPConfig(**defaults)
     return run_source(COALESCE_SRC, cfg, symbolics={"nb": 4, "nl": 12})

@@ -163,10 +163,10 @@ def test_ccsd_plan_cache_hit_rate_is_high():
 
 def test_sanitized_run_stays_clean_with_cow():
     """COW sharing must not trip the block-access sanitizer."""
-    sanitized = run_fock_build(config=_default_config(sanitize=True))
+    sanitized = run_fock_build(config=_default_config(race_check="report"))
     assert sanitized.result.sanitizer_report.ok
     assert sanitized.result.stats["cow_shared_payloads"] > 0
-    plain = run_fock_build(config=_default_config(sanitize=False))
+    plain = run_fock_build(config=_default_config(race_check="raise"))
     _assert_outcomes_identical(plain, sanitized)
 
 

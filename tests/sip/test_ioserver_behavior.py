@@ -134,6 +134,10 @@ endpardo M, N
     assert np.all(res.array("OUT") == 3.0)
     assert res.stats["disk_reads"] > 0
     assert res.stats["blockio_backpressure_stalls"] > 0
+    # a write-back wakes one parked load, not every one: at most about
+    # one stall per prepare and one per request (a broadcast wake-up
+    # made every parked load re-park, thousands of stalls here)
+    assert res.stats["blockio_backpressure_stalls"] <= 2 * 256
 
 
 def test_multiple_servers_partition_blocks():

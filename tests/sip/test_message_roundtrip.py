@@ -92,6 +92,16 @@ def blocks(draw):
     return Block(shape, data)
 
 
+#: a race-check iteration key: a pardo iteration, or a worker outside one
+race_iterations = st.one_of(
+    st.tuples(
+        st.just(0), st.integers(0, 9), st.integers(0, 9),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    ),
+    st.tuples(st.just(1), st.integers(0, 7)),
+)
+
+
 @st.composite
 def write_messages(draw, cls):
     """A PutBlock or PrepareBlock as a sender builds it."""
@@ -100,11 +110,12 @@ def write_messages(draw, cls):
         block_id=draw(block_ids),
         op=op,
         block=draw(blocks()),
-        worker_index=draw(st.integers(0, 7)),
         epoch=draw(st.integers(0, 99)),
         ack_tag=draw(st.integers(-1, 5000)),
         seq=draw(st.integers(-1, 1000)),
         accum_key=accum_key,
+        iteration=None if accum_key is not None else draw(race_iterations),
+        pc=draw(st.integers(-1, 500)),
     )
 
 
@@ -119,15 +130,17 @@ control_messages = st.one_of(
         GetBlock,
         block_id=block_ids,
         reply_tag=st.integers(1000, 9000),
-        worker_index=st.integers(0, 7),
         epoch=st.integers(0, 99),
+        iteration=race_iterations,
+        pc=st.integers(-1, 500),
     ),
     st.builds(
         RequestBlock,
         block_id=block_ids,
         reply_tag=st.integers(1000, 9000),
-        worker_index=st.integers(0, 7),
         epoch=st.integers(0, 99),
+        iteration=race_iterations,
+        pc=st.integers(-1, 500),
     ),
     st.builds(Ack, tag=st.integers(0, 9000)),
     st.builds(

@@ -334,7 +334,7 @@ endpardo M
     # with validation off the (racy) program runs to completion
     res = run_source(
         wrap(decls, body),
-        cfg(workers=2, validate_barriers=False),
+        cfg(workers=2, race_check="off"),
         symbolics={"nb": 6},
     )
     assert res.elapsed > 0

@@ -31,7 +31,7 @@ endsial trace_probe
 """
 
 
-def run_traced(workers=3, sanitize=False):
+def run_traced(workers=3, race_check="raise"):
     tracer = TraceRecorder()
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
@@ -41,7 +41,7 @@ def run_traced(workers=3, sanitize=False):
         segment_size=4,
         tracer=tracer,
         inputs={"A": a, "B": b},
-        sanitize=sanitize,
+        race_check=race_check,
         opt_level=0,  # the op counts below are the verbatim program's
     )
     res = run_source(SRC, cfg, symbolics={"nb": 8})
@@ -116,8 +116,8 @@ def test_record_without_line_defaults_to_none():
 
 def test_sanitizer_off_and_on_trace_identically():
     """The sanitizer is pure bookkeeping: identical events either way."""
-    plain, res_plain = run_traced(sanitize=False)
-    sanitized, res_san = run_traced(sanitize=True)
+    plain, res_plain = run_traced(race_check="raise")
+    sanitized, res_san = run_traced(race_check="report")
     assert plain.events == sanitized.events
     assert res_plain.elapsed == res_san.elapsed
     assert res_san.sanitizer_report is not None

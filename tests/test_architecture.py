@@ -304,7 +304,7 @@ def test_sipconfig_does_not_grow():
 
     from repro.sip import SIPConfig
 
-    assert len(dataclasses.fields(SIPConfig)) <= 27
+    assert len(dataclasses.fields(SIPConfig)) <= 26
 
 
 #: SIPConfig fields that were ablation switches onto pre-optimisation
@@ -313,14 +313,15 @@ def test_sipconfig_does_not_grow():
 #: cache and a server's are bounded by ``memory_per_worker``, not
 #: ``cache_blocks`` or ``server_cache_blocks``; host time per kernel is
 #: sipbench's trace, not ``kernel_wallclock``; the shm slab size is
-#: ``arena.SLAB_BYTES``, not ``mp_arena_slab_bytes``)
+#: ``arena.SLAB_BYTES``, not ``mp_arena_slab_bytes``; one race checker
+#: reads ``race_check``, not ``validate_barriers`` or ``sanitize``)
 REMOVED_CONFIG_FIELDS = {
     "fastpath", "mp_arena", "mp_batch_max_msgs", "mp_batch_max_bytes",
     "affinity_owner_weight", "affinity_replica_weight",
     "affinity_replica_history", "blockio_reserve", "blockio_max_in_flight",
     "chunk_factor", "min_chunk", "retry_timeout", "retry_limit", "retry_backoff",
     "cache_blocks", "kernel_wallclock", "trace", "server_cache_blocks",
-    "mp_arena_slab_bytes",
+    "mp_arena_slab_bytes", "validate_barriers", "sanitize",
 }  # fmt: skip
 
 
@@ -364,7 +365,6 @@ UNCALLED_ALLOWLIST = {
     "Machine.with_memory": "public API: a machine with another memory size",
     "FaultPlan.any_faults_configured": "public API of the fault plan",
     "SyntheticIntegrals.h_block": "public API: one-electron integral blocks",
-    "ConflictTracker.new_epoch": "public API of the barrier-conflict tracker",
     "GACluster.read_array": "public API of the Global Arrays baseline",
     "MemoryManager.spilled_blocks": "public API: blocks parked on scratch",
     "ALL_OPS": "the opcode list the disassembler test checks coverage against",

@@ -200,4 +200,4 @@ def test_run_sanitize_racy_program_nonzero_exit(racy_file, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "write-write" in out
-    assert "owner-side" in out
+    assert out.count("pardo 0 iteration") == 2  # both endpoints
