@@ -156,15 +156,14 @@ class SIPConfig:
         :mod:`repro.sip.registry`).
     tracer:
         Optional :class:`~repro.sip.tracing.TraceRecorder` that records
-        per-rank timelines and per-section counters of the run.
+        per-rank timelines and the run's recovery, memory-pressure and
+        chunk-scheduling events.
     faults:
         Optional :class:`~repro.simmpi.faults.FaultPlan` injecting
         message drops/delays, disk errors and rank crashes.  Attaching
         one also enables the resilient messaging protocol (timeouts,
-        retries with exponential backoff, sequence-number dedup).
-    resilient:
-        Force the resilient protocol on (True) or off (False)
-        regardless of ``faults``; None (default) follows ``faults``.
+        retries with exponential backoff, sequence-number dedup); an
+        empty ``FaultPlan()`` runs that protocol with no fault injected.
     """
 
     workers: int = 4
@@ -192,7 +191,6 @@ class SIPConfig:
     superinstructions: dict[str, Callable[..., Any]] = field(default_factory=dict)
     tracer: Optional[Any] = None  # a repro.sip.tracing.TraceRecorder
     faults: Optional[FaultPlan] = None
-    resilient: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.race_check == "raise" and os.environ.get("REPRO_SANITIZE"):
@@ -213,11 +211,6 @@ class SIPConfig:
             if self.faults is not None:
                 raise ValueError(
                     "fault injection needs virtual time; use execution='sim'"
-                )
-            if self.resilient:
-                raise ValueError(
-                    "the resilient protocol's timeout races need virtual "
-                    "time; use execution='sim'"
                 )
             if self.mp_payload_shm_min < 0:
                 raise ValueError("mp_payload_shm_min must be >= 0")
@@ -241,13 +234,6 @@ class SIPConfig:
             _np.dtype(self.dtype)
         except TypeError:
             raise ValueError(f"unknown dtype {self.dtype!r}") from None
-
-    @property
-    def resilience_enabled(self) -> bool:
-        """Whether the resilient messaging protocol is active."""
-        if self.resilient is not None:
-            return self.resilient
-        return self.faults is not None
 
     @property
     def memory_budget(self) -> float:

@@ -73,23 +73,9 @@ class RunProfile:
     workers: list[WorkerProfile]
     elapsed: float
     program: Optional[CompiledProgram] = None
-    # fast-path observability: the folded PlanCacheStats (None only in
-    # model mode, which runs no kernels) and CowStats of every runtime
-    plan_cache: Optional[Any] = None
-    cow: Optional[Any] = None
-    # memory-pressure observability: an aggregated MemStats plus the
-    # per-rank budget it was measured against
-    memory: Optional[Any] = None
-    memory_budget: float = 0.0
-    # pardo dole-out observability: the master's SchedStats
-    scheduling: Optional[Any] = None
-    # mp transport observability: a dict with the summed ArenaStats and
-    # BatchStats and each worker's EngineStats when the run used the
-    # multiprocess backend, else None
-    transport: Optional[Any] = None
-    # block movement observability: the summed BlockIOStats of every
-    # rank's transfer engine (fetches, coalescing, backpressure)
-    blockio: Optional[Any] = None
+    #: the run's ``RunResult.stats`` (the same dict, not a copy); its
+    #: nonzero counters close :meth:`report`
+    stats: dict[str, Any] = field(default_factory=dict)
 
     @property
     def total_busy(self) -> float:
@@ -178,92 +164,8 @@ class RunProfile:
                 f"elapsed={stats.elapsed:.6f}s wait={stats.wait_time:.6f}s "
                 f"chunk_wait={stats.chunk_wait:.6f}s"
             )
-        lines += self.sections().values()
-        return "\n".join(lines)
+        # stats.py builds RunProfile, so its renderer is imported late
+        from .stats import render
 
-    def sections(self) -> dict[str, str]:
-        """The run-level stat lines of :meth:`report`, by the key a
-        run's tracer carries each one under as an annotation."""
-        out: dict[str, str] = {}
-        if self.plan_cache is not None:
-            p = self.plan_cache
-            out["plan_cache"] = (
-                f"kernel plans: {p.hits} hits / {p.misses} misses "
-                f"(hit rate {100.0 * p.hit_rate:.1f} %, "
-                f"{p.gemm_plans} gemm / {p.outer_plans} outer / "
-                f"{p.einsum_plans} einsum)"
-            )
-        if self.cow is not None:
-            c = self.cow
-            out["zero_copy"] = (
-                f"zero-copy transport: {c.sends_shared} payloads shared, "
-                f"{c.bytes_not_copied} bytes not copied, "
-                f"{c.cow_copies} copy-on-write copies "
-                f"({c.cow_bytes_copied} bytes)"
-            )
-        t = self.transport
-        if t is not None:
-            a = t["arena"]
-            b = t["batches"]
-            out["mp_transport"] = (
-                f"mp transport arena: {a.hits} slot fills + "
-                f"{a.handoffs} zero-copy handoffs / {a.misses} one-shot "
-                f"misses, {a.bytes_zero_copy} bytes mapped without a "
-                f"receive copy, {a.slabs_created} slabs "
-                f"({a.slab_bytes} B), {a.refs_leaked} leases leaked"
-            )
-            out["mp_control_plane"] = (
-                f"mp control plane: {b.messages} messages in "
-                f"{b.batches} frames "
-                f"({t['batch_msgs_per_write']:.1f} msgs/write, "
-                f"{b.frame_bytes} framed bytes)"
-            )
-            e = t["engines"]
-            out["mp_engines"] = (
-                "mp worker engines: blocked "
-                + " / ".join(f"{x.blocked_s:.3f}" for x in e)
-                + f" s in {sum(x.blocked_waits for x in e)} waits, "
-                f"{sum(x.polls for x in e)} polls delivered "
-                f"{sum(x.poll_deliveries for x in e)} messages, "
-                f"{sum(x.events_fired for x in e)} events fired"
-            )
-            g = t["ends"]
-            out["mp_gather"] = (
-                f"mp gather: {g['mp_gather_bytes']} array bytes mapped in "
-                f"{1e3 * g['mp_gather_s']:.1f} ms, "
-                f"{g['mp_result_pickle_bytes']} bytes pickled through the "
-                f"result pipes; input scatter {1e3 * g['mp_scatter_s']:.1f} ms"
-            )
-        s = self.scheduling
-        if s is not None and s.chunks:
-            line = (
-                f"scheduling ({s.policy}): {s.chunks} chunks, "
-                f"{s.iterations} iterations"
-            )
-            if s.policy == "locality":
-                line += (
-                    f", {s.locality_hits} locality hits "
-                    f"({100.0 * s.locality_rate:.1f} %), "
-                    f"{s.steals} steals ({s.stolen_iterations} iterations)"
-                )
-            out["scheduling"] = line
-        m = self.memory
-        if m is not None and (m.cascades or m.spills or m.pressure_evictions):
-            out["memory_pressure"] = (
-                f"memory pressure: {m.cascades} cascades, "
-                f"{m.pressure_evictions} pressure evictions, "
-                f"{m.spills} spills ({m.spill_bytes} B out), "
-                f"{m.faults_in} faults back in ({m.fault_bytes} B), "
-                f"peak {m.peak_bytes} B resident / "
-                f"{m.peak_spill_bytes} B on scratch "
-                f"(budget {self.memory_budget:.0f} B)"
-            )
-        bio = self.blockio
-        if bio is not None and (bio.issued or bio.disk_loads):
-            out["blockio"] = (
-                f"block transfers: {bio.issued} fetches issued "
-                f"({bio.coalesced} coalesced, peak {bio.in_flight_peak} in "
-                f"flight), {bio.puts_posted + bio.prepares_posted} writes "
-                f"posted, {bio.hint_drops} hints dropped"
-            )
-        return out
+        lines += render(self.stats)
+        return "\n".join(lines)

@@ -206,11 +206,7 @@ def _finalize(
     if config.race_check == "raise" and not races.ok:
         raise BarrierViolation(races.render())
     stats = build_stats(reports, run, config, program)
-    profile = run_profile(reports, run, stats, config, program)
-    tracer = config.tracer
-    if tracer is not None and hasattr(tracer, "annotate"):
-        for key, line in profile.sections().items():
-            tracer.annotate(key, line)
+    profile = run_profile(reports, stats, program)
     worker0 = next(r for r in reports if r.role == "worker")
     scalars = {
         name.lower(): worker0.scalars[i] for i, name in enumerate(program.scalar_table)

@@ -180,8 +180,9 @@ class SharedRuntime:
 
     @property
     def resilient(self) -> bool:
-        """Whether the resilient messaging protocol is active."""
-        return self.config.resilience_enabled
+        """Whether the resilient messaging protocol is active: a fault
+        plan, even an empty one, turns it on."""
+        return self.config.faults is not None
 
     # -- block space enumeration ------------------------------------------------
     def all_blocks(self, array_id: int):

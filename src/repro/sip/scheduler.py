@@ -97,11 +97,6 @@ class SchedStats:
     steals: int = 0
     stolen_iterations: int = 0
 
-    @property
-    def locality_rate(self) -> float:
-        total = self.locality_hits + self.locality_misses
-        return self.locality_hits / total if total else 0.0
-
 
 @dataclass
 class GuidedScheduler:

@@ -6,7 +6,8 @@ every stats key once (ranks, source, fold, host timing or not), so both
 backends report one key set.  Runtime-level sources (plan cache,
 copy-on-write, traffic, mp transport) are one shared object on the
 simulator and one per child on mp; folding each *distinct* object once
-counts both right, I/O servers and master included.
+counts both right, I/O servers and master included.  The profile report
+prints that dict and nothing else as its counters (:func:`render`).
 """
 
 from __future__ import annotations
@@ -147,8 +148,9 @@ def _rows(ranks, source, prefix="", names="", fold=None, varies=False, **reads):
 TABLE: tuple[Stat, ...] = (
     *_rows(WORKERS, "profile", fold="sum", instr_executed="instructions"),
     # every plan that is not a GEMM counts as einsum, as before outer
-    # products had a plan of their own: the golden counters pin this sum
-    *_rows(RUNTIMES, "plan_cache", "plan_cache_", "hits misses hit_rate",
+    # products had a plan of their own: the golden counters pin this sum;
+    # a property (hit_rate here, blockio's issued) is read by keyword
+    *_rows(RUNTIMES, "plan_cache", "plan_cache_", "hits misses", hit_rate="hit_rate",
            gemm="gemm_plans", einsum=lambda p: p.einsum_plans + p.outer_plans),
     *_rows(RUNTIMES, "cow", "cow_", "bytes_not_copied", shared_payloads="sends_shared",
            copies="cow_copies", bytes_copied="cow_bytes_copied"),
@@ -166,8 +168,9 @@ TABLE: tuple[Stat, ...] = (
            "blocked_s blocked_waits polls poll_deliveries events_fired", varies=True),
     *_rows(WORKERS, "engine", "mp_engine_", fold="max", varies=True,
            blocked_max_s="blocked_s"),
+    *_rows(WORKERS_SERVERS, "blockio", "blockio_", issued="issued"),
     *_rows(WORKERS_SERVERS, "blockio", "blockio_",
-           "issued issued_gets issued_requests coalesced waiters waiter_peak "
+           "issued_gets issued_requests coalesced waiters waiter_peak "
            "in_flight_peak backpressure_stalls hint_drops disk_loads writebacks "
            "writebacks_superseded accums_buffered accum_folds",
            puts="puts_posted", prepares="prepares_posted", replies="replies_served"),
@@ -230,35 +233,25 @@ def build_stats(
     return stats
 
 
-#: the stats of an mp run's two ends (input scatter, result gather)
-_ENDS = ("mp_scatter", "mp_gather", "mp_result")
-
-
-def run_profile(
-    reports: list[RankReport], run: RunStats, stats: dict, config: SIPConfig, program
-) -> RunProfile:
-    """The run's profile: the workers' own, plus the folded counters
-    its report sections print."""
-    workers = [r for r in reports if r.role == "worker"]
-    transport = None
-    if config.execution == "mp":
-        transport = {
-            "arena": folded(sources(reports, RUNTIMES, "arena")),
-            "batches": folded(sources(reports, RUNTIMES, "batch")),
-            "engines": [w.stats["engine"] for w in workers],
-            "slabs_swept": run.arena_slabs_swept,
-            "batch_msgs_per_write": stats["batch_msgs_per_write"],
-            "ends": {k: v for k, v in stats.items() if k.startswith(_ENDS)},
-        }
+def run_profile(reports: list[RankReport], stats: dict, program) -> RunProfile:
+    """The run's profile: the workers' own, reporting ``stats``."""
+    profiles = [r.stats["profile"] for r in reports if r.role == "worker"]
     return RunProfile(
-        workers=[w.stats["profile"] for w in workers],
-        elapsed=max((w.stats["profile"].elapsed for w in workers), default=0.0),
+        workers=profiles,
+        elapsed=max((p.elapsed for p in profiles), default=0.0),
         program=program,
-        plan_cache=folded(sources(reports, RUNTIMES, "plan_cache")),
-        cow=folded(sources(reports, RUNTIMES, "cow")),
-        memory=folded(sources(reports, WORKERS_SERVERS, "mem")),
-        memory_budget=config.memory_budget,
-        scheduling=folded(sources(reports, MASTER, "sched")),
-        transport=transport,
-        blockio=folded(sources(reports, WORKERS_SERVERS, "blockio")),
+        stats=stats,
     )
+
+
+def render(stats: dict[str, Any]) -> list[str]:
+    """The profile report's counter lines: one per source, in
+    :data:`TABLE` order (the optimizer's counters first, as ``opt``),
+    each holding that source's nonzero keys as ``key=value``."""
+    source_of = {row.key: row.source for row in TABLE}
+    groups: dict[str, list[str]] = {}
+    for key, value in stats.items():
+        if value:
+            text = f"{value:.6g}" if isinstance(value, float) else value
+            groups.setdefault(source_of.get(key, "opt"), []).append(f"{key}={text}")
+    return [f"{source}: {' '.join(pairs)}" for source, pairs in groups.items()]

@@ -107,12 +107,6 @@ class TraceRecorder:
     fault_events: list[FaultTraceEvent] = field(default_factory=list)
     mem_events: list[MemTraceEvent] = field(default_factory=list)
     sched_events: list[SchedTraceEvent] = field(default_factory=list)
-    # run-level annotations (plan-cache hit rates, zero-copy savings, ...)
-    summary: dict = field(default_factory=dict)
-
-    def annotate(self, key: str, value) -> None:
-        """Attach a run-level summary value (shown by :meth:`report`)."""
-        self.summary[key] = value
 
     def record(
         self,
@@ -153,7 +147,6 @@ class TraceRecorder:
         self.fault_events.extend(other.fault_events)
         self.mem_events.extend(other.mem_events)
         self.sched_events.extend(other.sched_events)
-        self.summary.update(other.summary)
 
     # -- queries -----------------------------------------------------------
     def for_worker(self, worker: int) -> list[TraceEvent]:
@@ -229,8 +222,4 @@ class TraceRecorder:
                 f"{iters} iterations, {hits} locality hits, "
                 f"{stolen} stolen"
             )
-        if self.summary:
-            lines.append("run annotations:")
-            for key in sorted(self.summary):
-                lines.append(f"  {key}: {self.summary[key]}")
         return "\n".join(lines)

@@ -1,10 +1,11 @@
 """Fault hooks for the worker: retries, backoff, reliable waits.
 
 All of this is inert unless a :class:`~repro.simmpi.faults.FaultPlan`
-or ``config.resilient`` is set; the mixin exists so the interpreter
-core stays free of the retry machinery.  Host classes provide ``sim``,
-``comm``, ``config``, ``rt``, ``resilience``, ``worker_index`` and the
-``_wait_acc`` accounting field.
+is set (an empty one runs the protocol with no fault injected); the
+mixin exists so the interpreter core stays free of the retry
+machinery.  Host classes provide ``sim``, ``comm``, ``config``, ``rt``,
+``resilience``, ``worker_index`` and the ``_wait_acc`` accounting
+field.
 """
 
 from __future__ import annotations

@@ -197,11 +197,14 @@ def test_profile_and_trace_report_pressure():
         n_occ=4,
         config=config(budget=constrained_budget(base), tracer=tracer),
     )
-    assert_within_budget(out.result.stats)
-    assert "memory pressure" in out.result.profile.report()
+    stats = out.result.stats
+    assert_within_budget(stats)
+    report = out.result.profile.report()
+    for key in ("mem_cascades", "mem_spills", "mem_faults_in", "mem_spill_bytes"):
+        assert stats[key] > 0, key
+        assert f"{key}={stats[key]}" in report, key
     assert tracer.mem_events
     assert "memory pressure actions" in tracer.report()
-    assert "memory_pressure" in tracer.summary
 
 
 def test_float32_run_is_dtype_aware_end_to_end():

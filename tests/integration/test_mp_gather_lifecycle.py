@@ -152,7 +152,7 @@ def test_gather_segments_are_neither_slabs_nor_leaks():
     assert stats["mp_arena_slabs_swept"] == stats["arena_slabs"]
     assert stats["mp_gather_bytes"] >= out.result.array("R").nbytes
     assert stats["mp_gather_s"] > 0.0 and stats["mp_scatter_s"] > 0.0
-    assert "mp gather: " in out.result.profile.report()
+    assert f"mp_gather_bytes={stats['mp_gather_bytes']}" in out.result.profile.report()
     # the parent unlinked every name before the sweep; the bytes live on
     # in the mappings the result's arrays own
     assert run_segments() == []

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from repro.sial.compiler import compile_source
-from repro.sip import FaultPlan, SIPConfig, SIPError, run_program, run_source
+from repro.sip import (
+    FaultPlan,
+    ResilienceStats,
+    SIPConfig,
+    SIPError,
+    run_program,
+    run_source,
+)
 
 from .test_ioserver_behavior import squeezed
 
@@ -150,18 +157,18 @@ endpardo M, N
 
 
 def test_resilient_mode_without_faults_matches_default():
-    """resilient=True turns the ack/seq protocol on with no plan; the
-    numerics match the default path and nothing is ever retried."""
+    """An empty FaultPlan turns the ack/seq protocol on with no fault;
+    the numerics match the default path and nothing is ever retried."""
     src = wrap(PUT_GET_DECLS, PUT_GET_BODY)
     base = run_source(src, SIPConfig(workers=2, io_servers=1, segment_size=3), {"nb": 6})
     res = run_source(
         src,
-        SIPConfig(workers=2, io_servers=1, segment_size=3, resilient=True),
+        SIPConfig(workers=2, io_servers=1, segment_size=3, faults=FaultPlan()),
         {"nb": 6},
     )
     assert res.scalar("e") == pytest.approx(base.scalar("e"))
     assert np.array_equal(res.array("OUT"), base.array("OUT"))
-    assert res.fault_report is None  # no plan -> nothing to report
+    assert res.fault_report.retries == ResilienceStats()
 
 
 def test_no_plan_has_no_fault_report():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.sial.compiler import compile_source
 from repro.simmpi import Simulator, World
-from repro.sip import SIPConfig
+from repro.sip import FaultPlan, SIPConfig
 from repro.sip.master import MasterProcess
 from repro.sip.messages import ChunkRequest
 from repro.sip.runtime import SharedRuntime
@@ -104,7 +104,7 @@ def make_master(workers, scheduling="guided", nb=8):
         io_servers=1,
         segment_size=2,
         scheduling=scheduling,
-        resilient=True,
+        faults=FaultPlan(),
     )
     prog = compile_source(_TWO_PARDO_SRC)
     sim = Simulator()

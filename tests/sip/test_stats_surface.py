@@ -3,18 +3,20 @@
 Every ``RunResult.stats`` key is declared once, in ``repro.sip.stats``,
 and read from the same rank reports on the simulator and on forked
 processes; counters fold across ranks by their dataclass field
-metadata; the tracer's run annotations are the profile report's own
-lines.  The ``mp`` half forks real processes.
+metadata; the profile report prints every nonzero key once, from
+``RunResult.stats`` itself.  The ``mp`` half forks real processes.
 """
 
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.programs import run_ccsd
-from repro.sip import SIPConfig, TraceRecorder
+from repro.sip import SIPConfig
 from repro.sip.blocks import CowStats
 from repro.sip.fold import fold
 
@@ -22,10 +24,8 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 TABLE_MODULE = "sip/stats.py"
 
 
-def _ccsd(execution, tracer=None):
-    config = SIPConfig(
-        workers=2, io_servers=1, segment_size=2, execution=execution, tracer=tracer
-    )
+def _ccsd(execution):
+    config = SIPConfig(workers=2, io_servers=1, segment_size=2, execution=execution)
     return run_ccsd(n_basis=4, n_occ=2, iterations=1, config=config).result
 
 
@@ -83,17 +83,15 @@ def test_peaks_fold_by_max(module, name):
 @pytest.mark.parametrize(
     "execution", ["sim", pytest.param("mp", marks=pytest.mark.mp)]
 )
-def test_tracer_annotations_are_the_report_lines(execution):
-    tracer = TraceRecorder()
-    result = _ccsd(execution, tracer)
-    sections = result.profile.sections()
-    assert {"plan_cache", "zero_copy", "scheduling", "blockio"} <= sections.keys()
-    assert ("mp_gather" in sections) == (execution == "mp")
-    assert tracer.summary == sections
-    report = result.profile.report().splitlines()
-    for key, line in sections.items():
-        assert line in report, key
-    assert sum(line.startswith("block transfers: ") for line in report) == 1
+def test_report_prints_every_nonzero_stat_once(execution):
+    """The report's counters are ``RunResult.stats`` itself: each nonzero
+    key appears once as ``key=value``, a zero key not at all."""
+    result = _ccsd(execution)
+    assert result.profile.stats is result.stats
+    printed = Counter(re.findall(r"(?<!\S)(\w+)=", result.profile.report()))
+    for key, value in result.stats.items():
+        assert printed[key] == (1 if value else 0), key
+    assert printed["mp_gather_bytes"] == (execution == "mp")
 
 
 @pytest.mark.mp

@@ -304,7 +304,7 @@ def test_sipconfig_does_not_grow():
 
     from repro.sip import SIPConfig
 
-    assert len(dataclasses.fields(SIPConfig)) <= 26
+    assert len(dataclasses.fields(SIPConfig)) <= 25
 
 
 #: SIPConfig fields that were ablation switches onto pre-optimisation
@@ -314,14 +314,16 @@ def test_sipconfig_does_not_grow():
 #: ``cache_blocks`` or ``server_cache_blocks``; host time per kernel is
 #: sipbench's trace, not ``kernel_wallclock``; the shm slab size is
 #: ``arena.SLAB_BYTES``, not ``mp_arena_slab_bytes``; one race checker
-#: reads ``race_check``, not ``validate_barriers`` or ``sanitize``)
+#: reads ``race_check``, not ``validate_barriers`` or ``sanitize``; the
+#: resilient protocol follows ``faults``, an empty plan included, not
+#: ``resilient``)
 REMOVED_CONFIG_FIELDS = {
     "fastpath", "mp_arena", "mp_batch_max_msgs", "mp_batch_max_bytes",
     "affinity_owner_weight", "affinity_replica_weight",
     "affinity_replica_history", "blockio_reserve", "blockio_max_in_flight",
     "chunk_factor", "min_chunk", "retry_timeout", "retry_limit", "retry_backoff",
     "cache_blocks", "kernel_wallclock", "trace", "server_cache_blocks",
-    "mp_arena_slab_bytes", "validate_barriers", "sanitize",
+    "mp_arena_slab_bytes", "validate_barriers", "sanitize", "resilient",
 }  # fmt: skip
 
 
