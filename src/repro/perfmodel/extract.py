@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Optional
 
-from ..costmodel import INTEGRAL_FLOPS_PER_ELEMENT
-from ..sial.bytecode import BlockOperand, CompiledProgram, Op
+from ..costmodel import INTEGRAL_FLOPS_PER_ELEMENT, contraction_flops
+from ..sial.bytecode import OPS, BlockOperand, CompiledProgram, Op
 from ..sip.blocks import ResolvedIndexTable
 from ..sip.config import SIPConfig
 from ..sip.scheduler import enumerate_pardo
@@ -38,6 +38,9 @@ from .model import PhaseSpec, WorkloadSpec
 __all__ = ["extract_workload"]
 
 _B = 8.0
+
+#: cost rules that move block bytes rather than compute
+_TRAFFIC = ("get", "request", "put", "prepare")
 
 
 @dataclass
@@ -99,80 +102,58 @@ class _Extractor:
         )
 
     # -- instruction costing ------------------------------------------------
+    def contraction(self, out_ids, a: BlockOperand) -> float:
+        """Flops of contracting ``a`` (times some b) into ``out_ids``."""
+        return contraction_flops(
+            [self.avg_len(i) for i in out_ids],
+            [self.avg_len(i) for i in a.index_ids if i not in out_ids],
+        )
+
     def charge(self, acc: _PhaseAccumulator, instr, weight: float) -> None:
-        op = instr.op
+        """Charge one instruction by its spec's cost rule."""
+        spec = OPS[instr.op]
+        rule = spec.cost
         args = instr.args
-        if op == Op.CONTRACT:
-            dst, _assign, a, b = args
-            out = self.operand_dims(dst)
-            contracted = [
-                self.avg_len(i) for i in a.index_ids if i not in dst.index_ids
-            ]
-            acc.flops += weight * 2.0 * prod(out, start=1.0) * prod(
-                contracted, start=1.0
-            )
-            acc.kernels += weight
-        elif op == Op.CONTRACT_FUSED:
-            # the fused pair: a contraction into the (virtual) temp
-            # shape plus the elementwise apply onto the destination
-            dst, _assign, a, _b, tmp_ids, _factor = args
-            out = [self.avg_len(i) for i in tmp_ids]
-            contracted = [
-                self.avg_len(i) for i in a.index_ids if i not in tmp_ids
-            ]
-            acc.flops += weight * 2.0 * prod(out, start=1.0) * prod(
-                contracted, start=1.0
-            )
-            acc.flops += weight * self.operand_elements(dst)
-            acc.kernels += weight
-        elif op == Op.SCALAR_CONTRACT:
-            _sid, _assign, a, _b = args
-            acc.flops += weight * 2.0 * self.operand_elements(a)
-            acc.kernels += weight
-        elif op in (
-            Op.FILL,
-            Op.COPY,
-            Op.NEGATE,
-            Op.SCALE,
-            Op.SCALE_INPLACE,
-            Op.ACCUM,
-            Op.ADDSUB,
-        ):
-            dst = args[0]
-            acc.flops += weight * self.operand_elements(dst)
-            acc.kernels += weight
-        elif op == Op.COMPUTE_INTEGRALS:
-            dst = args[0]
+        if rule is None:
+            return  # control, barriers, scalar assigns: negligible
+        if rule in _TRAFFIC:
+            ref = args[0]
+            nbytes = weight * self.operand_elements(ref) * _B
+            if rule == "get":
+                acc.fetch_bytes += nbytes
+                acc.fetch_messages += weight
+            elif rule == "request":
+                acc.served_bytes += nbytes
+                acc.fetch_messages += weight
+                acc.served_arrays.add(ref.array_id)
+            elif rule == "put":
+                acc.put_bytes += nbytes
+            else:  # prepare
+                acc.served_bytes += nbytes
+                acc.served_arrays.add(ref.array_id)
+            return
+        if rule == "contraction":  # into the destination, or a scalar
+            out_ids = args[0].index_ids if spec.writes else ()
+            acc.flops += weight * self.contraction(out_ids, args[2])
+        elif rule == "fused_contraction":
+            # a contraction into the (virtual) temp shape plus the
+            # elementwise apply onto the destination
+            acc.flops += weight * self.contraction(args[4], args[2])
+            acc.flops += weight * self.operand_elements(args[0])
+        elif rule == "elementwise":
+            acc.flops += weight * self.operand_elements(args[0])
+        elif rule == "integral":
             acc.flops += (
-                weight * INTEGRAL_FLOPS_PER_ELEMENT * self.operand_elements(dst)
+                weight * INTEGRAL_FLOPS_PER_ELEMENT * self.operand_elements(args[0])
             )
-            acc.kernels += weight
-        elif op == Op.EXECUTE:
-            _name, arg_spec = args
+        else:  # "flops": a user super instruction, one pass over its blocks
             elements = sum(
                 self.operand_elements(value)
-                for kind, value in arg_spec
+                for kind, value in args[1]
                 if kind == "block"
             )
             acc.flops += weight * max(elements, 1.0)
-            acc.kernels += weight
-        elif op == Op.GET:
-            ref = args[0]
-            acc.fetch_bytes += weight * self.operand_elements(ref) * _B
-            acc.fetch_messages += weight
-        elif op == Op.REQUEST:
-            ref = args[0]
-            acc.served_bytes += weight * self.operand_elements(ref) * _B
-            acc.fetch_messages += weight
-            acc.served_arrays.add(ref.array_id)
-        elif op == Op.PUT:
-            dst = args[0]
-            acc.put_bytes += weight * self.operand_elements(dst) * _B
-        elif op == Op.PREPARE:
-            dst = args[0]
-            acc.served_bytes += weight * self.operand_elements(dst) * _B
-            acc.served_arrays.add(dst.array_id)
-        # control, barriers, scalar assigns: negligible
+        acc.kernels += weight
 
     # -- structured walk --------------------------------------------------------
     def run(self) -> None:
@@ -212,7 +193,7 @@ class _Extractor:
                 for _ in range(repeats):
                     self._emit_pardo_phase(pardo_id, n_iter, body_acc)
                 pc = exit_pc
-            elif op in (Op.DO_START, Op.DOIN_START):
+            elif OPS[op].loop == "start":  # a do or do..in loop
                 index_id, exit_pc, _gets = instr.args
                 ri = self.table[index_id]
                 if op == Op.DOIN_START:
@@ -243,9 +224,7 @@ class _Extractor:
                     ret += 1
                 self.walk_region(entry, ret, acc, weight)
                 pc += 1
-            elif op in (Op.JUMP, Op.PARDO_END, Op.DO_END, Op.DOIN_END):
-                pc += 1  # structure handled by the enclosing construct
-            else:
+            else:  # a loop end or JUMP: the enclosing construct's, and free
                 target = acc if acc is not None else self._serial
                 self.charge(target, instr, weight)
                 pc += 1

@@ -21,6 +21,8 @@ from .errors import SourceLocation
 
 __all__ = [
     "Op",
+    "OpSpec",
+    "OPS",
     "Instr",
     "IndexDesc",
     "ArrayDesc",
@@ -83,6 +85,132 @@ class Op:
     BLOCKS_TO_LIST = "BLOCKS_TO_LIST"
     LIST_TO_BLOCKS = "LIST_TO_BLOCKS"
     CHECKPOINT = "CHECKPOINT"
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """What one opcode's argument slots mean: the one place it is said.
+
+    The passes, :func:`~.passes.rewrite.verify_program`, the workload
+    extractor, the tracer and the interpreter's handler tables all read
+    :data:`OPS` rather than keep their own per-opcode tables.
+    """
+
+    arity: int
+    #: explicit branch targets, remapped when pcs move
+    pcs: tuple[int, ...] = ()
+    #: loop bookkeeping, recomputed structurally when pcs move: a
+    #: "start" binds index ids at ``bind`` (one id, or a tuple of them),
+    #: keeps its exit pc (one past its end) at ``exit`` and its prefetch
+    #: list at ``get_pcs``; an "end" keeps its back link at ``back``,
+    #: which names the start pc plus ``back_offset``
+    loop: Optional[str] = None
+    partner: Optional[str] = None
+    bind: Optional[int] = None
+    exit: Optional[int] = None
+    get_pcs: Optional[int] = None
+    back: Optional[int] = None
+    back_offset: int = 0
+    #: BlockOperand slots the instruction writes and reads
+    writes: tuple[int, ...] = ()
+    reads: tuple[int, ...] = ()
+    #: slot of the '=' / '+=' / '-=' operator of an accumulate form
+    assign: Optional[int] = None
+    #: slots holding a raw array-table id
+    arrays: tuple[int, ...] = ()
+    #: its operand joins the enclosing loops' get_pcs (lookahead fetch)
+    fetch: bool = False
+    #: how the workload extractor charges it (None: negligible)
+    cost: Optional[str] = None
+    #: timeline glyph of a traced (time-taking) instruction
+    glyph: str = ""
+    #: the handler is a generator: simulated time may pass
+    yields: bool = False
+    #: a loop body holding one vetoes code motion across the loop
+    barrier: bool = False
+    #: derived: the written and read slots, each once
+    operands: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        slots = tuple(dict.fromkeys(self.writes + self.reads))
+        object.__setattr__(self, "operands", slots)
+
+    def binds(self, args: tuple) -> tuple[int, ...]:
+        """The index ids a loop start binds."""
+        ids = args[self.bind]
+        return ids if isinstance(ids, tuple) else (ids,)
+
+
+def _kernel(arity: int, cost: str, glyph: str = "=", **slots) -> OpSpec:
+    """A block compute super instruction writing the block at slot 0."""
+    return OpSpec(arity, writes=(0,), cost=cost, glyph=glyph, yields=True, **slots)
+
+
+#: every opcode's spec, by mnemonic
+OPS: dict[str, OpSpec] = {
+    # control
+    Op.JUMP: OpSpec(1, pcs=(0,), barrier=True),
+    Op.BRANCH_FALSE: OpSpec(2, pcs=(1,), barrier=True),
+    Op.CALL: OpSpec(2, pcs=(0,), barrier=True),
+    Op.RETURN: OpSpec(0),
+    Op.STOP: OpSpec(0),
+    Op.DO_START: OpSpec(3, loop="start", partner=Op.DO_END, bind=0, exit=1, get_pcs=2),
+    Op.DO_END: OpSpec(2, loop="end", partner=Op.DO_START, back=1, back_offset=1),
+    Op.DOIN_START: OpSpec(3, loop="start", partner=Op.DOIN_END, bind=0, exit=1,
+                          get_pcs=2),
+    Op.DOIN_END: OpSpec(2, loop="end", partner=Op.DOIN_START, back=1, back_offset=1),
+    Op.PARDO_START: OpSpec(5, loop="start", partner=Op.PARDO_END, bind=1, exit=3,
+                           get_pcs=4, glyph="?", yields=True),
+    Op.PARDO_END: OpSpec(1, loop="end", partner=Op.PARDO_START, back=0),
+    # data movement
+    Op.GET: OpSpec(1, reads=(0,), fetch=True, cost="get"),
+    Op.REQUEST: OpSpec(1, reads=(0,), fetch=True, cost="request"),
+    Op.PREFETCH: OpSpec(1, reads=(0,), fetch=True),
+    Op.PUT: OpSpec(3, writes=(0,), reads=(2,), assign=1, cost="put", glyph=">",
+                   yields=True),
+    Op.PREPARE: OpSpec(3, writes=(0,), reads=(2,), assign=1, cost="prepare", glyph=">",
+                       yields=True),
+    Op.CREATE: OpSpec(1, arrays=(0,), barrier=True),
+    Op.DELETE: OpSpec(1, arrays=(0,), barrier=True),
+    Op.ALLOCATE: OpSpec(1, writes=(0,)),
+    Op.DEALLOCATE: OpSpec(1, writes=(0,)),
+    # block compute (super instructions)
+    Op.FILL: _kernel(3, "elementwise", assign=1),
+    Op.COPY: _kernel(2, "elementwise", reads=(1,)),
+    Op.NEGATE: _kernel(2, "elementwise", reads=(1,)),
+    Op.SCALE: _kernel(4, "elementwise", reads=(2,), assign=1),
+    Op.SCALE_INPLACE: _kernel(2, "elementwise", reads=(0,)),  # read-modify-write
+    Op.ACCUM: _kernel(3, "elementwise", reads=(2,), assign=1),
+    Op.ADDSUB: _kernel(4, "elementwise", reads=(2, 3)),
+    Op.CONTRACT: _kernel(4, "contraction", "#", reads=(2, 3), assign=1),
+    Op.CONTRACT_FUSED: _kernel(6, "fused_contraction", "#", reads=(2, 3), assign=1),
+    Op.SCALAR_CONTRACT: OpSpec(4, reads=(2, 3), assign=1, cost="contraction", glyph="#",
+                               yields=True),
+    Op.SCALAR_ASSIGN: OpSpec(3),
+    Op.COMPUTE_INTEGRALS: _kernel(1, "integral", "%"),
+    Op.EXECUTE: OpSpec(2, cost="flops", glyph="x", yields=True),
+    # synchronization & utility: every rank takes them, no code moves across
+    Op.COLLECTIVE: OpSpec(1, glyph="+", yields=True, barrier=True),
+    Op.SIP_BARRIER: OpSpec(0, glyph="|", yields=True, barrier=True),
+    Op.SERVER_BARRIER: OpSpec(0, glyph="|", yields=True, barrier=True),
+    Op.BLOCKS_TO_LIST: OpSpec(1, arrays=(0,), glyph="s", yields=True, barrier=True),
+    Op.LIST_TO_BLOCKS: OpSpec(1, arrays=(0,), glyph="s", yields=True, barrier=True),
+    Op.CHECKPOINT: OpSpec(0, glyph="s", yields=True, barrier=True),
+}  # fmt: skip
+
+#: the assign operators an accumulate form's ``assign`` slot may hold
+ASSIGN_OPS = frozenset(("=", "+=", "-="))
+#: instructions that fetch a block the program demands (not a hint)
+FETCHES = frozenset(op for op, s in OPS.items() if s.fetch and s.cost)
+#: block kernels that compute their written blocks from their read
+#: slots alone (integrals and user super instructions call out)
+PURE_KERNELS = frozenset(
+    op
+    for op, s in OPS.items()
+    if s.writes and s.cost in ("elementwise", "contraction", "fused_contraction")
+)
+#: the two barriers, the only instructions barrier coalescing removes
+BARRIERS = frozenset((Op.SIP_BARRIER, Op.SERVER_BARRIER))
 
 
 @dataclass(frozen=True)
@@ -258,14 +386,6 @@ def evaluate_condition(
     right = evaluate_rpn(cond.right_rpn, scalars, symbolics, index_values)
     return _COMPARATORS[cond.op](left, right)
 
-
-#: every opcode the disassembler (and hence the tooling) must know;
-#: the golden test in tests/sial/test_disassemble.py checks coverage
-ALL_OPS = tuple(
-    value
-    for name, value in sorted(vars(Op).items())
-    if not name.startswith("_") and isinstance(value, str)
-)
 
 _RPN_TAGS = {"num", "scalar", "symbolic", "index", "+", "-", "*", "/", "neg"}
 

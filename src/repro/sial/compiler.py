@@ -40,10 +40,11 @@ from .bytecode import (
     IndexDesc,
     Instr,
     Op,
+    OPS,
 )
 from .errors import SemanticError, SourceLocation
 from .parser import parse
-from .passes.rewrite import get_pcs_slot, loop_get_pcs
+from .passes.rewrite import loop_get_pcs
 from .symbols import (
     ArraySymbol,
     IndexSymbol,
@@ -170,7 +171,7 @@ class _Compiler:
                 )
             self.code[pc].args = [entry, name]
         for start, get_pcs in loop_get_pcs(self.code).items():
-            self.code[start].args[get_pcs_slot(self.code[start])] = get_pcs
+            self.code[start].args[OPS[self.code[start].op].get_pcs] = get_pcs
         return CompiledProgram(
             name=self.program.name,
             instructions=[

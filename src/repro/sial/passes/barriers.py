@@ -28,14 +28,11 @@ drops barriers that add nothing to the existing diagnostic set.
 
 from __future__ import annotations
 
-from ..bytecode import CompiledProgram, Op
+from ..bytecode import BARRIERS, CompiledProgram
 from .manager import PassReport
 from .rewrite import Rewriter
 
 __all__ = ["coalesce_barriers"]
-
-_BARRIER_OPS = (Op.SIP_BARRIER, Op.SERVER_BARRIER)
-
 
 def _diag_keys(report) -> set[tuple]:
     return {
@@ -50,7 +47,7 @@ def coalesce_barriers(prog: CompiledProgram) -> tuple[CompiledProgram, PassRepor
     candidates = [
         (pc, instr.location)
         for pc, instr in enumerate(prog.instructions)
-        if instr.op in _BARRIER_OPS and instr.location is not None
+        if instr.op in BARRIERS and instr.location is not None
     ]
     if not candidates or not prog.source:
         report.notes.append("no provable barriers (no source or none present)")
@@ -85,7 +82,7 @@ def coalesce_barriers(prog: CompiledProgram) -> tuple[CompiledProgram, PassRepor
         for pc, instr in enumerate(prog.instructions):
             # every instruction compiled from an accepted source barrier
             # goes (one source line can only hold one barrier statement)
-            if instr.op in _BARRIER_OPS and instr.location is not None and (
+            if instr.op in BARRIERS and instr.location is not None and (
                 instr.location.line, instr.location.column
             ) in accepted:
                 rw.delete(pc)

@@ -25,9 +25,9 @@ virtual temps fully unreferenced, and this is where they disappear).
 
 from __future__ import annotations
 
-from ..bytecode import BlockOperand, CompiledProgram, Op
+from ..bytecode import OPS, PURE_KERNELS, CompiledProgram
 from .manager import PassReport
-from .rewrite import Rewriter, remove_arrays
+from .rewrite import Rewriter, array_refs, remove_arrays
 
 __all__ = ["eliminate_dead"]
 
@@ -35,69 +35,31 @@ __all__ = ["eliminate_dead"]
 #: communication side effects
 _LOCAL_KINDS = ("temp", "local", "static")
 
-#: (write-operand arg positions, read-operand arg positions) for the
-#: pure block-compute instructions DCE may delete
-_COMPUTE_OPS = {
-    Op.FILL: ((0,), ()),
-    Op.COPY: ((0,), (1,)),
-    Op.NEGATE: ((0,), (1,)),
-    Op.SCALE: ((0,), (2,)),
-    Op.ADDSUB: ((0,), (2, 3)),
-    Op.CONTRACT: ((0,), (2, 3)),
-    Op.CONTRACT_FUSED: ((0,), (2, 3)),
-    Op.ACCUM: ((0,), (2,)),
-    Op.SCALE_INPLACE: ((0,), (0,)),  # read-modify-write
-}
-
-
-def _operands(arg) -> list[BlockOperand]:
-    """Every BlockOperand inside one (possibly nested) argument."""
-    found: list[BlockOperand] = []
-    stack = [arg]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, BlockOperand):
-            found.append(item)
-        elif isinstance(item, (tuple, list)):
-            stack.extend(item)
-    return found
-
 
 def _read_array_ids(prog: CompiledProgram) -> set[int]:
     """Arrays some instruction may read (conservatively)."""
     reads: set[int] = set()
     for instr in prog.instructions:
-        op = instr.op
-        spec = _COMPUTE_OPS.get(op)
-        if spec is not None:
-            _, read_slots = spec
-            for slot in read_slots:
-                reads.add(instr.args[slot].array_id)
+        args = instr.args
+        if instr.op in PURE_KERNELS:
+            spec = OPS[instr.op]
+            for slot in spec.reads:
+                reads.add(args[slot].array_id)
             # accumulate forms read their destination too
-            write_op = instr.args[1] if op in (
-                Op.FILL, Op.SCALE, Op.ACCUM, Op.CONTRACT, Op.CONTRACT_FUSED
-            ) else "="
-            if write_op != "=" or op == Op.SCALE_INPLACE:
-                reads.add(instr.args[0].array_id)
+            if spec.assign is not None and args[spec.assign] != "=":
+                reads.add(args[0].array_id)
             continue
         # everything else: every referenced array counts as read
         # (EXECUTE may do anything with its blocks; PUT/PREPARE read
         # their source; GET/REQUEST materialize reads; ALLOCATE /
-        # DEALLOCATE / COMPUTE_INTEGRALS / ADDSUB dst slices etc. are
-        # kept conservative)
-        for operand in _operands(instr.args):
-            reads.add(operand.array_id)
-        if op in (Op.CREATE, Op.DELETE, Op.BLOCKS_TO_LIST, Op.LIST_TO_BLOCKS):
-            reads.add(instr.args[0])
+        # DEALLOCATE / COMPUTE_INTEGRALS etc. are kept conservative)
+        reads.update(array_refs(instr))
     return reads
 
 
 def _sources_are_local(prog: CompiledProgram, instr) -> bool:
-    op = instr.op
-    _, read_slots = _COMPUTE_OPS[op]
-    for slot in read_slots:
-        kind = prog.array_table[instr.args[slot].array_id].kind
-        if kind not in _LOCAL_KINDS:
+    for slot in OPS[instr.op].reads:
+        if prog.array_table[instr.args[slot].array_id].kind not in _LOCAL_KINDS:
             return False
     return True
 
@@ -110,8 +72,7 @@ def eliminate_dead(prog: CompiledProgram) -> tuple[CompiledProgram, PassReport]:
         rw = Rewriter(prog)
         removed = 0
         for pc, instr in enumerate(prog.instructions):
-            spec = _COMPUTE_OPS.get(instr.op)
-            if spec is None:
+            if instr.op not in PURE_KERNELS:
                 continue
             dst = instr.args[0]
             desc = prog.array_table[dst.array_id]
@@ -129,12 +90,7 @@ def eliminate_dead(prog: CompiledProgram) -> tuple[CompiledProgram, PassReport]:
     # prune array descriptors nothing references any more
     referenced: set[int] = set()
     for instr in prog.instructions:
-        for operand in _operands(instr.args):
-            referenced.add(operand.array_id)
-        if instr.op in (
-            Op.CREATE, Op.DELETE, Op.BLOCKS_TO_LIST, Op.LIST_TO_BLOCKS
-        ):
-            referenced.add(instr.args[0])
+        referenced.update(array_refs(instr))
     dead_arrays = {
         array_id
         for array_id, desc in enumerate(prog.array_table)

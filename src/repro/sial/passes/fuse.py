@@ -33,9 +33,8 @@ from __future__ import annotations
 from dataclasses import replace as dc_replace
 
 from ..bytecode import BlockOperand, CompiledProgram, Instr, Op
-from .dce import _operands
 from .manager import PassReport
-from .rewrite import Rewriter, jump_targets
+from .rewrite import Rewriter, array_refs, jump_targets
 
 __all__ = ["fuse_contractions"]
 
@@ -109,12 +108,8 @@ def fuse_contractions(prog: CompiledProgram) -> tuple[CompiledProgram, PassRepor
     referenced_at: dict[int, set[int]] = {}  # array id -> pcs naming it
     if sanctioned:
         for pc, instr in enumerate(prog.instructions):
-            for operand in _operands(instr.args):
-                referenced_at.setdefault(operand.array_id, set()).add(pc)
-            if instr.op in (
-                Op.CREATE, Op.DELETE, Op.BLOCKS_TO_LIST, Op.LIST_TO_BLOCKS
-            ):
-                referenced_at.setdefault(instr.args[0], set()).add(pc)
+            for array_id in array_refs(instr):
+                referenced_at.setdefault(array_id, set()).add(pc)
     for array_id, producer_pcs in list(sanctioned.items()):
         member_pcs = set(producer_pcs) | {pc + 1 for pc in producer_pcs}
         if referenced_at.get(array_id, set()) - member_pcs:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 
-from ..bytecode import BlockOperand, CompiledProgram, Instr, Op
+from ..bytecode import FETCHES, OPS, BlockOperand, CompiledProgram, Instr, Op
 from .manager import PassReport
 from .rewrite import Rewriter
 
@@ -43,24 +43,6 @@ __all__ = [
     "hoist_invariants",
     "insert_prefetches",
 ]
-
-_LOOP_STARTS = (Op.DO_START, Op.DOIN_START, Op.PARDO_START)
-_LOOP_ENDS = (Op.DO_END, Op.DOIN_END, Op.PARDO_END)
-
-#: opcodes whose presence in a loop body vetoes motion across it
-_MOTION_BARRIERS = (
-    Op.SIP_BARRIER,
-    Op.SERVER_BARRIER,
-    Op.COLLECTIVE,
-    Op.CALL,
-    Op.JUMP,
-    Op.BRANCH_FALSE,
-    Op.CREATE,
-    Op.DELETE,
-    Op.BLOCKS_TO_LIST,
-    Op.LIST_TO_BLOCKS,
-    Op.CHECKPOINT,
-)
 
 
 @dataclass
@@ -79,17 +61,14 @@ def _regions(prog: CompiledProgram) -> list[_Region]:
     out: list[_Region] = []
     stack: list[_Region] = []
     for pc, instr in enumerate(prog.instructions):
-        if instr.op in _LOOP_STARTS:
-            ids = (
-                tuple(instr.args[1])
-                if instr.op == Op.PARDO_START
-                else (instr.args[0],)
-            )
+        spec = OPS[instr.op]
+        if spec.loop == "start":
+            ids = spec.binds(instr.args)
             region = _Region(instr.op, pc, -1, ids, [], set())
             if stack:
                 stack[-1].inner_bound.update(ids)
             stack.append(region)
-        elif instr.op in _LOOP_ENDS:
+        elif spec.loop == "end":
             region = stack.pop()
             region.end = pc
             out.append(region)
@@ -104,26 +83,18 @@ def _body_ops(prog: CompiledProgram, region: _Region):
     return (prog.instructions[pc] for pc in range(region.start + 1, region.end))
 
 
-_WRITING_OPS = {
-    Op.FILL,
-    Op.COPY,
-    Op.NEGATE,
-    Op.SCALE,
-    Op.SCALE_INPLACE,
-    Op.ACCUM,
-    Op.ADDSUB,
-    Op.CONTRACT,
-    Op.CONTRACT_FUSED,
-}
+def _blocks_motion(prog: CompiledProgram, region: _Region) -> bool:
+    """True when the loop body holds an instruction no code moves across."""
+    return any(OPS[instr.op].barrier for instr in _body_ops(prog, region))
 
 
 def _written_arrays(prog: CompiledProgram, region: _Region) -> set[int]:
     """Arrays any instruction inside the region may write."""
     out: set[int] = set()
     for instr in _body_ops(prog, region):
-        if instr.op in (Op.PUT, Op.PREPARE) or instr.op in _WRITING_OPS:
-            out.add(instr.args[0].array_id)
-        elif instr.op == Op.EXECUTE:
+        for slot in OPS[instr.op].writes:
+            out.add(instr.args[slot].array_id)
+        if instr.op == Op.EXECUTE:  # may write any block it is handed
             for kind, value in instr.args[1]:
                 if kind == "block":
                     out.add(value.array_id)
@@ -157,17 +128,14 @@ def _hoist_round(prog: CompiledProgram):
     for region in _regions(prog):
         if region.op == Op.PARDO_START:
             continue  # pardo indices define the iteration space
-        if any(
-            instr.op in _MOTION_BARRIERS
-            for instr in _body_ops(prog, region)
-        ):
+        if _blocks_motion(prog, region):
             continue
         written = _written_arrays(prog, region)
         forbidden = set(region.index_ids) | region.inner_bound
         lifted: set[tuple] = set()
         for pc in region.body_pcs:
             instr = prog.instructions[pc]
-            if instr.op not in (Op.GET, Op.REQUEST):
+            if instr.op not in FETCHES:
                 continue
             operand = instr.args[0]
             if forbidden & set(operand.index_ids):
@@ -221,10 +189,7 @@ def eliminate_redundant_fetches(
     for region in _regions(prog):
         if region.op != Op.PARDO_START:
             continue
-        if any(
-            instr.op in _MOTION_BARRIERS
-            for instr in _body_ops(prog, region)
-        ):
+        if _blocks_motion(prog, region):
             continue
         written = _written_arrays(prog, region)
         # each fetch site with its chain of enclosing do-loops inside
@@ -233,11 +198,12 @@ def eliminate_redundant_fetches(
         chain: list[tuple[int, int]] = []  # (start pc, index id)
         for pc in range(region.start + 1, region.end):
             instr = prog.instructions[pc]
-            if instr.op in (Op.DO_START, Op.DOIN_START):
-                chain.append((pc, instr.args[0]))
-            elif instr.op in (Op.DO_END, Op.DOIN_END):
+            spec = OPS[instr.op]
+            if spec.loop == "start":  # a do loop: pardos do not nest
+                chain.append((pc, instr.args[spec.bind]))
+            elif spec.loop == "end":
                 chain.pop()
-            elif instr.op in (Op.GET, Op.REQUEST):
+            elif instr.op in FETCHES:
                 operand = instr.args[0]
                 if operand.array_id in written:
                     continue
@@ -273,10 +239,7 @@ def insert_prefetches(prog: CompiledProgram) -> tuple[CompiledProgram, PassRepor
     for region in _regions(prog):
         if region.op != Op.PARDO_START:
             continue
-        if any(
-            instr.op in _MOTION_BARRIERS
-            for instr in _body_ops(prog, region)
-        ):
+        if _blocks_motion(prog, region):
             continue
         written = _written_arrays(prog, region)
         # the leading run of gets right after PARDO_START already
@@ -285,7 +248,7 @@ def insert_prefetches(prog: CompiledProgram) -> tuple[CompiledProgram, PassRepor
         run_end = body_start
         while (
             run_end < region.end
-            and prog.instructions[run_end].op in (Op.GET, Op.REQUEST)
+            and prog.instructions[run_end].op in FETCHES
         ):
             run_end += 1
         leading = {
@@ -298,7 +261,7 @@ def insert_prefetches(prog: CompiledProgram) -> tuple[CompiledProgram, PassRepor
             if pc < run_end or len(hints) >= 8:
                 continue
             instr = prog.instructions[pc]
-            if instr.op not in (Op.GET, Op.REQUEST):
+            if instr.op not in FETCHES:
                 continue
             operand = instr.args[0]
             if operand in seen or operand.array_id in written:

@@ -5,7 +5,7 @@ Each pass records deletions, replacements and insertions against the
 *old* pc numbering on a :class:`Rewriter`; :meth:`Rewriter.apply` then
 produces a fresh program with
 
-* every explicit branch target (``JUMP``, ``BRANCH_FALSE``, ``CALL``,
+* every explicit branch target (each spec's ``pcs`` slots and
   ``proc_entries``) remapped through the old->new pc map,
 * loop bookkeeping (``DO_START``/``DOIN_START`` exit pcs and prefetch
   lists, ``DO_END``/``DOIN_END`` body starts, ``PARDO_START`` exit pcs,
@@ -19,48 +19,30 @@ instructions inserted *before* a pc execute whenever control reaches
 that pc, including via a branch.
 
 :func:`verify_program` is the legality backstop: it re-checks the
-structural invariants of the rewritten table (target ranges, loop
-nesting, operand-table ids) so every pass run is machine-checkable.
+structural invariants of the rewritten table (every instruction against
+its spec, loop nesting) so every pass run is machine-checkable.
+
+What each opcode's slots mean comes from :data:`~..bytecode.OPS`; no
+function here names an opcode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Optional
 
 from ..bytecode import (
+    ASSIGN_OPS,
+    OPS,
     ArrayDesc,
     BlockOperand,
     CompiledProgram,
     Instr,
-    Op,
 )
 
 __all__ = [
     "Rewriter", "verify_program", "remove_arrays", "jump_targets", "loop_get_pcs",
-    "get_pcs_slot",
+    "array_refs",
 ]
-
-#: loop families: (start opcode, end opcode)
-_LOOP_PAIRS = {
-    Op.DO_START: Op.DO_END,
-    Op.DOIN_START: Op.DOIN_END,
-    Op.PARDO_START: Op.PARDO_END,
-}
-_LOOP_ENDS = {v: k for k, v in _LOOP_PAIRS.items()}
-
-#: opcodes :func:`loop_get_pcs` records into enclosing loops
-_GETLIKE = (Op.GET, Op.REQUEST, Op.PREFETCH)
-
-
-def _loop_binds(instr) -> tuple[int, ...]:
-    """The index ids a loop-start instruction binds."""
-    return instr.args[1] if instr.op == Op.PARDO_START else (instr.args[0],)
-
-
-def get_pcs_slot(instr) -> int:
-    """Where a loop-start instruction keeps its ``get_pcs`` list."""
-    return 4 if instr.op == Op.PARDO_START else 2
 
 
 def loop_get_pcs(instrs) -> dict[int, tuple[int, ...]]:
@@ -74,13 +56,13 @@ def loop_get_pcs(instrs) -> dict[int, tuple[int, ...]]:
     gets: dict[int, list[int]] = {}
     stack: list[tuple[int, tuple[int, ...]]] = []  # (start pc, bound ids)
     for pc, instr in enumerate(instrs):
-        op = instr.op
-        if op in _LOOP_PAIRS:
-            stack.append((pc, _loop_binds(instr)))
+        spec = OPS[instr.op]
+        if spec.loop == "start":
+            stack.append((pc, spec.binds(instr.args)))
             gets[pc] = []
-        elif op in _LOOP_ENDS and stack:  # verify_program reports a stray end
+        elif spec.loop == "end" and stack:  # verify_program reports a stray end
             stack.pop()
-        elif op in _GETLIKE:
+        elif spec.fetch:
             uses = instr.args[0].index_ids
             for start_pc, binds in reversed(stack):
                 gets[start_pc].append(pc)
@@ -93,22 +75,33 @@ def jump_targets(prog: CompiledProgram) -> set[int]:
     """Every pc that is the target of some explicit or implicit branch."""
     targets: set[int] = set(prog.proc_entries.values())
     for instr in prog.instructions:
-        op = instr.op
-        if op == Op.JUMP:
-            targets.add(instr.args[0])
-        elif op == Op.BRANCH_FALSE:
-            targets.add(instr.args[1])
-        elif op == Op.CALL:
-            targets.add(instr.args[0])
-        elif op in (Op.DO_START, Op.DOIN_START):
-            targets.add(instr.args[1])
-        elif op == Op.PARDO_START:
-            targets.add(instr.args[3])
-        elif op in (Op.DO_END, Op.DOIN_END):
-            targets.add(instr.args[1])
-        elif op == Op.PARDO_END:
-            targets.add(instr.args[0] + 1)
+        spec = OPS[instr.op]
+        args = instr.args
+        targets.update(args[slot] for slot in spec.pcs)
+        if spec.exit is not None:
+            targets.add(args[spec.exit])
+        elif spec.back is not None:  # the loop body's first pc
+            targets.add(args[spec.back] - spec.back_offset + 1)
     return targets
+
+
+def array_refs(instr) -> list[int]:
+    """Every array id one instruction names: its raw array-id slots and
+    its BlockOperands, nested ones (EXECUTE's arguments) included."""
+    refs = [instr.args[slot] for slot in OPS[instr.op].arrays]
+    stack = list(instr.args)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, BlockOperand):
+            refs.append(item.array_id)
+        elif isinstance(item, tuple):
+            stack.extend(item)
+    return refs
+
+
+def _with_arg(instr: Instr, slot: int, value) -> Instr:
+    args = instr.args
+    return dc_replace(instr, args=args[:slot] + (value,) + args[slot + 1 :])
 
 
 class Rewriter:
@@ -156,23 +149,9 @@ class Rewriter:
 
         remapped: list[Instr] = []
         for instr in new:
-            op = instr.op
-            if op == Op.JUMP:
-                remapped.append(dc_replace(instr, args=(target(instr.args[0]),)))
-            elif op == Op.BRANCH_FALSE:
-                remapped.append(
-                    dc_replace(
-                        instr, args=(instr.args[0], target(instr.args[1]))
-                    )
-                )
-            elif op == Op.CALL:
-                remapped.append(
-                    dc_replace(
-                        instr, args=(target(instr.args[0]), instr.args[1])
-                    )
-                )
-            else:
-                remapped.append(instr)
+            for slot in OPS[instr.op].pcs:
+                instr = _with_arg(instr, slot, target(instr.args[slot]))
+            remapped.append(instr)
 
         _relink_loops(remapped)
         _rebuild_get_pcs(remapped)
@@ -187,28 +166,18 @@ class Rewriter:
 
 def _relink_loops(instrs: list[Instr]) -> None:
     """Recompute loop start/end bookkeeping after pcs moved."""
-    stack: list[tuple[str, int]] = []
+    stack: list[int] = []
     for pc, instr in enumerate(instrs):
-        op = instr.op
-        if op in _LOOP_PAIRS:
-            stack.append((op, pc))
-        elif op in _LOOP_ENDS:
-            start_op, start_pc = stack.pop()
-            if start_op != _LOOP_ENDS[op]:  # pragma: no cover - verify catches
-                raise ValueError(f"mismatched loop nesting at pc {pc}")
+        spec = OPS[instr.op]
+        if spec.loop == "start":
+            stack.append(pc)
+        elif spec.loop == "end":
+            start_pc = stack.pop()
             start = instrs[start_pc]
-            if op == Op.PARDO_END:
-                instrs[pc] = dc_replace(instr, args=(start_pc,))
-                args = list(start.args)
-                args[3] = pc + 1
-                instrs[start_pc] = dc_replace(start, args=tuple(args))
-            else:
-                instrs[pc] = dc_replace(
-                    instr, args=(instr.args[0], start_pc + 1)
-                )
-                args = list(start.args)
-                args[1] = pc + 1
-                instrs[start_pc] = dc_replace(start, args=tuple(args))
+            if start.op != spec.partner:  # pragma: no cover - verify catches
+                raise ValueError(f"mismatched loop nesting at pc {pc}")
+            instrs[pc] = _with_arg(instr, spec.back, start_pc + spec.back_offset)
+            instrs[start_pc] = _with_arg(start, OPS[start.op].exit, pc + 1)
     if stack:  # pragma: no cover - verify catches
         raise ValueError("unterminated loop after rewrite")
 
@@ -217,9 +186,7 @@ def _rebuild_get_pcs(instrs: list[Instr]) -> None:
     """Recompute each loop's ``get_pcs`` list after pcs moved."""
     for start_pc, pcs in loop_get_pcs(instrs).items():
         instr = instrs[start_pc]
-        args = list(instr.args)
-        args[get_pcs_slot(instr)] = pcs
-        instrs[start_pc] = dc_replace(instr, args=tuple(args))
+        instrs[start_pc] = _with_arg(instr, OPS[instr.op].get_pcs, pcs)
 
 
 def remove_arrays(
@@ -241,23 +208,14 @@ def remove_arrays(
             return BlockOperand(remap[arg.array_id], arg.index_ids)
         if isinstance(arg, tuple):
             return tuple(fix(a) for a in arg)
-        if isinstance(arg, list):  # pragma: no cover - args are tuples
-            return [fix(a) for a in arg]
         return arg
 
     instrs: list[Instr] = []
     for instr in prog.instructions:
-        if instr.op in (
-            Op.CREATE,
-            Op.DELETE,
-            Op.BLOCKS_TO_LIST,
-            Op.LIST_TO_BLOCKS,
-        ):
-            instrs.append(
-                dc_replace(instr, args=(remap[instr.args[0]],))
-            )
-        else:
-            instrs.append(dc_replace(instr, args=fix(instr.args)))
+        instr = dc_replace(instr, args=fix(instr.args))
+        for slot in OPS[instr.op].arrays:
+            instr = _with_arg(instr, slot, remap[instr.args[slot]])
+        instrs.append(instr)
     return dc_replace(
         prog,
         instructions=instrs,
@@ -284,108 +242,99 @@ class VerifyResult:
 def verify_program(prog: CompiledProgram) -> VerifyResult:
     """Machine-checkable legality report for one rewritten program.
 
-    Checks that every branch target is in range, loop pairs nest and
-    back-link correctly, operand ids index into the descriptor tables,
-    each loop's ``get_pcs`` matches a fresh :func:`loop_get_pcs`, and no
-    ``get_pcs`` entry uses an index bound by a loop nested inside its
-    loop: every index it names is bound by that loop, an enclosing one
-    or (in a procedure body) the caller.
+    Checks every instruction against its :class:`~..bytecode.OpSpec`:
+    the arity, a ``BlockOperand`` with in-range ids at each operand
+    slot, an in-range int at each pc and array-id slot, and an
+    ``=``/``+=``/``-=`` wherever an assign slot is declared; an opcode
+    with no spec is a problem too.  Then that loop pairs nest and
+    back-link correctly, each loop's ``get_pcs`` matches a fresh
+    :func:`loop_get_pcs`, and no ``get_pcs`` entry uses an index bound
+    by a loop nested inside its loop: every index it names is bound by
+    that loop, an enclosing one or (in a procedure body) the caller.
     """
     out = VerifyResult()
-    n = len(prog.instructions)
+    instrs = prog.instructions
+    n = len(instrs)
     n_arrays = len(prog.array_table)
     n_indices = len(prog.index_table)
 
+    def problem(pc: int, text: str) -> None:
+        out.problems.append(f"pc {pc}: {text}")
+
+    def in_range(value, bound: int) -> bool:
+        return isinstance(value, int) and 0 <= value < bound
+
     def check_operand(pc: int, operand) -> None:
         if not isinstance(operand, BlockOperand):
-            out.problems.append(f"pc {pc}: expected BlockOperand, got {operand!r}")
+            problem(pc, f"expected BlockOperand, got {operand!r}")
             return
         if not 0 <= operand.array_id < n_arrays:
-            out.problems.append(f"pc {pc}: array id {operand.array_id} out of range")
+            problem(pc, f"array id {operand.array_id} out of range")
         for ix in operand.index_ids:
             if not 0 <= ix < n_indices:
-                out.problems.append(f"pc {pc}: index id {ix} out of range")
+                problem(pc, f"index id {ix} out of range")
 
     def check_prefetchable(pc: int, uses: tuple[int, ...]) -> None:
         # a loop may list this get only if no loop nested inside it
         # binds one of the operand's indices
         nested: set[int] = set()
-        for _, start_pc in reversed(stack):
-            start = prog.instructions[start_pc]
-            if nested.intersection(uses) and pc in start.args[get_pcs_slot(start)]:
-                out.problems.append(
-                    f"pc {start_pc}: get_pcs lists pc {pc}, whose operand "
-                    "uses an index a nested loop binds"
+        for start_pc in reversed(stack):
+            start = instrs[start_pc]
+            spec = OPS[start.op]
+            if nested.intersection(uses) and pc in start.args[spec.get_pcs]:
+                problem(
+                    start_pc,
+                    f"get_pcs lists pc {pc}, whose operand uses an index "
+                    "a nested loop binds",
                 )
-            nested.update(_loop_binds(start))
+            nested.update(spec.binds(start.args))
 
-    stack: list[tuple[str, int]] = []
-    for pc, instr in enumerate(prog.instructions):
+    stack: list[int] = []  # start pcs of the open loops
+    for pc, instr in enumerate(instrs):
         op = instr.op
-        if op == Op.JUMP and not 0 <= instr.args[0] <= n:
-            out.problems.append(f"pc {pc}: JUMP target {instr.args[0]} out of range")
-        elif op == Op.BRANCH_FALSE and not 0 <= instr.args[1] <= n:
-            out.problems.append(
-                f"pc {pc}: BRANCH_FALSE target {instr.args[1]} out of range"
-            )
-        elif op == Op.CALL and not 0 <= instr.args[0] < n:
-            out.problems.append(f"pc {pc}: CALL entry {instr.args[0]} out of range")
-        elif op in _LOOP_PAIRS:
-            stack.append((op, pc))
-        elif op in _LOOP_ENDS:
-            if not stack or stack[-1][0] != _LOOP_ENDS[op]:
-                out.problems.append(f"pc {pc}: {op} without matching start")
+        args = instr.args
+        spec = OPS.get(op)
+        if spec is None:
+            problem(pc, f"opcode {op!r} has no spec")
+            continue
+        if len(args) != spec.arity:
+            problem(pc, f"{op} takes {spec.arity} arguments, got {len(args)}")
+            continue
+        for slot in spec.pcs:
+            if not in_range(args[slot], n):
+                problem(pc, f"{op} target {args[slot]!r} out of range")
+        for slot in spec.arrays:
+            if not in_range(args[slot], n_arrays):
+                problem(pc, f"array id {args[slot]!r} out of range")
+        for slot in spec.operands:
+            check_operand(pc, args[slot])
+        if spec.assign is not None and args[spec.assign] not in ASSIGN_OPS:
+            problem(pc, f"bad {op} assign operator {args[spec.assign]!r}")
+        if spec.fetch and isinstance(args[0], BlockOperand):
+            check_prefetchable(pc, args[0].index_ids)
+        if spec.loop == "start":
+            stack.append(pc)
+        elif spec.loop == "end":
+            if not stack or instrs[stack[-1]].op != spec.partner:
+                problem(pc, f"{op} without matching start")
                 continue
-            start_op, start_pc = stack.pop()
-            start = prog.instructions[start_pc]
-            if op == Op.PARDO_END:
-                if instr.args[0] != start_pc:
-                    out.problems.append(
-                        f"pc {pc}: PARDO_END back link {instr.args[0]} != {start_pc}"
-                    )
-                if start.args[3] != pc + 1:
-                    out.problems.append(
-                        f"pc {start_pc}: PARDO_START exit {start.args[3]} != {pc + 1}"
-                    )
-            else:
-                if instr.args[1] != start_pc + 1:
-                    out.problems.append(
-                        f"pc {pc}: {op} body start {instr.args[1]} != {start_pc + 1}"
-                    )
-                if start.args[1] != pc + 1:
-                    out.problems.append(
-                        f"pc {start_pc}: {start_op} exit {start.args[1]} != {pc + 1}"
-                    )
-        elif op in (Op.GET, Op.REQUEST, Op.PREFETCH, Op.ALLOCATE,
-                    Op.DEALLOCATE, Op.COMPUTE_INTEGRALS):
-            check_operand(pc, instr.args[0])
-            if op in _GETLIKE and isinstance(instr.args[0], BlockOperand):
-                check_prefetchable(pc, instr.args[0].index_ids)
-        elif op in (Op.PUT, Op.PREPARE):
-            check_operand(pc, instr.args[0])
-            check_operand(pc, instr.args[2])
-        elif op in (Op.CREATE, Op.DELETE, Op.BLOCKS_TO_LIST, Op.LIST_TO_BLOCKS):
-            if not 0 <= instr.args[0] < n_arrays:
-                out.problems.append(
-                    f"pc {pc}: array id {instr.args[0]} out of range"
-                )
-        elif op == Op.CONTRACT_FUSED:
-            check_operand(pc, instr.args[0])
-            check_operand(pc, instr.args[2])
-            check_operand(pc, instr.args[3])
-            if instr.args[1] not in ("=", "+=", "-="):
-                out.problems.append(
-                    f"pc {pc}: bad CONTRACT_FUSED op {instr.args[1]!r}"
-                )
+            start_pc = stack.pop()
+            start = instrs[start_pc]
+            link = start_pc + spec.back_offset
+            if args[spec.back] != link:
+                problem(pc, f"{op} back link {args[spec.back]} != {link}")
+            exit_pc = start.args[OPS[start.op].exit]
+            if exit_pc != pc + 1:
+                problem(start_pc, f"{start.op} exit {exit_pc} != {pc + 1}")
     if stack:
-        out.problems.append(
-            f"unterminated loops at pcs {[pc for _, pc in stack]}"
-        )
+        out.problems.append(f"unterminated loops at pcs {stack}")
+    if out.problems:
+        return out  # a malformed table has no meaningful get_pcs recount
 
     # get_pcs must equal a fresh recount
-    for start_pc, pcs in loop_get_pcs(prog.instructions).items():
-        instr = prog.instructions[start_pc]
-        listed = tuple(instr.args[get_pcs_slot(instr)])
+    for start_pc, pcs in loop_get_pcs(instrs).items():
+        instr = instrs[start_pc]
+        listed = tuple(instr.args[OPS[instr.op].get_pcs])
         if listed != pcs:
-            out.problems.append(f"pc {start_pc}: stale get_pcs {listed} != {pcs}")
+            problem(start_pc, f"stale get_pcs {listed} != {pcs}")
     return out

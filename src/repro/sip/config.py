@@ -81,10 +81,6 @@ class SIPConfig:
         in POSIX shared memory (see :mod:`repro.sip.mptransport`).
         Results are bitwise identical between the two; the simulator
         stays the reference oracle while ``"mp"`` uses all cores.
-    mp_payload_shm_min:
-        Smallest block payload, in bytes, shipped through a shared
-        memory segment rather than pickled inline on the pipe
-        (``execution="mp"`` only).
     mp_timeout:
         Watchdog, in seconds, for the multiprocess backend: a rank that
         makes no progress and receives no message for this long aborts
@@ -175,7 +171,6 @@ class SIPConfig:
     scheduling: str = "guided"
     backend: str = "real"
     execution: str = "sim"
-    mp_payload_shm_min: int = 1 << 14
     mp_timeout: float = 120.0
     mp_arena_max_bytes: int = 1 << 26
     opt_level: int = 2
@@ -212,8 +207,6 @@ class SIPConfig:
                 raise ValueError(
                     "fault injection needs virtual time; use execution='sim'"
                 )
-            if self.mp_payload_shm_min < 0:
-                raise ValueError("mp_payload_shm_min must be >= 0")
             if self.mp_timeout <= 0:
                 raise ValueError("mp_timeout must be positive")
             from .arena import SLAB_BYTES

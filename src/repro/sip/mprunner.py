@@ -151,7 +151,6 @@ def _child_main(
             rank,
             conns,
             run_id,
-            shm_min=config.mp_payload_shm_min,
             timeout=config.mp_timeout,
             coordinator=config.master_rank,
             arena_max_bytes=config.mp_arena_max_bytes,

@@ -13,7 +13,7 @@ transport surface of :mod:`repro.sip.transport`:
 * :class:`MPComm` implements the endpoint: ``isend`` frames control
   messages over a duplex :class:`multiprocessing.connection.Connection`
   per peer pair, detouring block payloads at or above
-  ``SIPConfig.mp_payload_shm_min`` bytes through the pooled
+  :data:`PAYLOAD_SHM_MIN` bytes through the pooled
   shared-memory slab arena of :mod:`repro.sip.arena` (slot leased and
   filled by the sender, mapped zero-copy by the receiver; a one-shot
   segment is the overflow path); ``irecv`` posts to the rank's local
@@ -111,6 +111,11 @@ __all__ = [
 
 #: distinguishes the shm name streams of MPWorlds created in one process
 _WORLD_EPOCH = itertools.count()
+
+#: smallest block payload, in bytes, that detours through shared memory
+#: rather than riding the pipe inline; read when an MPWorld is built, so
+#: a test that patches it in the parent reaches the forked ranks
+PAYLOAD_SHM_MIN = 1 << 14
 
 #: outbox depth at which a peer's queued messages leave as one frame
 BATCH_MAX_MSGS = 128
@@ -290,7 +295,6 @@ class MPWorld:
         rank: int,
         conns: dict[int, Any],
         run_id: str,
-        shm_min: int = 1 << 14,
         timeout: float = 120.0,
         coordinator: int = 0,
         arena_max_bytes: int = 1 << 26,
@@ -316,7 +320,7 @@ class MPWorld:
         # hands back this one pre-completed request
         self._sent = Request(sim.event(name="mpsend").succeed(None), "send")
         self._run_id = run_id
-        self._shm_min = shm_min
+        self._shm_min = PAYLOAD_SHM_MIN
         self._timeout = timeout
         self._coordinator = coordinator
         self._barrier_groups: dict[str, list[int]] = {}

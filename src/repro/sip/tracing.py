@@ -9,7 +9,8 @@ overlap visible:
     w0 |####....####======####|
     w1 |..####====####....####|
 
-where ``#`` is contraction time, ``=`` other kernels, ``.`` waiting.
+where ``#`` is contraction time, ``=`` other kernels, ``.`` waiting
+(each opcode's glyph is its :data:`~repro.sial.bytecode.OPS` entry's).
 
 Attach a :class:`TraceRecorder` via ``SIPConfig.tracer``.
 """
@@ -20,33 +21,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sial.bytecode import Op
+from ..sial.bytecode import OPS
 
 __all__ = ["TraceEvent", "FaultTraceEvent", "SchedTraceEvent", "TraceRecorder"]
 
-# timeline glyphs by opcode family
-_GLYPHS = {
-    Op.CONTRACT: "#",
-    Op.SCALAR_CONTRACT: "#",
-    Op.COMPUTE_INTEGRALS: "%",
-    Op.EXECUTE: "x",
-    Op.FILL: "=",
-    Op.COPY: "=",
-    Op.NEGATE: "=",
-    Op.SCALE: "=",
-    Op.SCALE_INPLACE: "=",
-    Op.ACCUM: "=",
-    Op.ADDSUB: "=",
-    Op.PUT: ">",
-    Op.PREPARE: ">",
-    Op.SIP_BARRIER: "|",
-    Op.SERVER_BARRIER: "|",
-    Op.COLLECTIVE: "+",
-    Op.PARDO_START: "?",
-    Op.BLOCKS_TO_LIST: "s",
-    Op.LIST_TO_BLOCKS: "s",
-    Op.CHECKPOINT: "s",
-}
 _WAIT_GLYPH = "."
 _IDLE_GLYPH = " "
 
@@ -187,7 +165,7 @@ class TraceRecorder:
                 lo = int((e.start - t0) / duration * width)
                 hi = max(lo + 1, int((e.end - t0) / duration * width))
                 hi = min(hi, width)
-                glyph = _GLYPHS.get(e.op, "=")
+                glyph = OPS[e.op].glyph
                 span = hi - lo
                 wait_cells = 0
                 if e.end > e.start:

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import methodcaller
-from typing import Generator, Optional
+from typing import Any, Generator, Optional
 
 from ...sial.bytecode import (
+    OPS,
     Op,
     evaluate_condition,
     evaluate_rpn,
@@ -163,54 +164,21 @@ class WorkerProcess(ResilientMessaging):
         )
         self.prefetcher = LookaheadPrefetcher(self)
 
-        self._fast = {
-            Op.JUMP: self.op_jump,
-            Op.BRANCH_FALSE: self.op_branch_false,
-            Op.CALL: self.op_call,
-            Op.RETURN: self.op_return,
-            Op.DO_START: self.op_do_start,
-            Op.DO_END: self.op_do_end,
-            Op.DOIN_START: self.op_doin_start,
-            Op.DOIN_END: self.op_doin_end,
-            Op.PARDO_END: self.op_pardo_end,
-            Op.GET: self.op_get,
-            Op.REQUEST: self.op_request,
-            Op.PREFETCH: self.op_prefetch,
-            Op.CREATE: self.op_create,
-            Op.DELETE: self.op_delete,
-            Op.ALLOCATE: self.op_allocate,
-            Op.DEALLOCATE: self.op_deallocate,
-            Op.SCALAR_ASSIGN: self.op_scalar_assign,
-        }
-        self._slow = {
-            Op.PARDO_START: self.op_pardo_start,
-            Op.FILL: self.op_fill,
-            Op.COPY: self.op_copy,
-            Op.NEGATE: self.op_negate,
-            Op.SCALE: self.op_scale,
-            Op.SCALE_INPLACE: self.op_scale_inplace,
-            Op.ACCUM: self.op_accum,
-            Op.ADDSUB: self.op_addsub,
-            Op.CONTRACT: self.op_contract,
-            Op.CONTRACT_FUSED: self.op_contract_fused,
-            Op.SCALAR_CONTRACT: self.op_scalar_contract,
-            Op.COMPUTE_INTEGRALS: self.op_compute_integrals,
-            Op.EXECUTE: self.op_execute,
-            Op.PUT: self.op_put,
-            Op.PREPARE: self.op_prepare,
-            Op.SIP_BARRIER: self.op_sip_barrier,
-            Op.SERVER_BARRIER: self.op_server_barrier,
-            Op.COLLECTIVE: self.op_collective,
-            Op.BLOCKS_TO_LIST: self.op_blocks_to_list,
-            Op.LIST_TO_BLOCKS: self.op_list_to_blocks,
-            Op.CHECKPOINT: self.op_checkpoint,
-        }
+        # handler tables from the opcode specs: a handler that yields
+        # (simulated time may pass) is slow, the rest run inline; STOP
+        # has none and ends the loop
+        fast: dict[str, Any] = {}
+        slow: dict[str, Any] = {}
+        for op, spec in OPS.items():
+            handler = getattr(self, f"op_{op.lower()}", None)
+            if handler is not None:
+                (slow if spec.yields else fast)[op] = handler
 
         # execution fast path: the pre-decoded stream plus flat per-pc
         # handler tables, so the inner loop does no per-step dict lookup
         self._instrs = rt.decoded.instructions
-        self._fast_tab = [self._fast.get(d.op) for d in self._instrs]
-        self._slow_tab = [self._slow.get(d.op) for d in self._instrs]
+        self._fast_tab = [fast.get(d.op) for d in self._instrs]
+        self._slow_tab = [slow.get(d.op) for d in self._instrs]
         # resolve(op): a decoded block operand against the current index
         # values (memoized by index-value tuple); a C-level caller, so the
         # hot path pays one frame, not two

@@ -18,21 +18,17 @@ one iteration stays legal for the race checker however early it ran.
 
 from __future__ import annotations
 
-from ...sial.bytecode import Op
-from ...sial.passes.rewrite import get_pcs_slot
+from ...sial.bytecode import FETCHES, OPS, Op
 from ..config import SIPError
 
 __all__ = ["LookaheadPrefetcher"]
-
-_LOOP_STARTS = (Op.DO_START, Op.DOIN_START, Op.PARDO_START)
-_FETCHES = (Op.GET, Op.REQUEST)
 
 
 def demand_pcs(instrs) -> dict[int, int]:
     """``PREFETCH`` pc -> pc of the fetch it runs ahead of: the first
     later get or request of its operand (the optimizer hints only a
     fetch the pardo body issues later in the same iteration)."""
-    fetches = [(q, i.args[0]) for q, i in enumerate(instrs) if i.op in _FETCHES]
+    fetches = [(q, i.args[0]) for q, i in enumerate(instrs) if i.op in FETCHES]
     return {
         pc: next((q for q, o in fetches if q > pc and o == i.args[0]), pc)
         for pc, i in enumerate(instrs)
@@ -61,8 +57,9 @@ class LookaheadPrefetcher:
         if self.depth:
             instrs = vm.rt.decoded.instructions
             for pc, instr in enumerate(instrs):
-                if instr.op in _LOOP_STARTS:
-                    get_pcs = instr.args[get_pcs_slot(instr)]
+                slot = OPS[instr.op].get_pcs
+                if slot is not None:
+                    get_pcs = instr.args[slot]
                     if get_pcs:
                         self.plans[pc] = tuple(
                             (

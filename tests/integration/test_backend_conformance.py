@@ -65,6 +65,14 @@ DRIVERS = {
 HEAVY = {"ccsd", "ccsd_t", "lccd_iteration", "lccd_anderson"}
 
 
+@pytest.fixture(autouse=True)
+def _small_shm_threshold(monkeypatch):
+    """Low threshold so small test blocks still exercise the mp
+    backend's shared-memory path, not just inline pickling (the
+    simulator never reads it; forked ranks see the patch)."""
+    monkeypatch.setattr(mptransport, "PAYLOAD_SHM_MIN", 256)
+
+
 def make_config(workers: int, execution: str, **kw) -> SIPConfig:
     defaults = dict(
         workers=workers,
@@ -73,10 +81,6 @@ def make_config(workers: int, execution: str, **kw) -> SIPConfig:
         race_check="report",
         execution=execution,
     )
-    if execution == "mp":
-        # low threshold so small test blocks still exercise the
-        # shared-memory path, not just inline pickling
-        defaults["mp_payload_shm_min"] = 256
     defaults.update(kw)
     return SIPConfig(**defaults)
 
@@ -538,7 +542,7 @@ def test_duplicate_block_requests_coalesce_on_both_backends(execution):
 
 @pytest.mark.mp
 @pytest.mark.parametrize("execution", ["sim", "mp"])
-def test_ccsd_coalesces_on_both_backends(execution):
+def test_ccsd_coalesces_on_both_backends(execution, monkeypatch):
     """CCSD re-gets amplitude blocks across pardo iterations; the
     engine must report coalesced duplicates on both backends.
 
@@ -547,7 +551,8 @@ def test_ccsd_coalesces_on_both_backends(execution):
     arena's two claims bite: at least 90 % of the detoured bytes arrive
     zero-copy, and a handful of long-lived slabs serve them, not one
     segment per transfer."""
-    out = DRIVERS["ccsd"](make_config(2, execution, mp_payload_shm_min=64))
+    monkeypatch.setattr(mptransport, "PAYLOAD_SHM_MIN", 64)
+    out = DRIVERS["ccsd"](make_config(2, execution))
     stats = out.result.stats
     assert stats["blockio_coalesced"] > 0
     assert stats["blockio_issued_gets"] > 0

@@ -11,7 +11,7 @@ import re
 
 from repro.programs.library import ALL_PROGRAMS
 from repro.sial import compile_source, disassemble, format_rpn
-from repro.sial.bytecode import ALL_OPS, Op
+from repro.sial.bytecode import OPS, Op
 
 
 # exercises the opcodes no bundled application needs (procedure calls,
@@ -63,7 +63,7 @@ def collect_rendered_ops() -> dict[str, str]:
 
 def test_disassemble_covers_every_opcode():
     rendered = collect_rendered_ops()
-    missing = set(ALL_OPS) - set(rendered)
+    missing = set(OPS) - set(rendered)
     # every opcode must be exercised by at least one bundled program --
     # an opcode nothing can emit is dead weight, and one the
     # disassembler cannot render is a tooling bug

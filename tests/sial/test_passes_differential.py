@@ -25,7 +25,7 @@ from repro.programs import (
     run_paper_contraction,
     run_uhf_mp2,
 )
-from repro.sip import SIPConfig, SIPError
+from repro.sip import SIPConfig, SIPError, mptransport
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -57,7 +57,7 @@ HEAVY = {"ccsd", "ccsd_t", "lccd_iteration", "lccd_anderson"}
 
 
 def make_config(workers: int, opt_level: int, execution: str = "sim") -> SIPConfig:
-    cfg = dict(
+    return SIPConfig(
         workers=workers,
         io_servers=1,
         segment_size=2,
@@ -65,9 +65,6 @@ def make_config(workers: int, opt_level: int, execution: str = "sim") -> SIPConf
         execution=execution,
         opt_level=opt_level,
     )
-    if execution == "mp":
-        cfg["mp_payload_shm_min"] = 256
-    return SIPConfig(**cfg)
 
 
 def persistent_arrays(result) -> list[str]:
@@ -158,9 +155,11 @@ def test_O1_is_bitwise_identical_to_O0_on_simulator(name, workers):
         for w in WORKER_COUNTS
     ],
 )
-def test_O2_is_bitwise_identical_on_mp_backend(name, workers):
+def test_O2_is_bitwise_identical_on_mp_backend(name, workers, monkeypatch):
     """The optimized program ships to real worker processes by pickle;
     results must still match the unoptimized simulator bit for bit."""
+    # small blocks detour through shared memory too, not just the pipe
+    monkeypatch.setattr(mptransport, "PAYLOAD_SHM_MIN", 256)
     driver = DRIVERS[name]
     base = driver(make_config(workers, 0, "sim"))
     opt = driver(make_config(workers, 2, "mp"))

@@ -1,7 +1,9 @@
 """Tests for the execution-trace recorder."""
 
 import numpy as np
+import pytest
 
+from repro.programs import run_paper_contraction
 from repro.sial.bytecode import Op
 from repro.sip import SIPConfig, run_source
 from repro.sip.tracing import TraceRecorder
@@ -122,3 +124,17 @@ def test_sanitizer_off_and_on_trace_identically():
     assert res_plain.elapsed == res_san.elapsed
     assert res_san.sanitizer_report is not None
     assert res_san.sanitizer_report.ok
+
+
+@pytest.mark.parametrize("opt_level", [0, 2])
+def test_contractions_draw_as_contractions_at_every_level(opt_level):
+    """At -O2 every ``tmp = a*b; c op tmp`` pair of the paper's
+    contraction runs as CONTRACT_FUSED; it is drawn as ``#`` as the
+    unfused CONTRACT is, not as another kernel."""
+    tracer = TraceRecorder()
+    cfg = SIPConfig(workers=2, tracer=tracer, opt_level=opt_level)
+    run_paper_contraction(n_basis=8, n_occ=4, config=cfg)
+    contraction = Op.CONTRACT_FUSED if opt_level else Op.CONTRACT
+    assert tracer.op_counts()[contraction] > 0
+    _legend, rows = tracer.timeline(width=72).split("\n", 1)
+    assert "#" in rows

@@ -31,6 +31,10 @@ and the fields nobody set are gone and may not come back, and every
 definition in ``src/`` has a caller in the product, the benchmarks or
 the examples -- or a written reason in an allowlist.
 
+And for the bytecode: one opcode table.  What each opcode's argument
+slots mean is declared in ``sial/bytecode.py``'s ``OPS``, and no other
+module keeps a table or tuple of opcodes of its own.
+
 And for measurement: one benchmark.  Host time is sipbench's, a gate
 is a test; a ``benchmarks/bench_*.py`` script reproduces a paper figure
 or an ablation and writes text tables, never a ``main`` or a JSON file.
@@ -304,7 +308,7 @@ def test_sipconfig_does_not_grow():
 
     from repro.sip import SIPConfig
 
-    assert len(dataclasses.fields(SIPConfig)) <= 25
+    assert len(dataclasses.fields(SIPConfig)) <= 24
 
 
 #: SIPConfig fields that were ablation switches onto pre-optimisation
@@ -313,7 +317,9 @@ def test_sipconfig_does_not_grow():
 #: cache and a server's are bounded by ``memory_per_worker``, not
 #: ``cache_blocks`` or ``server_cache_blocks``; host time per kernel is
 #: sipbench's trace, not ``kernel_wallclock``; the shm slab size is
-#: ``arena.SLAB_BYTES``, not ``mp_arena_slab_bytes``; one race checker
+#: ``arena.SLAB_BYTES``, not ``mp_arena_slab_bytes``; the inline/shm
+#: payload threshold is ``mptransport.PAYLOAD_SHM_MIN``, not
+#: ``mp_payload_shm_min``; one race checker
 #: reads ``race_check``, not ``validate_barriers`` or ``sanitize``; the
 #: resilient protocol follows ``faults``, an empty plan included, not
 #: ``resilient``)
@@ -324,6 +330,7 @@ REMOVED_CONFIG_FIELDS = {
     "chunk_factor", "min_chunk", "retry_timeout", "retry_limit", "retry_backoff",
     "cache_blocks", "kernel_wallclock", "trace", "server_cache_blocks",
     "mp_arena_slab_bytes", "validate_barriers", "sanitize", "resilient",
+    "mp_payload_shm_min",
 }  # fmt: skip
 
 
@@ -363,13 +370,13 @@ def test_removed_config_axes_stay_removed():
 UNCALLED_ALLOWLIST = {
     "_Checker.check_*": "analyzer visitor, dispatched by getattr",
     "_Compiler.emit_*": "compiler visitor, dispatched by getattr",
+    "WorkerProcess.op_*": "interpreter handlers, bound from bytecode.OPS by getattr",
     "RunProfile.by_line": "the paper's per-source-line profile (public API)",
     "Machine.with_memory": "public API: a machine with another memory size",
     "FaultPlan.any_faults_configured": "public API of the fault plan",
     "SyntheticIntegrals.h_block": "public API: one-electron integral blocks",
     "GACluster.read_array": "public API of the Global Arrays baseline",
     "MemoryManager.spilled_blocks": "public API: blocks parked on scratch",
-    "ALL_OPS": "the opcode list the disassembler test checks coverage against",
     "SlabArena.outstanding": "read by the test suite's arena leak sweep",
     "ArenaReceiver.outstanding": "read by the test suite's arena leak sweep",
     "store_to_array": "public checkpoint API: store -> ndarray",
@@ -463,6 +470,52 @@ def test_the_allowlists_still_match_reality():
         | {EVENT_HEAP_OWNER, MP_TRANSPORT, MP_RUNNER}
     ):
         assert rel in all_rel, f"allowlisted module {rel} no longer exists"
+
+
+#: modules allowed to hold a display of two or more ``Op.<NAME>``
+#: members, each with its reason (the opcode table itself is exempt)
+OP_TABLE_ALLOWLIST: dict[str, str] = {}
+
+
+def _op_displays(tree):
+    """Set, tuple, list and dict displays naming two or more opcodes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+            elts = node.elts
+        elif isinstance(node, ast.Dict):
+            elts = [k for k in node.keys if k is not None] + node.values
+        else:
+            continue
+        ops = [
+            e.attr
+            for e in elts
+            if isinstance(e, ast.Attribute)
+            and isinstance(e.value, ast.Name)
+            and e.value.id == "Op"
+        ]
+        if len(ops) >= 2:
+            yield node.lineno, ops
+
+
+def test_opcode_facts_live_in_one_table():
+    """What an opcode's slots mean, its cost rule, glyph and handler kind
+    are declared once, in ``sial/bytecode.py``'s ``OPS``; a second
+    per-opcode table or opcode tuple elsewhere is a copy that drifts."""
+    offenders = []
+    seen = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            rel = path.relative_to(REPO).as_posix()
+            if rel == "src/repro/sial/bytecode.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for lineno, ops in _op_displays(tree):
+                seen.add(rel)
+                if rel not in OP_TABLE_ALLOWLIST:
+                    offenders.append(f"{rel}:{lineno} lists {', '.join(ops)}")
+    assert not offenders, "read bytecode.OPS instead:\n  " + "\n  ".join(offenders)
+    stale = set(OP_TABLE_ALLOWLIST) - seen
+    assert not stale, f"allowlisted but clean (or gone): {sorted(stale)}"
 
 
 def _is_main_guard(node) -> bool:
