@@ -32,7 +32,7 @@ from .perfmodel import extract_workload, sweep
 from .sial import SialError, compile_source, disassemble, parse
 from .sial.analyzer import analyze
 from .sial.printer import pretty
-from .sip import SIPConfig
+from .sip import SIPConfig, SIPError
 from .sip.blocks import ResolvedIndexTable
 from .sip.dryrun import dry_run
 from .sip.runner import run_program
@@ -62,9 +62,6 @@ def _config(args: argparse.Namespace) -> SIPConfig:
     if args.memory_mb is not None:
         kwargs["memory_per_worker"] = args.memory_mb * 1e6
     execution = getattr(args, "backend", "sim")
-    arena_mb = getattr(args, "arena_mb", None)
-    if execution == "mp" and arena_mb is not None:
-        kwargs["mp_arena_max_bytes"] = int(arena_mb * 1e6)
     # the multiprocess backend exists for real wallclock, so it pairs
     # with real kernels; the simulator defaults to the coarse model
     return SIPConfig(
@@ -183,13 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend: the deterministic simulator (default) "
         "or real multiprocess workers over pipes + shared memory",
     )
-    p.add_argument(
-        "--arena-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="mp backend: per-rank cap on the slab arena footprint",
-    )
     _add_runtime_options(p)
 
     p = sub.add_parser("trace", help="run and print per-worker timelines")
@@ -216,10 +206,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except SialError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (SialError, SIPError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,8 @@ block.  This module replaces that per-payload lifecycle with a pooled
 arena, the block-transfer layer real SIP implementations rely on:
 
 * Each rank lazily creates a small set of shared-memory **slabs**
-  (:data:`SLAB_BYTES` each, ``SIPConfig.mp_arena_max_bytes``
-  total) and carves every slab into power-of-two size-classed
+  (:data:`SLAB_BYTES` each, at most :data:`MAX_BYTES` in total)
+  and carves every slab into power-of-two size-classed
   **slots**.  A block send leases a slot from the free list and copies
   the payload in once; the pickle carries a slim :class:`ArenaRef`.
 * The receiver attaches each slab **once** (attach-cached) and maps a
@@ -57,6 +57,7 @@ __all__ = [
     "ArenaRef",
     "SlabArena",
     "ArenaReceiver",
+    "MAX_BYTES",
     "MIN_SLOT_BYTES",
     "SLAB_BYTES",
 ]
@@ -64,6 +65,12 @@ __all__ = [
 #: size of one slab segment, bytes; also the largest payload the arena
 #: serves (bigger blocks overflow to one-shot segments)
 SLAB_BYTES = 1 << 22
+#: cap on one rank's total slab footprint, bytes; once it is reached,
+#: payloads no free slot can take overflow to one-shot segments.  Not
+#: derived from the memory budget: residencies are evicted only when a
+#: new slab cannot be made, so a budget-sized cap would keep a copy of
+#: every distinct sent block resident and crowd out the replica cache
+MAX_BYTES = 1 << 26
 #: smallest slot size class, bytes (power of two)
 MIN_SLOT_BYTES = 256
 #: alignment of the slot data region inside a slab
@@ -185,7 +192,6 @@ class SlabArena:
         world_size: int,
         *,
         slab_bytes: Optional[int] = None,
-        max_bytes: int = 1 << 26,
         epoch: int = 0,
         stats: Optional[ArenaStats] = None,
         ledger=None,
@@ -194,7 +200,7 @@ class SlabArena:
         self.rank = rank
         self.world_size = world_size
         self.slab_bytes = slab_bytes or SLAB_BYTES
-        self.max_bytes = int(max_bytes)
+        self.max_bytes = MAX_BYTES
         self.epoch = epoch
         self.stats = stats if stats is not None else ArenaStats()
         #: a MemoryManager charged for the slab footprint, or None

@@ -35,7 +35,9 @@ __all__ = [
     "block_nbytes",
 ]
 
-DTYPE_BYTES = 8  # default: double precision, as in the paper
+#: element type of every block: double precision, as in the paper
+DTYPE = np.dtype(np.float64)
+DTYPE_BYTES = DTYPE.itemsize
 
 
 @dataclass(frozen=True)
@@ -257,30 +259,22 @@ class Block:
     every send/cache insert become copies on first write only.
     """
 
-    __slots__ = ("shape", "data", "dtype", "_shared")
+    __slots__ = ("shape", "data", "_shared")
 
-    def __init__(
-        self,
-        shape: tuple[int, ...],
-        data: Optional[np.ndarray] = None,
-        dtype=None,
-    ):
+    def __init__(self, shape: tuple[int, ...], data: Optional[np.ndarray] = None):
         self.shape = shape
         self.data = data
-        # element type used for byte accounting when no data is attached
-        # (model mode, spilled blocks); real blocks defer to data.dtype
-        self.dtype = data.dtype if data is not None else dtype
         self._shared = None  # refcount cell shared by all twins, or None
 
     @property
     def nbytes(self) -> int:
         if self.data is not None:
             return self.data.nbytes
-        return block_nbytes(self.shape, self.dtype)
+        return block_nbytes(self.shape)
 
     def copy(self) -> "Block":
         data = None if self.data is None else self.data.copy()
-        return Block(self.shape, data, dtype=self.dtype)
+        return Block(self.shape, data)
 
     @classmethod
     def mapped(cls, shape: tuple[int, ...], data: np.ndarray) -> "Block":
@@ -301,7 +295,7 @@ class Block:
     def share(self) -> "Block":
         """A zero-copy snapshot sharing this block's buffer."""
         if self.data is None:
-            return Block(self.shape, None, dtype=self.dtype)
+            return Block(self.shape, None)
         cell = self._shared
         if cell is None:
             cell = self._shared = [1]
@@ -343,10 +337,10 @@ class Block:
         # The copy-on-write cell is process-local bookkeeping: a twin on
         # the other side of a pipe cannot share our buffer, so it
         # crosses as a plain exclusive block.
-        return (self.shape, self.data, self.dtype)
+        return (self.shape, self.data)
 
     def __setstate__(self, state):
-        self.shape, self.data, self.dtype = state
+        self.shape, self.data = state
         self._shared = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -354,9 +348,8 @@ class Block:
         return f"<Block {self.shape} {mode}>"
 
 
-def block_nbytes(shape: Sequence[int], dtype=None) -> int:
-    itemsize = DTYPE_BYTES if dtype is None else np.dtype(dtype).itemsize
-    return prod(shape, start=1) * itemsize
+def block_nbytes(shape: Sequence[int]) -> int:
+    return prod(shape, start=1) * DTYPE_BYTES
 
 
 def block_shape(

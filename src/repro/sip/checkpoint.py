@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from ..sial.bytecode import CompiledProgram
-from .blocks import Block, ResolvedIndexTable
+from .blocks import DTYPE, ResolvedIndexTable
 from .config import SIPError
 
 __all__ = [
@@ -54,7 +54,7 @@ def store_to_array(
         raise SIPError(f"array {name!r} is not in the external store")
     array_id = program.array_id(name)
     desc = program.array_table[array_id]
-    full = np.zeros(table.array_shape(desc), dtype=np.float64)
+    full = np.zeros(table.array_shape(desc), dtype=DTYPE)
     for coords, data in entry.items():
         if not isinstance(data, np.ndarray):
             raise SIPError(
@@ -80,7 +80,7 @@ def array_to_store(
 
     array_id = program.array_id(name)
     desc = program.array_table[array_id]
-    value = np.asarray(value, dtype=np.float64)
+    value = np.asarray(value, dtype=DTYPE)
     expected = table.array_shape(desc)
     if value.shape != expected:
         raise SIPError(
@@ -117,7 +117,7 @@ def save_store(store: dict[str, Any], path: str) -> None:
     payload: dict[str, np.ndarray] = {}
     for name, entry in store.items():
         if name == "__scalars__":
-            payload["__scalars__"] = np.asarray(entry, dtype=np.float64)
+            payload["__scalars__"] = np.asarray(entry, dtype=float)
         elif name == "__checkpoint_seq__":
             payload["__checkpoint_seq__"] = np.asarray([entry])
         elif isinstance(entry, dict):

@@ -12,9 +12,11 @@ beside the one module that reads it (guided chunk sizing in
 :mod:`~repro.sip.scheduler`, locality weights in
 :mod:`~repro.sip.master`, the block engine's reserve and in-flight
 cap in :mod:`~repro.sip.blockio`, outbox flush thresholds in
-:mod:`~repro.sip.mptransport`, the shm slab size in
-:mod:`~repro.sip.arena`).  The resilient protocol's retry timing
-is read by every rank kind, so its constants live here.
+:mod:`~repro.sip.mptransport`, the shm slab size and per-rank arena
+cap in :mod:`~repro.sip.arena`, the block element type -- the paper's
+double precision -- in :mod:`~repro.sip.blocks`).  The resilient
+protocol's retry timing is read by every rank kind, so its constants
+live here.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ class SIPConfig:
         Watchdog, in seconds, for the multiprocess backend: a rank that
         makes no progress and receives no message for this long aborts
         the run, and the parent reports which rank stalled.
-    mp_arena_max_bytes:
-        Cap on a rank's total arena footprint; when all size classes
-        are saturated, further payloads overflow to one-shot segments.
-        At least one slab (:data:`repro.sip.arena.SLAB_BYTES`).
     opt_level:
         SIAL optimization level applied to the compiled program before
         execution (the ``-O`` flag): 0 runs the compiler's output
@@ -121,10 +119,6 @@ class SIPConfig:
         Scratch-disk capacity available for spilled blocks on each
         worker when ``spill`` is on, bytes.  None (default) means
         unbounded scratch.
-    dtype:
-        Numpy dtype name of block elements (default ``"float64"``, the
-        paper's double precision).  Threads through block allocation,
-        pool/cache byte accounting, and the dry run.
     race_check:
         What the runtime race checker does with distributed/served
         accesses from different pardo iterations that do not commute
@@ -172,13 +166,11 @@ class SIPConfig:
     backend: str = "real"
     execution: str = "sim"
     mp_timeout: float = 120.0
-    mp_arena_max_bytes: int = 1 << 26
     opt_level: int = 2
     machine: Machine = LAPTOP
     memory_per_worker: Optional[float] = None
     spill: bool = False
     scratch_per_worker: Optional[float] = None
-    dtype: str = "float64"
     race_check: str = "raise"
     integral_source: Optional[Callable[..., Any]] = None
     inputs: dict[str, Any] = field(default_factory=dict)
@@ -209,10 +201,6 @@ class SIPConfig:
                 )
             if self.mp_timeout <= 0:
                 raise ValueError("mp_timeout must be positive")
-            from .arena import SLAB_BYTES
-
-            if self.mp_arena_max_bytes < SLAB_BYTES:
-                raise ValueError(f"mp_arena_max_bytes must be >= {SLAB_BYTES}")
         if self.opt_level not in (0, 1, 2):
             raise ValueError("opt_level must be 0, 1 or 2")
         if self.prefetch_depth < 0:
@@ -221,12 +209,6 @@ class SIPConfig:
             raise ValueError(f"unknown scheduling policy {self.scheduling!r}")
         if self.scratch_per_worker is not None and self.scratch_per_worker <= 0:
             raise ValueError("scratch_per_worker must be positive")
-        try:
-            import numpy as _np
-
-            _np.dtype(self.dtype)
-        except TypeError:
-            raise ValueError(f"unknown dtype {self.dtype!r}") from None
 
     @property
     def memory_budget(self) -> float:

@@ -33,11 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, prod
 
-import numpy as np
-
 from ..sial.bytecode import CompiledProgram
 from .blockio import IN_FLIGHT_CAP
-from .blocks import ResolvedIndexTable
+from .blocks import DTYPE_BYTES, ResolvedIndexTable
 from .config import SIPConfig, SIPError
 
 __all__ = ["DryRunReport", "dry_run", "InfeasibleComputation"]
@@ -132,7 +130,6 @@ def dry_run(
     program: CompiledProgram, config: SIPConfig, table: ResolvedIndexTable
 ) -> DryRunReport:
     """Estimate per-worker memory and feasibility for this configuration."""
-    itemsize = np.dtype(config.dtype).itemsize
     static_bytes = 0
     temp_bytes = 0
     local_bytes = 0
@@ -144,11 +141,11 @@ def dry_run(
 
     for desc in program.array_table:
         dims = [table[i] for i in desc.index_ids]
-        total = prod((d.n_elements for d in dims), start=1) * itemsize
+        total = prod((d.n_elements for d in dims), start=1) * DTYPE_BYTES
         largest_block = prod(
             (max((s.length for s in d.segments), default=d.n_elements) for d in dims),
             start=1,
-        ) * itemsize
+        ) * DTYPE_BYTES
         array_bytes[desc.name] = total
         max_block = max(max_block, largest_block)
         if desc.kind == "static":

@@ -28,7 +28,7 @@ import numpy as np
 from ..simmpi import Disk, Timeout
 from ..simmpi.faults import ResilienceStats
 from .blockio import BlockTransferEngine
-from .blocks import Block, BlockId, block_nbytes
+from .blocks import DTYPE, Block, BlockId
 from .config import RETRY_BACKOFF, RETRY_LIMIT, RETRY_TIMEOUT, SIPError
 from .memman import MemoryManager
 from .messages import (
@@ -54,7 +54,6 @@ class IOServerProcess:
         self.rank = rt.config.server_rank(server_index)
         self.comm = comm
         self.sim = rt.sim
-        self._nbytes_memo: dict[BlockId, int] = {}
         # the server's cache shares the rank budget through the same
         # MemoryManager workers use; it has no spillable blocks, so
         # pressure resolves through eviction and write-back alone
@@ -62,8 +61,7 @@ class IOServerProcess:
             rt.config.memory_budget,
             real=rt.real,
             name=f"ioserver{server_index}",
-            nbytes_of=self._block_nbytes,
-            dtype=rt.dtype,
+            nbytes_of=rt.block_nbytes,
             clock=lambda: rt.sim.now,
             tracer=rt.config.tracer,
             rank=self.rank,
@@ -165,24 +163,12 @@ class IOServerProcess:
             return
         # the cached block may have been shared zero-copy with a
         # requester; detach before writing
-        copied = block.ensure_writable()
-        if copied:
-            self.rt.cow.cow_copies += 1
-            self.rt.cow.cow_bytes_copied += copied
-        block.data[...] = p.block.data
-
-    def _block_nbytes(self, bid: BlockId) -> int:
-        n = self._nbytes_memo.get(bid)
-        if n is None:
-            n = self._nbytes_memo[bid] = block_nbytes(
-                self.rt.block_shape(bid), self.rt.dtype
-            )
-        return n
+        self.rt.writable(block).data[...] = p.block.data
 
     def _fresh_block(self, bid: BlockId) -> Block:
         shape = self.rt.block_shape(bid)
-        data = np.zeros(shape, dtype=self.rt.dtype) if self.rt.real else None
-        return Block(shape, data, dtype=self.rt.dtype)
+        data = np.zeros(shape, dtype=DTYPE) if self.rt.real else None
+        return Block(shape, data)
 
     def _start_writeback(self, bid: BlockId) -> None:
         version = self.blockio.begin_writeback(bid)
@@ -245,12 +231,7 @@ class IOServerProcess:
         if bid not in self.blockio.accums:
             return
         entry = self.cache.lookup(bid, touch=False)
-        block = entry.block
-        copied = block.ensure_writable()
-        if copied:
-            self.rt.cow.cow_copies += 1
-            self.rt.cow.cow_bytes_copied += copied
-        self.blockio.accums.fold_into(bid, block)
+        self.blockio.accums.fold_into(bid, self.rt.writable(entry.block))
         entry.dirty = True
         self._start_writeback(bid)
 
@@ -281,7 +262,7 @@ class IOServerProcess:
         shape = self.rt.block_shape(bid)
         yield from self._disk_io(
             self.disk.read,
-            self._block_nbytes(bid),
+            self.rt.block_nbytes(bid),
             bid,
             "read",
             "disk_read_retries",
@@ -335,11 +316,7 @@ class IOServerProcess:
             pending = self.blockio.accums.pop_sorted(bid)
             entry = self.cache.lookup(bid, touch=False)
             if entry is not None and not entry.pending and entry.block is not None:
-                base = entry.block
-                copied = base.ensure_writable()
-                if copied:
-                    self.rt.cow.cow_copies += 1
-                    self.rt.cow.cow_bytes_copied += copied
+                base = self.rt.writable(entry.block)
                 if base.data is not None:
                     for _key, inc in pending:
                         if inc.data is not None:
@@ -354,7 +331,7 @@ class IOServerProcess:
                 data = (
                     stored.copy()
                     if isinstance(stored, np.ndarray)
-                    else np.zeros(shape, dtype=self.rt.dtype)
+                    else np.zeros(shape, dtype=DTYPE)
                 )
                 for _key, inc in pending:
                     if inc.data is not None:

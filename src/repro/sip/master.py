@@ -20,7 +20,6 @@ from typing import Generator
 
 from ..simmpi import AnyOf, Timeout
 from ..simmpi.faults import ResilienceStats
-from .blocks import BlockId, block_nbytes
 from .config import RETRY_BACKOFF, RETRY_LIMIT, RETRY_TIMEOUT, SIPError
 from .messages import (
     MASTER_TAG,
@@ -76,7 +75,6 @@ class MasterProcess:
         self._collective_results: dict[int, float] = {}
         self._done_workers: set[int] = set()
         self._next_reply_tag = REPLY_TAG_BASE
-        self._nbytes_memo: dict[BlockId, int] = {}
         # scalar snapshot each scheduler was built against, for the
         # invariance assertion on later requests
         self._sched_scalars: dict[tuple[int, int], tuple[float, ...]] = {}
@@ -242,14 +240,6 @@ class MasterProcess:
                 )
         return sched.next_chunk_for(req.worker_index)
 
-    def _block_nbytes(self, bid: BlockId) -> int:
-        n = self._nbytes_memo.get(bid)
-        if n is None:
-            n = self._nbytes_memo[bid] = block_nbytes(
-                self.rt.block_shape(bid), self.rt.dtype
-            )
-        return n
-
     def _affinity_map(
         self,
         index_ids: tuple[int, ...],
@@ -289,7 +279,7 @@ class MasterProcess:
                 except SIPError:
                     continue  # depends on an index bound outside the pardo
                 bid = r.block_id
-                nb = self._block_nbytes(bid)
+                nb = self.rt.block_nbytes(bid)
                 if bid.array_id in placements:
                     owner = placements[bid.array_id].owner_index(bid.coords)
                     scores[owner] = scores.get(owner, 0.0) + w_owner * nb

@@ -88,7 +88,6 @@ class MemoryManager:
         name: str = "rank",
         *,
         nbytes_of: Optional[Callable[[BlockId], int]] = None,
-        dtype=np.float64,
         spill_capacity: Optional[float] = 0,
         machine=None,
         faults=None,
@@ -104,7 +103,6 @@ class MemoryManager:
         self.budget_bytes = budget_bytes
         self.real = real
         self.name = name
-        self.dtype = np.dtype(dtype)
         self.spill_capacity = spill_capacity
         self.machine = machine
         self.faults = faults
@@ -117,7 +115,7 @@ class MemoryManager:
         self.resilience = resilience
         self.stats = MemStats()
 
-        self.pool = BlockPool(real, name=name, dtype=self.dtype)
+        self.pool = BlockPool(real, name=name)
         self.cache = BlockCache(
             name=f"{name}.cache",
             on_evict=on_evict,
@@ -186,7 +184,7 @@ class MemoryManager:
     # -- block lifecycle -------------------------------------------------
     def allocate(self, shape: tuple[int, ...]) -> Block:
         """Allocate a pool block, making room under the budget."""
-        self.ensure_headroom(block_nbytes(shape, self.dtype))
+        self.ensure_headroom(block_nbytes(shape))
         block = self.pool.allocate(shape)
         self._note_peak()
         return block

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Block, block_nbytes
+from .blocks import DTYPE, Block, block_nbytes
 from .config import SIPError
 from .fold import MAX
 
@@ -53,16 +53,15 @@ class BlockPool:
     feasibility behaves identically in both modes.
     """
 
-    def __init__(self, real: bool, name: str = "pool", dtype=np.float64) -> None:
+    def __init__(self, real: bool, name: str = "pool") -> None:
         self.real = real
         self.name = name
-        self.dtype = np.dtype(dtype)
         self.stats = PoolStats()
         self._free: dict[tuple[int, ...], list[np.ndarray]] = {}
         self._live_by_shape: dict[tuple[int, ...], int] = {}
 
     def allocate(self, shape: tuple[int, ...]) -> Block:
-        self.stats.bytes_in_use += block_nbytes(shape, self.dtype)
+        self.stats.bytes_in_use += block_nbytes(shape)
         self.stats.blocks_in_use += 1
         self.stats.peak_bytes = max(self.stats.peak_bytes, self.stats.bytes_in_use)
         self.stats.peak_blocks = max(self.stats.peak_blocks, self.stats.blocks_in_use)
@@ -77,11 +76,11 @@ class BlockPool:
                 data = stack.pop()
                 self.stats.reuses += 1
             else:
-                data = np.zeros(shape, dtype=self.dtype)
+                data = np.zeros(shape, dtype=DTYPE)
                 self.stats.allocations += 1
         else:
             self.stats.allocations += 1
-        return Block(shape, data, dtype=self.dtype)
+        return Block(shape, data)
 
     def free(self, block: Block) -> None:
         self.stats.bytes_in_use -= block.nbytes

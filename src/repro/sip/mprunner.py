@@ -153,7 +153,6 @@ def _child_main(
             run_id,
             timeout=config.mp_timeout,
             coordinator=config.master_rank,
-            arena_max_bytes=config.mp_arena_max_bytes,
         )
         rt = SharedRuntime(program, config, symbolics, sim, world)
         baseline = _store_baseline(rt.external_store)

@@ -297,7 +297,6 @@ class MPWorld:
         run_id: str,
         timeout: float = 120.0,
         coordinator: int = 0,
-        arena_max_bytes: int = 1 << 26,
         ledger=None,
     ) -> None:
         self.sim = sim
@@ -331,7 +330,6 @@ class MPWorld:
             run_id,
             rank,
             size,
-            max_bytes=arena_max_bytes,
             epoch=self.epoch,
             stats=self.arena_stats,
             ledger=ledger,

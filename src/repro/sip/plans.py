@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import DTYPE
 from .config import SIPError
 
 __all__ = ["PlanCacheStats", "KernelPlanCache", "einsum_subscripts", "perm"]
@@ -142,7 +143,7 @@ class _GemmPlan(_Plan):
         self.a_fold = a_fold
         self.res_shape = res_shape
         self.out_perm = out_perm
-        self.scratch = np.empty((b_fold[0], a_fold[1]), dtype=np.float64)
+        self.scratch = np.empty((b_fold[0], a_fold[1]), dtype=DTYPE)
 
     def execute(self, a: np.ndarray, b: np.ndarray, dst: np.ndarray, op: str) -> None:
         lhs = b.transpose(self.b_perm).reshape(self.b_fold)
@@ -184,8 +185,8 @@ class _EinsumPlan(_Plan):
         self.subscripts = subscripts
         self.path = np.einsum_path(
             subscripts,
-            np.empty(a_shape, dtype=np.float64),
-            np.empty(b_shape, dtype=np.float64),
+            np.empty(a_shape, dtype=DTYPE),
+            np.empty(b_shape, dtype=DTYPE),
             optimize=True,
         )[0]
 

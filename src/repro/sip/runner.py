@@ -19,7 +19,7 @@ from ..sial.bytecode import CompiledProgram
 from ..sial.compiler import compile_source
 from ..simmpi import Simulator, World
 from ..simmpi.faults import FaultReport, ResilienceStats, WorkerCrashed
-from .blocks import Block, BlockId
+from .blocks import DTYPE, Block, BlockId
 from .checkpoint import has_checkpoint
 from .config import SIPConfig, SIPError
 from .dryrun import DryRunReport, InfeasibleComputation, dry_run
@@ -249,7 +249,7 @@ def scatter_inputs(rt: SharedRuntime, workers=(), servers=()) -> None:
             raise SIPError(f"input provided for undeclared array {name!r}") from None
         kind = rt.array_desc(array_id).kind
         if value is not None:
-            value = np.asarray(value, dtype=rt.dtype)  # convert once, not per rank
+            value = np.asarray(value, dtype=DTYPE)  # convert once, not per rank
         if kind == "static":
             # the input is sliced once and every worker holds a
             # copy-on-write share of the same block (copies happen on

@@ -24,7 +24,15 @@ from ..costmodel import CostModel
 from ..sial.bytecode import ArrayDesc, CompiledProgram, evaluate_rpn
 from ..simmpi import Simulator, World
 from .backend import make_backend
-from .blocks import Block, BlockId, CowStats, ResolvedIndexTable, block_shape
+from .blocks import (
+    DTYPE,
+    Block,
+    BlockId,
+    CowStats,
+    ResolvedIndexTable,
+    block_nbytes,
+    block_shape,
+)
 from .config import SIPConfig, SIPError
 from .decode import decode_program
 from .distributed import Placement, ReplicaMap
@@ -82,7 +90,6 @@ class SharedRuntime:
             subsegments_per_segment=config.subsegments_per_segment,
         )
         self.cost = CostModel(config.machine)
-        self.dtype = np.dtype(config.dtype)
         self.registry: SuperInstructionRegistry = GLOBAL_REGISTRY.merged_with(
             config.superinstructions
         )
@@ -107,6 +114,7 @@ class SharedRuntime:
         self._owner_rank_cache: dict[BlockId, int] = {}
         self._server_rank_cache: dict[BlockId, int] = {}
         self._block_shape_cache: dict[BlockId, tuple[int, ...]] = {}
+        self._block_nbytes_cache: dict[BlockId, int] = {}
 
         # recent cached replicas of remote blocks; pure scheduling hint
         # read by the locality policy, never consulted for correctness
@@ -171,6 +179,24 @@ class SharedRuntime:
             )
         return shape
 
+    def block_nbytes(self, block_id: BlockId) -> int:
+        """Size of a block by id (memoized; sizes cache byte accounting)."""
+        n = self._block_nbytes_cache.get(block_id)
+        if n is None:
+            n = self._block_nbytes_cache[block_id] = block_nbytes(
+                self.block_shape(block_id)
+            )
+        return n
+
+    def writable(self, block: Block) -> Block:
+        """Copy-on-write barrier before any in-place block write: detach
+        ``block`` from its zero-copy twins, counting what that copied."""
+        copied = block.ensure_writable()
+        if copied:
+            self.cow.cow_copies += 1
+            self.cow.cow_bytes_copied += copied
+        return block
+
     def make_backend(self):
         return make_backend(self.config.backend, self.cost, plans=self.plan_cache)
 
@@ -202,7 +228,7 @@ class SharedRuntime:
         desc = self.array_desc(array_id)
         full_shape = self.table.array_shape(desc)
         if value is not None:
-            value = np.asarray(value, dtype=self.dtype)
+            value = np.asarray(value, dtype=DTYPE)
             if value.shape != full_shape:
                 raise SIPError(
                     f"input for array {desc.name!r} has shape {value.shape}, "
@@ -214,7 +240,7 @@ class SharedRuntime:
             data = None
             if self.real:
                 if value is None:
-                    data = np.zeros(shape, dtype=self.dtype)
+                    data = np.zeros(shape, dtype=DTYPE)
                 else:
                     slices = tuple(
                         slice(
@@ -224,7 +250,7 @@ class SharedRuntime:
                         for i, c in zip(desc.index_ids, coords)
                     )
                     data = np.ascontiguousarray(value[slices])
-            out[coords] = Block(shape, data, dtype=self.dtype)
+            out[coords] = Block(shape, data)
         return out
 
     def assemble_array(
@@ -234,7 +260,7 @@ class SharedRuntime:
         if not self.real:
             raise SIPError("array contents are not available in model mode")
         desc = self.array_desc(array_id)
-        full = np.zeros(self.table.array_shape(desc), dtype=self.dtype)
+        full = np.zeros(self.table.array_shape(desc), dtype=DTYPE)
         for coords, block in blocks.items():
             if block.data is None:
                 continue

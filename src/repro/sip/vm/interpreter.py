@@ -38,7 +38,7 @@ from ...simmpi import Timeout
 from ...simmpi.faults import ResilienceStats, WorkerCrashed
 from ..backend import KernelOperand
 from ..blockio import BlockTransferEngine
-from ..blocks import Block, BlockId, block_nbytes
+from ..blocks import Block, BlockId
 from ..config import RETRY_LIMIT, SIPError
 from ..decode import ResolvedOperand
 from ..memman import MemoryManager
@@ -94,13 +94,11 @@ class WorkerProcess(ResilientMessaging):
         self.backend = rt.make_backend()
         self.profile = WorkerProfile()
         self.resilience = ResilienceStats()
-        self._nbytes_memo: dict[BlockId, int] = {}
         self.memman = MemoryManager(
             rt.config.memory_budget,
             real=rt.real,
             name=f"worker{worker_index}",
-            nbytes_of=self._block_nbytes,
-            dtype=rt.dtype,
+            nbytes_of=rt.block_nbytes,
             spill_capacity=rt.config.scratch_per_worker if rt.config.spill else 0,
             machine=rt.config.machine,
             faults=rt.config.faults,
@@ -146,8 +144,8 @@ class WorkerProcess(ResilientMessaging):
         self._wait_acc = 0.0
         self._shutdown = False
 
-        # resilience bookkeeping (all inert unless a FaultPlan /
-        # config.resilient is set) -------------------------------------
+        # resilience bookkeeping (all inert unless a FaultPlan is
+        # attached) ----------------------------------------------------
         self._msg_seq = 0  # sender-unique seq for puts/prepares
         self._chunk_seq = 0  # monotone seq for chunk requests
         self._applied_puts: set[tuple[int, int]] = set()  # (source, seq)
@@ -341,15 +339,6 @@ class WorkerProcess(ResilientMessaging):
     # ======================================================================
     # helpers
     # ======================================================================
-    def _block_nbytes(self, bid: BlockId) -> int:
-        """Size of a block by id (memoized; sizes cache byte accounting)."""
-        n = self._nbytes_memo.get(bid)
-        if n is None:
-            n = self._nbytes_memo[bid] = block_nbytes(
-                self.rt.block_shape(bid), self.rt.dtype
-            )
-        return n
-
     def eval_rpn(self, rpn: tuple) -> float:
         # RPN programs with no scalar/index reads were pre-evaluated at
         # decode time (the optimizer interns them, so identity is stable)
@@ -416,7 +405,7 @@ class WorkerProcess(ResilientMessaging):
             if current == bid:
                 self.memman.touch(bid)
                 self.memman.pin_instr(bid)
-                return self._writable(self.local_blocks[bid])
+                return self.rt.writable(self.local_blocks[bid])
             if r.slices is not None:
                 raise SIPError(
                     f"insertion into temp block {bid} that does not exist yet"
@@ -442,21 +431,12 @@ class WorkerProcess(ResilientMessaging):
                 return block
             self.memman.touch(bid)
             self.memman.pin_instr(bid)
-            return self._writable(block)
+            return self.rt.writable(block)
         verb = "put" if r.kind == "distributed" else "prepare"
         raise SIPError(
             f"{r.kind} array blocks are written with '{verb}', "
             "not direct assignment"
         )
-
-    def _writable(self, block: Block) -> Block:
-        """Copy-on-write barrier before any in-place block write."""
-        copied = block.ensure_writable()
-        if copied:
-            cow = self.rt.cow
-            cow.cow_copies += 1
-            cow.cow_bytes_copied += copied
-        return block
 
     def _alloc_block(self, bid: BlockId, zero: bool) -> Block:
         shape = self.rt.block_shape(bid)
@@ -500,7 +480,7 @@ class WorkerProcess(ResilientMessaging):
         if op != "=":
             self.engine.accums.buffer(bid, accum_key, incoming)
             return
-        self._writable(block)
+        self.rt.writable(block)
         # an overwrite supersedes any buffered contributions
         self.engine.accums.discard(bid)
         if block.data is not None and incoming.data is not None:
@@ -512,7 +492,7 @@ class WorkerProcess(ResilientMessaging):
             return
         block = self.owned[bid]
         self.memman.touch(bid)
-        self._writable(block)
+        self.rt.writable(block)
         self.engine.accums.fold_into(bid, block)
 
     def fold_pending_accums(self) -> None:
@@ -920,7 +900,7 @@ class WorkerProcess(ResilientMessaging):
                     # user supers may write their block args in place
                     self.memman.touch(r.block_id)
                     self.memman.pin_instr(r.block_id)
-                    self._writable(block)
+                    self.rt.writable(block)
                 blocks.append(self.kernel_operand(r, block))
             elif kind == "num":
                 scalars.append(value)
@@ -1119,7 +1099,7 @@ class WorkerProcess(ResilientMessaging):
                 self.owned[bid] = block
             else:
                 self.memman.touch(bid)
-                self._writable(block)
+                self.rt.writable(block)
             if block.data is not None:
                 block.data[...] = saved
             total += block.nbytes

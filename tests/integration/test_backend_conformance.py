@@ -185,11 +185,12 @@ def test_mp_backend_is_bitwise_identical_to_simulator(name, workers):
 def test_arena_overflow_path_stays_bitwise_identical(monkeypatch):
     """Starving the arena into its one-shot overflow path is a pure
     transport detour: it must not move a single bit of the results
-    (the ranks are forked, so they see the patched slab size)."""
+    (the ranks are forked, so they see the patched slab size and cap)."""
     driver = DRIVERS["lccd_iteration"]  # its 4-block payloads cross ranks
     sim = driver(make_config(2, "sim", segment_size=4))
     monkeypatch.setattr(arena, "SLAB_BYTES", 4096)
-    mp = driver(make_config(2, "mp", segment_size=4, mp_arena_max_bytes=8192))
+    monkeypatch.setattr(arena, "MAX_BYTES", 8192)
+    mp = driver(make_config(2, "mp", segment_size=4))
     assert mp.result.stats["arena_misses"] > 0  # payloads did overflow
     assert mp.error < 1e-10
     assert_bitwise_equal_results(sim, mp)

@@ -207,18 +207,6 @@ def test_profile_and_trace_report_pressure():
     assert "memory pressure actions" in tracer.report()
 
 
-def test_float32_run_is_dtype_aware_end_to_end():
-    cfg64 = config()
-    base = run_mp2(n_basis=8, n_occ=3, config=cfg64)
-    cfg32 = config(dtype="float32")
-    out = run_mp2(n_basis=8, n_occ=3, config=cfg32)
-    # single precision tracks the double-precision answer loosely
-    assert abs(float(out.value) - float(base.value)) < 1e-4
-    # and every byte-denominated stat shrinks accordingly
-    assert out.result.dry_run.per_worker_bytes * 2 == base.result.dry_run.per_worker_bytes
-    assert out.result.stats["mem_peak_bytes"] < base.result.stats["mem_peak_bytes"]
-
-
 def accesses(stats):
     return stats["cache_hits"] + stats["cache_misses"]
 

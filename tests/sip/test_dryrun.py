@@ -125,13 +125,6 @@ def test_spill_cannot_rescue_budget_below_the_floor():
     assert "pinned-only floor exceeds the budget" in r.report()
 
 
-def test_dtype_scales_dry_run_estimate():
-    r64 = report_for(nb=16)
-    r32 = report_for(nb=16, dtype="float32")
-    assert r32.static_bytes * 2 == r64.static_bytes
-    assert r32.per_worker_bytes * 2 == r64.per_worker_bytes
-
-
 def test_dry_run_estimate_covers_observed_peak():
     """The paper's guarantee: the dry run bounds actual memory use."""
     decls = """

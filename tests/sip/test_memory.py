@@ -4,7 +4,6 @@ The pool only accounts; its budget is enforced by the rank's
 :class:`MemoryManager`, here with no scratch (``spill_capacity=0``).
 """
 
-import numpy as np
 import pytest
 
 from repro.sip.memman import MemoryManager
@@ -85,16 +84,6 @@ def test_peak_blocks_is_global_not_per_shape():
     pool.free(d)
     assert pool.stats.peak_blocks == 3
     assert pool.stats.peak_by_shape[(10,)] == 2
-
-
-def test_dtype_aware_block_sizes():
-    mm = MemoryManager(1000, real=True, dtype=np.float32)
-    b = mm.allocate((10, 10))
-    assert b.data.dtype == np.float32
-    assert mm.pool.stats.bytes_in_use == 400  # 100 elements x 4 B
-    mm.allocate((10, 10))  # fits: two float32 blocks are 800 B
-    with pytest.raises(OutOfBlockMemory):
-        mm.allocate((10, 10))
 
 
 def test_freed_block_loses_data_reference():

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sip import arena as arena_module
 from repro.sip.arena import ArenaReceiver, ArenaRef, ArenaStats, SlabArena
 from repro.sip.blocks import Block, BlockId
 from repro.sip.messages import (
@@ -307,14 +308,13 @@ def test_batch_frames_roundtrip_identically(msgs):
 
 def _arena_pair() -> tuple[SlabArena, ArenaReceiver]:
     stats = ArenaStats()
-    arena = SlabArena(
-        f"roundtrip{os.getpid():x}",
-        0,
-        2,
-        slab_bytes=1 << 16,
-        max_bytes=1 << 20,
-        stats=stats,
-    )
+    # the cap is read when the arena is built; a context, not the
+    # monkeypatch fixture, because hypothesis tests build arenas too
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arena_module, "MAX_BYTES", 1 << 20)
+        arena = SlabArena(
+            f"roundtrip{os.getpid():x}", 0, 2, slab_bytes=1 << 16, stats=stats
+        )
     return arena, ArenaReceiver(stats=stats)
 
 

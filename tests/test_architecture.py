@@ -308,7 +308,7 @@ def test_sipconfig_does_not_grow():
 
     from repro.sip import SIPConfig
 
-    assert len(dataclasses.fields(SIPConfig)) <= 24
+    assert len(dataclasses.fields(SIPConfig)) <= 22
 
 
 #: SIPConfig fields that were ablation switches onto pre-optimisation
@@ -319,7 +319,9 @@ def test_sipconfig_does_not_grow():
 #: sipbench's trace, not ``kernel_wallclock``; the shm slab size is
 #: ``arena.SLAB_BYTES``, not ``mp_arena_slab_bytes``; the inline/shm
 #: payload threshold is ``mptransport.PAYLOAD_SHM_MIN``, not
-#: ``mp_payload_shm_min``; one race checker
+#: ``mp_payload_shm_min``; a rank's slab footprint is capped by
+#: ``arena.MAX_BYTES``, not ``mp_arena_max_bytes``; every block holds
+#: ``blocks.DTYPE`` doubles, not a ``dtype``; one race checker
 #: reads ``race_check``, not ``validate_barriers`` or ``sanitize``; the
 #: resilient protocol follows ``faults``, an empty plan included, not
 #: ``resilient``)
@@ -330,7 +332,7 @@ REMOVED_CONFIG_FIELDS = {
     "chunk_factor", "min_chunk", "retry_timeout", "retry_limit", "retry_backoff",
     "cache_blocks", "kernel_wallclock", "trace", "server_cache_blocks",
     "mp_arena_slab_bytes", "validate_barriers", "sanitize", "resilient",
-    "mp_payload_shm_min",
+    "mp_payload_shm_min", "mp_arena_max_bytes", "dtype",
 }  # fmt: skip
 
 
@@ -338,7 +340,7 @@ def test_removed_config_axes_stay_removed():
     """No second path may grow back: not as a config field or a
     ``config.<name>`` read, not as the runtime's ``cow_enabled`` switch,
     a ``memo=`` / ``zero_copy=`` parameter, or a CLI flag turning the
-    slab arena or frame batching off."""
+    slab arena or frame batching off or sizing the arena."""
     import dataclasses
 
     from repro.sip import SIPConfig
@@ -360,8 +362,24 @@ def test_removed_config_axes_stay_removed():
             elif isinstance(node, ast.Constant) and node.value in (
                 "--no-arena",
                 "--no-batch",
+                "--arena-mb",
             ):
                 offenders.append(f"{rel}:{node.lineno} flag {node.value}")
+    assert not offenders, "\n  ".join(offenders)
+
+
+def test_block_element_type_is_named_once():
+    """Every block holds ``blocks.DTYPE`` elements: no other runtime
+    module names float64 itself, so no second element type can grow
+    back in one corner of the runtime."""
+    offenders = [
+        f"{rel}:{node.lineno} {ast.unparse(node)}"
+        for rel, tree in repro_modules()
+        if rel.startswith("sip/") and rel != "sip/blocks.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "float64")
+        or (isinstance(node, ast.Constant) and node.value == "float64")
+    ]
     assert not offenders, "\n  ".join(offenders)
 
 

@@ -110,6 +110,21 @@ def test_missing_file_reported(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_runtime_error_is_one_line(tmp_path, capsys):
+    """A run that fails inside the runtime (the CLI supplies no input
+    for the contraction's T) ends in one error line, not a traceback."""
+    from repro.programs import library
+
+    path = tmp_path / "contraction.sial"
+    path.write_text(library.PAPER_CONTRACTION)
+    code = main(["trace", str(path), "-D", "norb=8", "-D", "nocc=4", "-w", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: get of unwritten distributed block")
+    assert err.rstrip().endswith("(array 'T')")
+
+
 def test_bad_define_rejected(good_file):
     with pytest.raises(SystemExit):
         main(["run", good_file, "-D", "nb"])
