@@ -6,6 +6,7 @@ The pool only accounts; its budget is enforced by the rank's
 
 import pytest
 
+from repro.sip.blocks import DTYPE, DTYPE_BYTES
 from repro.sip.memman import MemoryManager
 from repro.sip.memory import BlockPool, OutOfBlockMemory
 
@@ -84,6 +85,16 @@ def test_peak_blocks_is_global_not_per_shape():
     pool.free(d)
     assert pool.stats.peak_blocks == 3
     assert pool.stats.peak_by_shape[(10,)] == 2
+
+
+def test_budget_counts_blocks_of_the_one_element_type():
+    mm = MemoryManager(2 * 100 * DTYPE_BYTES, real=True)
+    b = mm.allocate((10, 10))
+    assert b.data.dtype == DTYPE
+    assert mm.pool.stats.bytes_in_use == 100 * DTYPE_BYTES
+    mm.allocate((10, 10))  # fits: the budget is exactly two blocks
+    with pytest.raises(OutOfBlockMemory):
+        mm.allocate((10, 10))
 
 
 def test_freed_block_loses_data_reference():

@@ -17,7 +17,7 @@ from repro.programs import drivers
 from repro.sial.compiler import compile_source
 from repro.simmpi import Simulator, World
 from repro.sip import SIPConfig, SIPError
-from repro.sip.blocks import BlockId
+from repro.sip.blocks import DTYPE, BlockId
 from repro.sip.ioserver import IOServerProcess
 from repro.sip.runner import scatter_inputs
 from repro.sip.runtime import SharedRuntime
@@ -239,6 +239,25 @@ def test_static_inputs_are_shared_copy_on_write():
     bid = next(iter(workers[0].local_blocks))
     a, b = (w.local_blocks[bid] for w in workers)
     assert a is not b and a.data is b.data and a._shared is b._shared
+
+
+def test_scattered_blocks_hold_doubles_sized_by_the_runtime():
+    """Inputs of any element type (``D`` arrives as float32) are stored
+    as ``blocks.DTYPE`` blocks, and ``SharedRuntime.block_nbytes`` sizes
+    every block by its id exactly as large as the data it holds."""
+    rt, workers, servers = ranks(all_kinds_case(2))
+    scatter_inputs(rt, workers, servers)
+    held = [
+        (bid, block)
+        for w in workers
+        for bid, block in (*w.owned.items(), *w.local_blocks.items())
+    ]
+    held += [(bid, value) for s in servers for bid, value in s.disk_data.items()]
+    assert {rt.array_desc(bid.array_id).name for bid, _ in held} == {"S", "D", "V"}
+    for bid, block in held:
+        data = block if isinstance(block, np.ndarray) else block.data
+        assert data.dtype == DTYPE
+        assert rt.block_nbytes(bid) == data.nbytes
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
