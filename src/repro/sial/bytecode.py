@@ -60,7 +60,7 @@ class Op:
     ALLOCATE = "ALLOCATE"
     DEALLOCATE = "DEALLOCATE"
     # optimizer-inserted: a hint that a block will be needed soon.
-    # Same argument layout as GET/REQUEST; never blocks, never faults.
+    # Same argument layout as GET/REQUEST; never blocks.
     PREFETCH = "PREFETCH"
     # block compute (super instructions)
     FILL = "FILL"

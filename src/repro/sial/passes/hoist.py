@@ -20,7 +20,7 @@ the top of a pardo body for gets the body is guaranteed to issue later
 in the same iteration (straight-line, after the leading get run), so
 their communication overlaps the preceding compute.  The inserted pcs
 join the loop's ``get_pcs`` and therefore the locality scheduler's
-affinity lists automatically.  A hint never faults, and its fetch
+affinity lists automatically.  A hint never waits, and its fetch
 names the pc of the get it runs ahead of in the same iteration, so the
 race checker sees the access the program makes: it is legality-free by
 construction;

@@ -44,9 +44,7 @@ from .messages import (
     SERVICE_TAG,
     BlockReply,
     GetBlock,
-    PrepareBlock,
     PutBlock,
-    RequestBlock,
     message_nbytes,
     snapshot_for_transport,
 )
@@ -58,12 +56,46 @@ __all__ = ["AccumLedger", "BlockIOStats", "BlockTransferEngine", "IN_FLIGHT_CAP"
 IN_FLIGHT_CAP = 64
 
 
+@dataclass(frozen=True)
+class _Route:
+    """How the blocks of one array ``kind`` move.
+
+    ``tag`` is the owner's mailbox, ``epoch`` the port attribute holding
+    the kind's barrier epoch, ``issued`` / ``posted`` the
+    :class:`BlockIOStats` counters of a fetch and a write, and
+    ``write_retries`` / ``fetch_label`` / ``write_label`` the resilience
+    counter and trace labels of a resend.
+    """
+
+    kind: str
+    tag: int
+    epoch: str
+    issued: str
+    posted: str
+    write_retries: str
+    fetch_label: str
+    write_label: str
+
+
+#: array kind -> route: SIAL's get/put move distributed blocks between
+#: workers, request/prepare move served blocks to and from I/O servers
+ROUTES = {
+    route.kind: route
+    for route in (
+        _Route("distributed", SERVICE_TAG, "epoch", "issued_gets", "puts_posted",
+               "put_retries", "get", "put-ack"),
+        _Route("served", SERVER_TAG, "served_epoch", "issued_requests",
+               "prepares_posted", "prepare_retries", "request", "prepare-ack"),
+    )
+}  # fmt: skip
+
+
 @dataclass
 class BlockIOStats:
     """Counters for every block movement an engine mediated."""
 
-    issued_gets: int = 0  # GetBlock messages put on the wire
-    issued_requests: int = 0  # RequestBlock messages put on the wire
+    issued_gets: int = 0  # GetBlock messages sent to a worker
+    issued_requests: int = 0  # GetBlock messages sent to an I/O server
     coalesced: int = 0  # fetches satisfied by attaching to an in-flight one
     waiters: int = 0  # demand acquires that blocked on an arrival
     # most waiters ever attached to one in-flight block
@@ -72,8 +104,8 @@ class BlockIOStats:
     in_flight_peak: int = field(default=0, metadata=MAX)
     backpressure_stalls: int = 0  # demand fetches that waited for cache space
     hint_drops: int = 0  # speculative fetches dropped for lack of headroom
-    puts_posted: int = 0  # PutBlock messages put on the wire
-    prepares_posted: int = 0  # PrepareBlock messages put on the wire
+    puts_posted: int = 0  # PutBlock messages sent to a worker
+    prepares_posted: int = 0  # PutBlock messages sent to an I/O server
     replies_served: int = 0  # BlockReply messages sent by this rank
     disk_loads: int = 0  # server-side cache fills from disk (or zero-fill)
     writebacks: int = 0  # server-side write-backs started
@@ -163,7 +195,6 @@ class AccumLedger:
 class _InFlight:
     """One outstanding block movement in the engine's request table."""
 
-    kind: str  # "get" | "request" | "load"
     arrival: object  # event fired when the block lands in the cache
     waiters: int = 0
 
@@ -174,9 +205,15 @@ class BlockTransferEngine:
     ``port`` is the owning rank object (a ``WorkerProcess`` or
     ``IOServerProcess``); the engine reads its ``sim``, ``comm``,
     ``cache`` and ``rt`` attributes, plus -- on the worker
-    fetch/post paths only -- ``epoch``, ``served_epoch``, ``race_iter``,
-    ``races``, ``next_tag()``, ``next_msg_seq()`` and
-    ``spawn_retry_monitor()``.
+    fetch/post paths only -- ``race_iter``, ``races``, ``next_tag()``,
+    ``next_msg_seq()``, ``spawn_retry_monitor()`` and the epoch
+    attribute of each array kind's route (``epoch`` for distributed
+    blocks, ``served_epoch`` for served ones).
+
+    A fetch or write goes to the block's owner (``rt.owner_rank``) by
+    the route of its array's kind (:data:`ROUTES`): the same messages
+    carry distributed and served blocks, only the mailbox, epoch and
+    counters differ.
 
     A worker fetch or write carries its pc and the iteration it is for
     (``race_iter``, the running one, unless a prefetch names a later
@@ -195,10 +232,10 @@ class BlockTransferEngine:
         self.accums = AccumLedger(self.stats)
         self._inflight: dict[BlockId, _InFlight] = {}
         self.ever_fetched: set[BlockId] = set()
-        # fire-and-forget write acks still outstanding (drained at
-        # barriers and at run end so every write lands before it counts)
-        self.outstanding_put_acks: list = []
-        self.outstanding_prepare_acks: list = []
+        # fire-and-forget write acks still outstanding, per array kind
+        # (drained at the kind's barrier and at run end so every write
+        # lands before it counts)
+        self.outstanding_acks: dict[str, list] = {kind: [] for kind in ROUTES}
         # server-side write-back version ledger: a completed write-back
         # only owns the disk image if no fresher one was started since
         self._writeback_version: dict[BlockId, int] = {}
@@ -222,8 +259,7 @@ class BlockTransferEngine:
 
     # -- worker fetch paths ------------------------------------------------
     def hint(
-        self, bid: BlockId, kind: str, iteration: tuple, pc: int,
-        *, mark_refetch: bool = True,
+        self, bid: BlockId, iteration: tuple, pc: int, *, mark_refetch: bool = True
     ) -> bool:
         """Speculative fetch: issue early, never wait, never fault.
 
@@ -247,13 +283,13 @@ class BlockTransferEngine:
         if mark_refetch and bid in self.ever_fetched:
             self.cache.mark_refetch(bid)
         try:
-            self._issue(bid, kind, pc, iteration, demand=False)
+            self._issue(bid, pc, iteration, demand=False)
         except SIPError:
             self.stats.hint_drops += 1
             return False
         return True
 
-    def acquire(self, bid: BlockId, kind: str, wait, pc: int) -> Generator:
+    def acquire(self, bid: BlockId, wait, pc: int) -> Generator:
         """Demand read: return the ready block, waiting/refetching as needed.
 
         ``wait`` is the port's accounting wait (``event -> Generator``),
@@ -264,7 +300,7 @@ class BlockTransferEngine:
             # miss: never requested, or evicted before use -> refetch
             if bid in self.ever_fetched:
                 self.cache.mark_refetch(bid)
-            entry = yield from self._issue_with_backpressure(bid, kind, wait, pc)
+            entry = yield from self._issue_with_backpressure(bid, wait, pc)
             self.cache.record_use(bid, hit=False)
         else:
             iteration = self.port.race_iter
@@ -281,7 +317,7 @@ class BlockTransferEngine:
             if entry is None or entry.pending:
                 # evicted between arrival and resume: refetch synchronously
                 self.cache.mark_refetch(bid)
-                entry = yield from self._issue_with_backpressure(bid, kind, wait, pc)
+                entry = yield from self._issue_with_backpressure(bid, wait, pc)
                 self._note_waiter(bid)
                 yield from wait(entry.arrival)
                 entry = self.cache.lookup(bid)
@@ -302,14 +338,12 @@ class BlockTransferEngine:
             if inf.waiters > self.stats.waiter_peak:
                 self.stats.waiter_peak = inf.waiters
 
-    def _issue_with_backpressure(
-        self, bid: BlockId, kind: str, wait, pc: int
-    ) -> Generator:
+    def _issue_with_backpressure(self, bid: BlockId, wait, pc: int) -> Generator:
         """Issue a fetch, waiting for an in-flight arrival when the cache
         has no room for it (demand fetches outrank prefetches)."""
         while True:
             try:
-                return self._issue(bid, kind, pc, self.port.race_iter)
+                return self._issue(bid, pc, self.port.race_iter)
             except SIPError:
                 pending = self.cache.any_pending_arrival()
                 if pending is None:
@@ -317,9 +351,10 @@ class BlockTransferEngine:
                 self.stats.backpressure_stalls += 1
                 yield from wait(pending)
 
-    def _issue(
-        self, bid: BlockId, kind: str, pc: int, iteration: tuple, demand: bool = True
-    ):
+    def _count(self, counter: str) -> None:
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+
+    def _issue(self, bid: BlockId, pc: int, iteration: tuple, demand: bool = True):
         """Put one fetch on the wire and register it in the request table.
 
         Raises :class:`SIPError` when the cache cannot take another
@@ -328,16 +363,13 @@ class BlockTransferEngine:
         (``demand=False``) only ever drops clean replicas.
         """
         port = self.port
-        if kind == "get":
-            dest = self.rt.owner_rank(bid)
-            arrival = self.sim.event(name=("arrive {}", bid))
-        else:
-            dest = self.rt.server_rank_for(bid)
-            arrival = self.sim.event(name=("arrive-served {}", bid))
+        route = ROUTES[self.rt.array_desc(bid.array_id).kind]
+        dest = self.rt.owner_rank(bid)
+        arrival = self.sim.event(name=("arrive {}", bid))
         reply_tag = port.next_tag()
         entry = self.cache.insert_pending(bid, arrival, demand)
         entry.fetched_by = entry.seen = iteration
-        self._inflight[bid] = _InFlight(kind=kind, arrival=arrival)
+        self._inflight[bid] = _InFlight(arrival)
         if len(self._inflight) > self.stats.in_flight_peak:
             self.stats.in_flight_peak = len(self._inflight)
         req = self.comm.irecv(source=dest, tag=reply_tag)
@@ -346,22 +378,16 @@ class BlockTransferEngine:
             self._complete(bid, ev.value.payload.block, arrival)
 
         req.event.add_callback(on_reply)
-        if kind == "get":
-            payload = GetBlock(bid, reply_tag, port.epoch, iteration, pc)
-            send_tag = SERVICE_TAG
-            self.stats.issued_gets += 1
-        else:
-            payload = RequestBlock(
-                bid, reply_tag, port.served_epoch, iteration, pc
-            )
-            send_tag = SERVER_TAG
-            self.stats.issued_requests += 1
+        payload = GetBlock(
+            bid, reply_tag, getattr(port, route.epoch), iteration, pc
+        )
+        self._count(route.issued)
 
         def send() -> None:
-            self.comm.isend(payload, dest=dest, tag=send_tag)
+            self.comm.isend(payload, dest=dest, tag=route.tag)
 
         send()
-        port.spawn_retry_monitor(arrival, send, "fetch_retries", kind)
+        port.spawn_retry_monitor(arrival, send, "fetch_retries", route.fetch_label)
         self.ever_fetched.add(bid)
         if self.on_issue is not None:
             self.on_issue(bid)
@@ -388,19 +414,22 @@ class BlockTransferEngine:
         self, bid: BlockId, op: str, src_block: Block, accum_key: Optional[tuple],
         pc: int,
     ) -> None:
-        """Fire a PutBlock at the owning worker; its ack joins the
-        outstanding ledger drained at barriers and run end."""
+        """Fire a PutBlock at the block's owner (a put or a prepare); its
+        ack joins the kind's outstanding list, drained at the kind's
+        barrier and at run end."""
         port = self.port
-        self._replica_write(bid, port.epoch, op, pc)
+        route = ROUTES[self.rt.array_desc(bid.array_id).kind]
+        epoch = getattr(port, route.epoch)
+        self._replica_write(bid, epoch, op, pc)
         owner = self.rt.owner_rank(bid)
         ack_tag = port.next_tag()
         req = self.comm.irecv(source=owner, tag=ack_tag)
-        self.outstanding_put_acks.append(req.event)
+        self.outstanding_acks[route.kind].append(req.event)
         payload = PutBlock(
             bid,
             op,
             self.snapshot(src_block),
-            port.epoch,
+            epoch,
             ack_tag,
             port.next_msg_seq(),
             accum_key,
@@ -410,44 +439,16 @@ class BlockTransferEngine:
 
         def send() -> None:
             self.comm.isend(
-                payload, dest=owner, tag=SERVICE_TAG, nbytes=message_nbytes(payload)
+                payload, dest=owner, tag=route.tag, nbytes=message_nbytes(payload)
             )
 
         send()
-        port.spawn_retry_monitor(req.event, send, "put_retries", "put-ack")
-        self.stats.puts_posted += 1
-
-    def post_prepare(
-        self, bid: BlockId, op: str, src_block: Block, accum_key: Optional[tuple],
-        pc: int,
-    ) -> None:
-        """Fire a PrepareBlock at the serving I/O rank (ack ledgered)."""
-        port = self.port
-        self._replica_write(bid, port.served_epoch, op, pc)
-        server = self.rt.server_rank_for(bid)
-        ack_tag = port.next_tag()
-        req = self.comm.irecv(source=server, tag=ack_tag)
-        self.outstanding_prepare_acks.append(req.event)
-        payload = PrepareBlock(
-            bid,
-            op,
-            self.snapshot(src_block),
-            port.served_epoch,
-            ack_tag,
-            port.next_msg_seq(),
-            accum_key,
-            port.race_iter if accum_key is None else None,
-            pc,
+        port.spawn_retry_monitor(
+            req.event, send, route.write_retries, route.write_label
         )
+        self._count(route.posted)
 
-        def send() -> None:
-            self.comm.isend(
-                payload, dest=server, tag=SERVER_TAG, nbytes=message_nbytes(payload)
-            )
-
-        send()
-        port.spawn_retry_monitor(req.event, send, "prepare_retries", "prepare-ack")
-        self.stats.prepares_posted += 1
+    post_prepare = post_put  # one body; tracers wrap each verb's name
 
     # -- serving side ------------------------------------------------------
     def reply_block(self, dest: int, reply_tag: int, bid: BlockId, block: Block) -> None:
@@ -488,7 +489,7 @@ class BlockTransferEngine:
                     woken = True
                     continue
                 woken = False
-                self._inflight[bid] = _InFlight(kind="load", arrival=arrival)
+                self._inflight[bid] = _InFlight(arrival)
                 if len(self._inflight) > self.stats.in_flight_peak:
                     self.stats.in_flight_peak = len(self._inflight)
                 self.stats.disk_loads += 1

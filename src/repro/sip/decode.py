@@ -54,7 +54,7 @@ class ResolvedOperand(NamedTuple):
     slices: Optional[tuple[slice, ...]]
     element_ranges: tuple[tuple[int, int], ...]
     is_local: bool  # kind in LOCAL_KINDS
-    owner_rank: Optional[int]  # world rank owning a distributed block, else None
+    owner_rank: Optional[int]  # world rank owning a distributed/served block, else None
 
 
 def _segment(ri_u, ri_d, sub_on_full: bool, desc: ArrayDesc, val) -> tuple:
@@ -145,7 +145,7 @@ class DecodedOperand:
         # an unbound index surfaces as KeyError
         uids = op.index_ids
         self._key = itemgetter(*uids) if uids else (lambda index_values: ())
-        self._owner_of = owner_of if desc.kind == "distributed" else None
+        self._owner_of = None if self._is_local else owner_of
 
     def resolve(self, index_values: dict[int, int]) -> ResolvedOperand:
         try:
@@ -216,8 +216,9 @@ def decode_program(
 ) -> DecodedProgram:
     """Decode every instruction once; pcs and arg layout are preserved.
 
-    ``owner_of`` maps a distributed block to its owning rank, so that a
-    resolved operand carries the answer instead of every reader asking.
+    ``owner_of`` maps a distributed or served block to its owning rank,
+    so that a resolved operand carries the answer instead of every
+    reader asking.
     """
     operands: dict[BlockOperand, DecodedOperand] = {}
     segments: dict[tuple[int, int], dict] = {}

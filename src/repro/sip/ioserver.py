@@ -31,13 +31,7 @@ from .blockio import BlockTransferEngine
 from .blocks import DTYPE, Block, BlockId
 from .config import RETRY_BACKOFF, RETRY_LIMIT, RETRY_TIMEOUT, SIPError
 from .memman import MemoryManager
-from .messages import (
-    Ack,
-    PrepareBlock,
-    RequestBlock,
-    SERVER_TAG,
-    Shutdown,
-)
+from .messages import SERVER_TAG, Ack, GetBlock, PutBlock, Shutdown
 from .runtime import SharedRuntime
 from .sanitizer import RaceRecorder
 from .transport import CommEndpoint
@@ -96,15 +90,15 @@ class IOServerProcess:
                         Ack(payload.ack_tag), dest=msg.source, tag=payload.ack_tag
                     )
                 return
-            if isinstance(payload, PrepareBlock):
+            if isinstance(payload, PutBlock):
                 self._handle_prepare(payload, msg.source)
-            elif isinstance(payload, RequestBlock):
+            elif isinstance(payload, GetBlock):
                 self._handle_request(payload, msg.source)
             else:
                 raise SIPError(f"I/O server got unexpected message {payload!r}")
 
     # -- prepare -----------------------------------------------------------------
-    def _handle_prepare(self, p: PrepareBlock, source: int) -> None:
+    def _handle_prepare(self, p: PutBlock, source: int) -> None:
         if p.seq >= 0:
             # resilient protocol: exactly-once apply of retried prepares.
             # While the original is still being applied we stay silent
@@ -143,22 +137,22 @@ class IOServerProcess:
                 name=f"ioserver{self.server_index}.prepare",
             )
 
-    def _prepare_later(self, p: PrepareBlock, source: int) -> Generator:
+    def _prepare_later(self, p: PutBlock, source: int) -> Generator:
         entry = yield from self._ensure_cached(p.block_id, allow_missing=True)
         self._overwrite(entry.block, p)
         entry.dirty = True
         self._start_writeback(p.block_id)
         self._finish_prepare(p, source)
 
-    def _finish_prepare(self, p: PrepareBlock, source: int) -> None:
+    def _finish_prepare(self, p: PutBlock, source: int) -> None:
         if p.seq >= 0:
             self._prepare_state[(source, p.seq)] = "done"
         self._ack(p, source)
 
-    def _ack(self, p: PrepareBlock, source: int) -> None:
+    def _ack(self, p: PutBlock, source: int) -> None:
         self.comm.isend(Ack(p.ack_tag), dest=source, tag=p.ack_tag)
 
-    def _overwrite(self, block: Block, p: PrepareBlock) -> None:
+    def _overwrite(self, block: Block, p: PutBlock) -> None:
         if block.data is None or p.block.data is None:
             return
         # the cached block may have been shared zero-copy with a
@@ -202,7 +196,7 @@ class IOServerProcess:
         self.sim.spawn(writer(), name=f"ioserver{self.server_index}.writeback")
 
     # -- request -----------------------------------------------------------------
-    def _handle_request(self, p: RequestBlock, source: int) -> None:
+    def _handle_request(self, p: GetBlock, source: int) -> None:
         self.races.record("served", p.epoch, p.block_id, "read", p.iteration, p.pc)
         entry = self.cache.lookup(p.block_id)
         if entry is not None and not entry.pending:
@@ -216,7 +210,7 @@ class IOServerProcess:
             name=f"ioserver{self.server_index}.read",
         )
 
-    def _request_later(self, p: RequestBlock, source: int) -> Generator:
+    def _request_later(self, p: GetBlock, source: int) -> Generator:
         # a block that only ever received buffered '+=' contributions
         # has no disk image yet: fold onto zeros
         allow_missing = p.block_id in self.blockio.accums
@@ -313,32 +307,20 @@ class IOServerProcess:
         what an in-run fold would have produced.
         """
         for bid in self.blockio.accums.pending_ids():
-            pending = self.blockio.accums.pop_sorted(bid)
             entry = self.cache.lookup(bid, touch=False)
             if entry is not None and not entry.pending and entry.block is not None:
-                base = self.rt.writable(entry.block)
-                if base.data is not None:
-                    for _key, inc in pending:
-                        if inc.data is not None:
-                            base.data[...] += inc.data
-                    self.disk_data[bid] = base.data.copy()
-                else:
-                    self.disk_data[bid] = base.shape
-                continue
-            stored = self.disk_data.get(bid)
-            shape = self.rt.block_shape(bid)
-            if self.rt.real:
-                data = (
-                    stored.copy()
-                    if isinstance(stored, np.ndarray)
-                    else np.zeros(shape, dtype=DTYPE)
-                )
-                for _key, inc in pending:
-                    if inc.data is not None:
-                        data += inc.data
-                self.disk_data[bid] = data
+                block = self.rt.writable(entry.block)
             else:
-                self.disk_data[bid] = shape
+                stored = self.disk_data.get(bid)
+                block = (
+                    Block(self.rt.block_shape(bid), stored.copy())
+                    if isinstance(stored, np.ndarray)
+                    else self._fresh_block(bid)
+                )
+            self.blockio.accums.fold_into(bid, block)
+            self.disk_data[bid] = (
+                block.data.copy() if block.data is not None else block.shape
+            )
 
     def current_blocks(self) -> dict[BlockId, Block]:
         """Freshest contents of every block this server holds."""

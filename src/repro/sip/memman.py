@@ -39,9 +39,13 @@ import numpy as np
 
 from .blocks import Block, BlockId, block_nbytes
 from .cache import BlockCache
-from .config import SIPError
+from .config import RETRY_LIMIT, SIPError
 from .fold import MAX
 from .memory import BlockPool, OutOfBlockMemory
+
+#: seconds of back-off added per failed scratch transfer, times the
+#: attempt number; a transfer gives up after ``config.RETRY_LIMIT``
+SCRATCH_RETRY_BACKOFF = 2.0e-3
 
 __all__ = ["MemoryManager", "MemStats"]
 
@@ -92,8 +96,6 @@ class MemoryManager:
         machine=None,
         faults=None,
         fault_device: Optional[str] = None,
-        retry_limit: int = 8,
-        retry_backoff: float = 2.0e-3,
         clock: Optional[Callable[[], float]] = None,
         tracer=None,
         rank: int = -1,
@@ -107,8 +109,6 @@ class MemoryManager:
         self.machine = machine
         self.faults = faults
         self.fault_device = fault_device or f"scratch:{name}"
-        self.retry_limit = retry_limit
-        self.retry_backoff = retry_backoff
         self.clock = clock
         self.tracer = tracer
         self.rank = rank
@@ -349,7 +349,7 @@ class MemoryManager:
             and self.faults.disk_verdict(kind, self.fault_device, self._now())
         ):
             attempts += 1
-            self.time_debt += duration + self.retry_backoff * attempts
+            self.time_debt += duration + SCRATCH_RETRY_BACKOFF * attempts
             if kind == "write":
                 self.stats.spill_write_retries += 1
                 if self.resilience is not None:
@@ -358,7 +358,7 @@ class MemoryManager:
                 self.stats.spill_read_retries += 1
                 if self.resilience is not None:
                     self.resilience.disk_read_retries += 1
-            if attempts >= self.retry_limit:
+            if attempts >= RETRY_LIMIT:
                 raise SIPError(
                     f"{self.name}: scratch {kind} failed "
                     f"{attempts} times; giving up"

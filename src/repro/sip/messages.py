@@ -6,6 +6,11 @@ Three well-known tags exist -- every rank's *service* mailbox
 server's mailbox.  Replies go to per-request tags allocated from a
 counter on the requesting rank, so a requester can wait selectively on
 exactly its own reply.
+
+Three messages move blocks, whatever the block's array kind:
+:class:`GetBlock` and :class:`PutBlock` go to the block's owner -- a
+worker's service mailbox for a distributed block, an I/O server's
+mailbox for a served one -- and :class:`BlockReply` answers a get.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ __all__ = [
     "ChunkReply",
     "CollectiveContribution",
     "CollectiveResult",
-    "RequestBlock",
-    "PrepareBlock",
     "WorkerDone",
     "Shutdown",
     "BarrierArrive",
@@ -58,10 +61,11 @@ HEADER_BYTES = 64
 
 @dataclass(frozen=True)
 class GetBlock:
-    """Worker -> owner worker: send me this distributed block.  The
-    owner's race recorder keys the read by the pardo ``iteration`` it is
-    fetched for and the ``pc`` of the get it serves; neither is charged
-    as wire bytes."""
+    """Worker -> owner (worker or I/O server): send me this block.
+    ``epoch`` is the sender's barrier epoch of the block's array kind.
+    The owner's race recorder keys the read by the pardo ``iteration``
+    it is fetched for and the ``pc`` of the get or request it serves;
+    neither is charged as wire bytes."""
 
     block_id: BlockId
     reply_tag: int
@@ -72,11 +76,12 @@ class GetBlock:
 
 @dataclass(frozen=True)
 class PutBlock:
-    """Worker -> owner worker: store ('=') or accumulate ('+=').
+    """Worker -> owner (worker or I/O server): store ('=') or
+    accumulate ('+=') -- a SIAL ``put`` or ``prepare``.
 
     ``seq`` is a sender-unique sequence number used by the resilient
-    protocol to apply a retried put exactly once; -1 when resilience is
-    off.  ``accum_key`` orders '+=' contributions canonically at the
+    protocol to apply a retried write exactly once; -1 when resilience
+    is off.  ``accum_key`` orders '+=' contributions canonically at the
     owner: ``(0, pardo_id, activation, iteration, n)`` inside a pardo,
     ``(1, worker_index, n)`` outside one, so the fold order -- and the
     floating-point result -- is independent of arrival order and
@@ -157,39 +162,6 @@ class CollectiveContribution:
 @dataclass(frozen=True)
 class CollectiveResult:
     value: float
-
-
-@dataclass(frozen=True)
-class RequestBlock:
-    """Worker -> I/O server: fetch a served block (fields as in
-    :class:`GetBlock`)."""
-
-    block_id: BlockId
-    reply_tag: int
-    epoch: int
-    iteration: Optional[tuple] = None
-    pc: int = -1
-
-
-@dataclass(frozen=True)
-class PrepareBlock:
-    """Worker -> I/O server: store ('=') or accumulate ('+=').
-
-    ``seq`` is a sender-unique sequence number used by the resilient
-    protocol to apply a retried prepare exactly once; -1 when
-    resilience is off.  ``accum_key``, ``iteration`` and ``pc`` are
-    as in :class:`PutBlock`.
-    """
-
-    block_id: BlockId
-    op: str
-    block: Block
-    epoch: int
-    ack_tag: int
-    seq: int = -1
-    accum_key: Optional[tuple] = None
-    iteration: Optional[tuple] = None
-    pc: int = -1
 
 
 @dataclass(frozen=True)

@@ -112,7 +112,6 @@ class SharedRuntime:
         )
         self.cow = CowStats()
         self._owner_rank_cache: dict[BlockId, int] = {}
-        self._server_rank_cache: dict[BlockId, int] = {}
         self._block_shape_cache: dict[BlockId, tuple[int, ...]] = {}
         self._block_nbytes_cache: dict[BlockId, int] = {}
 
@@ -155,20 +154,18 @@ class SharedRuntime:
         return self.program.array_id(name)
 
     def owner_rank(self, block_id: BlockId) -> int:
-        """World rank of the worker owning a distributed block."""
+        """World rank owning a block: a worker for a distributed block,
+        an I/O server for a served one."""
         rank = self._owner_rank_cache.get(block_id)
         if rank is None:
-            idx = self.placements[block_id.array_id].owner_index(block_id.coords)
-            rank = self._owner_rank_cache[block_id] = self.config.worker_rank(idx)
-        return rank
-
-    def server_rank_for(self, block_id: BlockId) -> int:
-        rank = self._server_rank_cache.get(block_id)
-        if rank is None:
-            idx = self.served_placements[block_id.array_id].owner_index(
-                block_id.coords
-            )
-            rank = self._server_rank_cache[block_id] = self.config.server_rank(idx)
+            array_id, coords = block_id
+            placement = self.placements.get(array_id)
+            if placement is not None:
+                rank = self.config.worker_rank(placement.owner_index(coords))
+            else:
+                idx = self.served_placements[array_id].owner_index(coords)
+                rank = self.config.server_rank(idx)
+            self._owner_rank_cache[block_id] = rank
         return rank
 
     def block_shape(self, block_id: BlockId) -> tuple[int, ...]:

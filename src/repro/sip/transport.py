@@ -10,8 +10,9 @@ small surfaces, not against the simulator:
   ``send``/``recv`` wrappers, and ``compute`` for charging local work;
 * a **barrier** over an arbitrary rank group, reusable generation by
   generation;
-* the **block service**: every rank answers ``GetBlock`` /
-  ``RequestBlock`` on its well-known tag (this one is plain message
+* the **block service**: a block's owner -- a worker for a distributed
+  block, an I/O server for a served one -- answers ``GetBlock`` and
+  applies ``PutBlock`` on its well-known tag (this one is plain message
   traffic, so it needs no extra interface beyond the endpoint).
 
 Two implementations exist:

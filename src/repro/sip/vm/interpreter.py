@@ -39,7 +39,7 @@ from ...simmpi.faults import ResilienceStats, WorkerCrashed
 from ..backend import KernelOperand
 from ..blockio import BlockTransferEngine
 from ..blocks import Block, BlockId
-from ..config import RETRY_LIMIT, SIPError
+from ..config import SIPError
 from ..decode import ResolvedOperand
 from ..memman import MemoryManager
 from ..messages import (
@@ -54,6 +54,7 @@ from ..messages import (
     Shutdown,
     WorkerDone,
 )
+from ..plans import perm
 from ..profiling import WorkerProfile
 from ..runtime import SharedRuntime
 from ..sanitizer import RaceRecorder
@@ -103,7 +104,6 @@ class WorkerProcess(ResilientMessaging):
             machine=rt.config.machine,
             faults=rt.config.faults,
             fault_device=f"scratch{worker_index}",
-            retry_limit=RETRY_LIMIT,
             clock=lambda: rt.sim.now,
             tracer=rt.config.tracer,
             rank=self.rank,
@@ -161,6 +161,7 @@ class WorkerProcess(ResilientMessaging):
             lambda bid: rt.replicas.note(bid, worker_index)
         )
         self.prefetcher = LookaheadPrefetcher(self)
+        self._demand_pc = self.prefetcher.demand_pc
 
         # handler tables from the opcode specs: a handler that yields
         # (simulated time may pass) is slow, the rest run inline; STOP
@@ -182,20 +183,6 @@ class WorkerProcess(ResilientMessaging):
         # hot path pays one frame, not two
         self.resolve = methodcaller("resolve", self.index_values)
         self._rpn_consts = rt.rpn_consts
-
-    # convenience views over the engine's ledgers (used by the runners
-    # when gathering results and by the resilient drain at run end)
-    @property
-    def outstanding_put_acks(self) -> list:
-        return self.engine.outstanding_put_acks
-
-    @property
-    def outstanding_prepare_acks(self) -> list:
-        return self.engine.outstanding_prepare_acks
-
-    @property
-    def ever_fetched(self) -> set[BlockId]:
-        return self.engine.ever_fetched
 
     # ======================================================================
     # main loops
@@ -258,8 +245,8 @@ class WorkerProcess(ResilientMessaging):
                 )
         profile.instructions = n_instr
         # drain outstanding writes so they land before we report done
-        yield from self._wait_events(self.engine.outstanding_put_acks)
-        yield from self._wait_events(self.engine.outstanding_prepare_acks)
+        for acks in self.engine.outstanding_acks.values():
+            yield from self._wait_events(acks)
         self.profile.elapsed = self.sim.now - start_time
         if not self.rt.resilient:
             self.comm.isend(
@@ -373,24 +360,18 @@ class WorkerProcess(ResilientMessaging):
 
     def acquire(self, r: ResolvedOperand, pc: int) -> Generator:
         """Obtain a distributed/served block, waiting if in flight."""
-        if r.kind == "distributed":
-            if r.owner_rank == self.rank:
-                block = self.owned.get(r.block_id)
-                if block is None:
-                    raise self._unwritten(r.block_id)
-                self._fold_accums(r.block_id)
-                self.memman.touch(r.block_id)
-                self.memman.pin_instr(r.block_id)
-                self.races.record(
-                    "distributed", self.epoch, r.block_id, "read", self.race_iter, pc
-                )
-                return block
-            return (yield from self.engine.acquire(r.block_id, "get", self._wait, pc))
-        if r.kind == "served":
-            return (
-                yield from self.engine.acquire(r.block_id, "request", self._wait, pc)
+        if r.owner_rank == self.rank:
+            block = self.owned.get(r.block_id)
+            if block is None:
+                raise self._unwritten(r.block_id)
+            self._fold_accums(r.block_id)
+            self.memman.touch(r.block_id)
+            self.memman.pin_instr(r.block_id)
+            self.races.record(
+                "distributed", self.epoch, r.block_id, "read", self.race_iter, pc
             )
-        raise SIPError(f"cannot read array kind {r.kind!r}")
+            return block
+        return (yield from self.engine.acquire(r.block_id, self._wait, pc))
 
     # -- write targets ----------------------------------------------------------
     def write_target(self, r: ResolvedOperand, needs_existing: bool) -> Block:
@@ -570,41 +551,31 @@ class WorkerProcess(ResilientMessaging):
         return instr.args[0]
 
     def op_get(self, instr, pc: int) -> int:
+        """A fetch hint (``get``, ``request`` or the optimizer's
+        ``PREFETCH``): issue early, never wait.
+
+        The fetch carries the pc of the get or request it serves (a
+        ``PREFETCH`` runs ahead of the first later one of its operand, in
+        the same iteration), so the owner's race recorder sees the same
+        access as at ``-O0``.  An owned block needs no fetch: its read is
+        recorded here, and one nobody wrote fails as that get would.
+        """
         r = self.resolve(instr.args[0])
         bid = r.block_id
+        read_pc = self._demand_pc[pc]
         if r.owner_rank == self.rank:
             if bid not in self.owned:
                 raise self._unwritten(bid)
             self.races.record(
-                "distributed", self.epoch, bid, "read", self.race_iter, pc
+                "distributed", self.epoch, bid, "read", self.race_iter, read_pc
             )
             return pc + 1
         # a dropped hint is fine: the instruction that *uses* the block
         # fetches with backpressure
-        self.engine.hint(bid, "get", self.race_iter, pc)
+        self.engine.hint(bid, self.race_iter, read_pc)
         return pc + 1
 
-    def op_request(self, instr, pc: int) -> int:
-        r = self.resolve(instr.args[0])
-        self.engine.hint(r.block_id, "request", self.race_iter, pc)
-        return pc + 1
-
-    def op_prefetch(self, instr, pc: int) -> int:
-        """Optimizer-inserted fetch hint: issue early, never wait or fault.
-
-        The fetch carries the pc of the get or request it runs ahead of
-        (the optimizer proved it follows in the same iteration), so the
-        owner's race recorder sees the same access as at ``-O0``; an
-        owned block needs no fetch and records nothing until that get.
-        """
-        r = self.resolve(instr.args[0])
-        if r.owner_rank == self.rank:
-            return pc + 1
-        kind = "get" if r.kind == "distributed" else "request"
-        self.engine.hint(
-            r.block_id, kind, self.race_iter, self.prefetcher.demand_pc[pc]
-        )
-        return pc + 1
+    op_request = op_prefetch = op_get  # the block's array routes the fetch
 
     def op_create(self, instr, pc: int) -> int:
         return pc + 1  # storage is lazy; creation is a declaration of intent
@@ -925,17 +896,20 @@ class WorkerProcess(ResilientMessaging):
         return pc + 1
 
     def op_put(self, instr, pc: int) -> Generator:
+        """``put`` / ``prepare``: store (``=``) or accumulate (``+=``) the
+        source into the destination block at its owner, a worker for a
+        distributed block, an I/O server for a served one."""
         dst_op, op, src_op = instr.args
         src_r = self.resolve(src_op)
         src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r, pc))
         dst_r = self.resolve(dst_op)
         if dst_r.slices is not None:
-            raise SIPError("put of a sub-block slice is not supported")
-        if src_r.slices is not None:
-            src_block = self._materialize_view(src_r, src_block)
+            raise SIPError(f"{instr.op.lower()} of a sub-block slice is not supported")
+        src_block = self._write_source(src_r, src_block, dst_r)
         if src_block.shape != dst_r.shape:
             raise SIPError(
-                f"put shape mismatch: {src_block.shape} -> {dst_r.shape}"
+                f"{instr.op.lower()} shape mismatch: "
+                f"{src_block.shape} -> {dst_r.shape}"
             )
         bid = dst_r.block_id
         accum_key = (
@@ -962,44 +936,41 @@ class WorkerProcess(ResilientMessaging):
         yield Timeout(self.rt.config.machine.send_overhead)
         return pc + 1
 
-    def op_prepare(self, instr, pc: int) -> Generator:
-        dst_op, op, src_op = instr.args
-        src_r = self.resolve(src_op)
-        src_block = self.local_block(src_r) if src_r.is_local else (yield from self.acquire(src_r, pc))
-        dst_r = self.resolve(dst_op)
-        if dst_r.slices is not None:
-            raise SIPError("prepare of a sub-block slice is not supported")
-        if src_r.slices is not None:
-            src_block = self._materialize_view(src_r, src_block)
-        bid = dst_r.block_id
-        accum_key = (
-            None
-            if op == "="
-            else self.engine.accums.next_key(self._iter_key, self.worker_index)
-        )
-        self.engine.post_prepare(bid, op, src_block, accum_key, pc)
-        yield Timeout(self.rt.config.machine.send_overhead)
-        return pc + 1
+    op_prepare = op_put  # the block's array routes the write
 
-    def _materialize_view(self, r: ResolvedOperand, block: Block) -> Block:
-        data = None
-        if block.data is not None:
-            data = block.data[r.slices].copy()
-        return Block(r.shape, data)
+    def _write_source(
+        self, src_r: ResolvedOperand, block: Block, dst_r: ResolvedOperand
+    ) -> Block:
+        """The block a put or prepare sends: the source itself when it is
+        a whole block in the destination's index order (zero-copy), else
+        a copy of its slice permuted into that order, as ``op_copy``
+        permutes."""
+        if src_r.slices is None and src_r.index_ids == dst_r.index_ids:
+            return block
+        axes = perm(dst_r.index_ids, src_r.index_ids)
+        shape = tuple(src_r.shape[a] for a in axes)
+        if block.data is None:
+            return Block(shape, None)
+        data = block.data if src_r.slices is None else block.data[src_r.slices]
+        return Block(shape, data.transpose(axes).copy())
 
     def op_sip_barrier(self, instr, pc: int) -> Generator:
-        yield from self._wait_events(self.engine.outstanding_put_acks)
-        yield from self._barrier_wait(self.rt.worker_barrier)
+        yield from self._close_epoch("distributed", self.rt.worker_barrier)
         self.epoch += 1
-        self._clear_cache_kind("distributed")
         return pc + 1
 
     def op_server_barrier(self, instr, pc: int) -> Generator:
-        yield from self._wait_events(self.engine.outstanding_prepare_acks)
-        yield from self._barrier_wait(self.rt.server_barrier_obj)
+        yield from self._close_epoch("served", self.rt.server_barrier_obj)
         self.served_epoch += 1
-        self._clear_cache_kind("served")
         return pc + 1
+
+    def _close_epoch(self, kind: str, barrier) -> Generator:
+        """A barrier over one array kind: every write this worker posted
+        to the kind's blocks lands, all workers meet, and the kind's
+        replicas are dropped (the caller then opens the next epoch)."""
+        yield from self._wait_events(self.engine.outstanding_acks[kind])
+        yield from self._barrier_wait(barrier)
+        self._clear_cache_kind(kind)
 
     def _barrier_wait(self, barrier) -> Generator:
         t0 = self.sim.now

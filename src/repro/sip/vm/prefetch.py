@@ -7,9 +7,9 @@ waiting, never faulting, and stopping as soon as the engine reports no
 headroom (the single backpressure predicate that used to be two
 copy-pasted ``capacity - 2`` guards).
 
-Each loop's get list is decoded once into (operand, fetch kind, pc)
-triples; the compiler lists only gets the loop can resolve
-(:func:`repro.sial.passes.rewrite.loop_get_pcs`).  A block this rank
+Each loop's get list is decoded once into (operand, pc) pairs -- the
+block's array routes the fetch; the compiler lists only gets the loop
+can resolve (:func:`repro.sial.passes.rewrite.loop_get_pcs`).  A block this rank
 owns, or one the cache already holds, needs no call to the engine.
 A hint names the iteration it fetches for and the pc of the get it
 serves (never a ``PREFETCH``), so a legal ``get X ... put X =`` inside
@@ -24,24 +24,18 @@ from ..config import SIPError
 __all__ = ["LookaheadPrefetcher"]
 
 
-def demand_pcs(instrs) -> dict[int, int]:
-    """``PREFETCH`` pc -> pc of the fetch it runs ahead of: the first
-    later get or request of its operand (the optimizer hints only a
-    fetch the pardo body issues later in the same iteration)."""
+def demand_pcs(instrs) -> list[int]:
+    """pc -> pc of the fetch a hint there serves: for a ``PREFETCH``,
+    the first later get or request of its operand (the optimizer hints
+    only a fetch the pardo body issues later in the same iteration);
+    every other pc serves itself."""
     fetches = [(q, i.args[0]) for q, i in enumerate(instrs) if i.op in FETCHES]
-    return {
-        pc: next((q for q, o in fetches if q > pc and o == i.args[0]), pc)
-        for pc, i in enumerate(instrs)
+    return [
+        next((q for q, o in fetches if q > pc and o == i.args[0]), pc)
         if i.op == Op.PREFETCH
-    }
-
-
-def _fetch_kind(instr) -> str:
-    if instr.op == Op.REQUEST:
-        return "request"
-    if instr.op == Op.PREFETCH and instr.args[0].kind != "distributed":
-        return "request"  # optimizer hints fetch by the operand's kind
-    return "get"
+        else pc
+        for pc, i in enumerate(instrs)
+    ]
 
 
 class LookaheadPrefetcher:
@@ -51,7 +45,7 @@ class LookaheadPrefetcher:
         self.engine = vm.engine
         self.depth = vm.config.prefetch_depth
         self.demand_pc = demand_pcs(vm.rt.program.instructions)
-        # loop start pc -> ((decoded operand, fetch kind, get pc), ...);
+        # loop start pc -> ((decoded operand, get pc), ...);
         # no entry when the loop has nothing to prefetch
         self.plans: dict[int, tuple] = {}
         if self.depth:
@@ -62,12 +56,7 @@ class LookaheadPrefetcher:
                     get_pcs = instr.args[slot]
                     if get_pcs:
                         self.plans[pc] = tuple(
-                            (
-                                instrs[g].args[0],
-                                _fetch_kind(instrs[g]),
-                                self.demand_pc.get(g, g),
-                            )
-                            for g in get_pcs
+                            (instrs[g].args[0], self.demand_pc[g]) for g in get_pcs
                         )
 
     def _hint_all(self, plan, iteration) -> bool:
@@ -76,7 +65,7 @@ class LookaheadPrefetcher:
         rank = self.rank
         engine = self.engine
         lookup = engine.cache.lookup
-        for operand, kind, pc in plan:
+        for operand, pc in plan:
             try:
                 r = operand.resolve(index_values)
             except SIPError:
@@ -88,7 +77,7 @@ class LookaheadPrefetcher:
                 if entry.pending:
                     engine.stats.coalesced += 1
                 continue
-            if not engine.hint(r.block_id, kind, iteration, pc, mark_refetch=False):
+            if not engine.hint(r.block_id, iteration, pc, mark_refetch=False):
                 return False
         return True
 

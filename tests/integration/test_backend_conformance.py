@@ -521,6 +521,48 @@ endsial coalesce
 """
 
 
+PERMUTED_WRITE_SRC = """
+sial permuted_write
+symbolic ni
+symbolic nj
+aoindex I = 1, ni
+aoindex J = 1, nj
+distributed A(I, J)
+{kind} D(I, J)
+temp T(J, I)
+pardo I, J
+  get A(I, J)
+  T(J, I) = A(I, J)
+  {verb} D(I, J) {op} T(J, I)
+endpardo I, J
+{barrier}
+endsial permuted_write
+"""
+
+
+@pytest.mark.mp
+@pytest.mark.parametrize("nj", [6, 4], ids=["square", "nonsquare"])
+@pytest.mark.parametrize("op", ["=", "+="])
+@pytest.mark.parametrize("verb", ["put", "prepare"])
+@pytest.mark.parametrize("execution", ["sim", "mp"])
+def test_a_permuted_write_lands_in_the_destination_index_order(
+    execution, verb, op, nj
+):
+    """``put D(I, J) = T(J, I)`` permutes the source into D's index order,
+    as a copy does; so do ``prepare`` and ``+=``.  D must equal A bit for
+    bit.  With 3-element segments and J = 1..4 the last blocks are 3 x 1,
+    so a source sent unpermuted does not even fit its destination."""
+    kind, barrier = (
+        ("distributed", "sip_barrier") if verb == "put" else ("served", "server_barrier")
+    )
+    src = PERMUTED_WRITE_SRC.format(kind=kind, verb=verb, op=op, barrier=barrier)
+    a = np.arange(6 * nj, dtype=float).reshape(6, nj) / 7.0
+    cfg = make_config(2, execution, segment_size=3, inputs={"A": a})
+    res = run_source(src, cfg, symbolics={"ni": 6, "nj": nj})
+    assert np.array_equal(res.array("D"), a)
+    assert res.sanitizer_report.ok
+
+
 @pytest.mark.mp
 @pytest.mark.parametrize("execution", ["sim", "mp"])
 def test_duplicate_block_requests_coalesce_on_both_backends(execution):

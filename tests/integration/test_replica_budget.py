@@ -27,10 +27,11 @@ def test_default_budget_never_drops_a_replica(monkeypatch):
     fetched = Counter()
     issue = BlockTransferEngine._issue
 
-    def spy(self, bid, kind, *args, **kw):
-        entry = issue(self, bid, kind, *args, **kw)
+    def spy(self, bid, *args, **kw):
+        entry = issue(self, bid, *args, **kw)
         port = self.port
-        epoch = port.epoch if kind == "get" else port.served_epoch
+        kind = self.rt.array_desc(bid.array_id).kind
+        epoch = port.epoch if kind == "distributed" else port.served_epoch
         fetched[port.rank, kind, epoch, bid] += 1
         return entry
 

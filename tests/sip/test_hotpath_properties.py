@@ -151,7 +151,7 @@ def test_resolve_matches_reference_path(case):
     if not isinstance(reference, tuple):
         assert again is first  # the second call is the memo hit
         assert first.is_local is (kind == "temp")
-        assert first.owner_rank == (1 if kind == "distributed" else None)
+        assert first.owner_rank == (None if kind == "temp" else 1)
 
 
 def test_subindex_on_a_full_dimension_resolves_to_a_slice():

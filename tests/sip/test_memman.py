@@ -217,7 +217,7 @@ def test_scratch_faults_are_retried_and_counted():
 
 def test_scratch_fault_gives_up_after_retry_limit():
     plan = FaultPlan(seed=3, disk_write_error_rate=1.0)
-    mm = manager(budget_blocks=2, machine=LAPTOP, faults=plan, retry_limit=3)
+    mm = manager(budget_blocks=2, machine=LAPTOP, faults=plan)
     fill(mm, 1)
     fill(mm, 2)
     with pytest.raises(SIPError, match="scratch write failed"):

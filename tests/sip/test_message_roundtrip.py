@@ -37,9 +37,7 @@ from repro.sip.messages import (
     CollectiveContribution,
     CollectiveResult,
     GetBlock,
-    PrepareBlock,
     PutBlock,
-    RequestBlock,
     Shutdown,
     WorkerDone,
     message_nbytes,
@@ -105,7 +103,7 @@ race_iterations = st.one_of(
 
 @st.composite
 def write_messages(draw, cls):
-    """A PutBlock or PrepareBlock as a sender builds it."""
+    """A PutBlock (a put or a prepare) as a sender builds it."""
     op, accum_key = draw(ops_and_keys)
     return cls(
         block_id=draw(block_ids),
@@ -122,21 +120,12 @@ def write_messages(draw, cls):
 
 block_messages = st.one_of(
     write_messages(PutBlock),
-    write_messages(PrepareBlock),
     st.builds(BlockReply, block_id=block_ids, block=blocks()),
 )
 
 control_messages = st.one_of(
     st.builds(
         GetBlock,
-        block_id=block_ids,
-        reply_tag=st.integers(1000, 9000),
-        epoch=st.integers(0, 99),
-        iteration=race_iterations,
-        pc=st.integers(-1, 500),
-    ),
-    st.builds(
-        RequestBlock,
         block_id=block_ids,
         reply_tag=st.integers(1000, 9000),
         epoch=st.integers(0, 99),

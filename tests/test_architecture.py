@@ -9,7 +9,8 @@ pending cache entries, or importing the raw simulated wire layer).
 
 Control-plane traffic (barriers, the master's dole-out protocol, acks)
 deliberately stays outside the engine -- only *block* movement is
-restricted.
+restricted.  Distributed and served blocks move by the same messages
+and the same owner lookup; the served twins may not come back.
 
 The same goes for the event loop: :meth:`Simulator.run_pending` is the
 one owner of the pop / time-monotonicity / dispatch / error-surfacing
@@ -52,11 +53,13 @@ SRC = REPO / "src" / "repro"
 #: putting a block movement on the wire
 BLOCK_MESSAGES = {
     "GetBlock",
-    "RequestBlock",
     "PutBlock",
-    "PrepareBlock",
     "BlockReply",
 }
+
+#: the twin served-array path: a block moves by its array's route, not
+#: by a message class or an owner lookup of its own
+SERVED_TWINS = {"RequestBlock", "PrepareBlock", "server_rank_for"}
 
 #: modules allowed to construct block-transfer messages: the engine
 #: itself and the message definitions (dataclass machinery)
@@ -108,6 +111,21 @@ def test_block_messages_are_only_constructed_by_the_engine():
     assert not offenders, (
         "block-transfer messages must be built by the BlockTransferEngine "
         "(repro/sip/blockio.py), not hand-rolled:\n  " + "\n  ".join(offenders)
+    )
+
+
+def test_served_blocks_move_by_the_one_transfer_path():
+    offenders = []
+    for rel, tree in repro_modules():
+        for node in ast.walk(tree):
+            names = {
+                getattr(node, attr, None) for attr in ("id", "attr", "name", "arg")
+            }
+            for name in names & SERVED_TWINS:
+                offenders.append(f"{rel}:{node.lineno} names {name}")
+    assert not offenders, (
+        "distributed and served blocks share GetBlock / PutBlock and "
+        "SharedRuntime.owner_rank:\n  " + "\n  ".join(offenders)
     )
 
 
